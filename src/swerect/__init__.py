@@ -25,6 +25,7 @@ from .algebra import (
     from_characteristic,
     hyperbolic_transform,
     to_characteristic,
+    transform_for,
     verify_diagonalization,
 )
 from .boundary import (

@@ -26,7 +26,7 @@ from typing import Dict, Union
 import numpy as np
 
 from .errors import SingularSystem
-from .regime import PhysicalConstants, Regime, classify, delta, kappa0, kappa1
+from .regime import PhysicalConstants, Regime, classify, kappa0, kappa1
 
 
 @dataclass(frozen=True)
@@ -138,6 +138,14 @@ def elliptic_transform(p: PhysicalConstants) -> EllipticTransform:
 Transform = Union[CharTransform, EllipticTransform]
 
 
+def transform_for(p: PhysicalConstants) -> Transform:
+    """The elliptic transform in the mixed subcritical regime, the
+    characteristic one in the four hyperbolic regimes."""
+    if classify(p) is Regime.MIXED_SUBCRITICAL:
+        return elliptic_transform(p)
+    return hyperbolic_transform(p)
+
+
 def to_characteristic(U: np.ndarray, t: Transform) -> np.ndarray:
     """Xi = Pinv @ U; works on 3-vectors and (3, ...) field stacks alike."""
     return np.einsum("ij,j...->i...", t.Pinv, np.asarray(U))
@@ -178,11 +186,10 @@ def verify_diagonalization(p: PhysicalConstants, tol: float = 1e-10) -> Diagnost
     All residuals are max-norm, relative to the product's own magnitude.
     """
     m = coefficient_matrices(p)
-    reg = classify(p)
-    rep = DiagnosticReport(regime=reg, tol=tol)
+    rep = DiagnosticReport(regime=classify(p), tol=tol)
     s = p.u0**2 + p.v0**2
-    if reg is Regime.MIXED_SUBCRITICAL:
-        t = elliptic_transform(p)
+    t = transform_for(p)
+    if isinstance(t, EllipticTransform):
         tx = np.zeros((3, 3))
         tx[:2, :2] = t.blockX
         tx[2, 2] = p.u0 / s
@@ -192,7 +199,6 @@ def verify_diagonalization(p: PhysicalConstants, tol: float = 1e-10) -> Diagnost
         rep.residuals["congruence_x"] = _rel_residual(t.P.T @ (m.S0 @ m.E1) @ t.P, tx)
         rep.residuals["congruence_y"] = _rel_residual(t.P.T @ (m.S0 @ m.E2) @ t.P, ty)
     else:
-        t = hyperbolic_transform(p)
         rep.residuals["congruence_x"] = _rel_residual(t.P.T @ (m.S0 @ m.E1) @ t.P, np.diag(t.a))
         rep.residuals["congruence_y"] = _rel_residual(t.P.T @ (m.S0 @ m.E2) @ t.P, np.diag(t.b))
         flow = np.linalg.solve(m.E2, m.E1)

@@ -3,8 +3,9 @@
 Each regime admits a specific set of constraint rows c with c . (u, v, phi) =
 data on each side of the rectangle; the row count per side equals the number
 of characteristics entering through that side, which is what makes the
-resulting problem well posed.  Both the forward catalogs and the adjoint
-catalogs are encoded here.
+resulting problem well posed.  In the hyperbolic regimes both catalogs follow
+from that one rule (_entering_rows); the mixed subcritical rows are
+closed-form.
 
 Enforcement works in characteristic variables: at a boundary node the
 constrained combinations are set from the data while the remaining
@@ -16,12 +17,12 @@ union of the two adjacent sides' rows (de-duplicated by rank).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .algebra import CharTransform, EllipticTransform, Transform, elliptic_transform, hyperbolic_transform
+from .algebra import Transform, elliptic_transform, hyperbolic_transform
 from .errors import RegimeMismatch, ShapeMismatch, SingularConstraintSystem
 from .fields import Grid, StateField
 from .regime import PhysicalConstants, Regime, classify
@@ -47,7 +48,6 @@ class BoundarySpec:
     regime: Regime
     adjoint: bool
     rows: Dict[Side, np.ndarray]
-    derived_by_symmetry: bool = False
 
     def counts(self) -> Tuple[int, int, int, int]:
         return tuple(self.rows[s].shape[0] for s in SIDES)
@@ -57,127 +57,70 @@ def _rows(*rs) -> np.ndarray:
     return np.array(rs, dtype=float).reshape(-1, 3)
 
 
-_NO_ROWS = np.zeros((0, 3))
-_DIRICHLET = np.eye(3)
+def _entering_rows(p: PhysicalConstants, s: float) -> Dict[Side, np.ndarray]:
+    """Rows of Pinv whose characteristic enters through each side.
+
+    With orientation s (+1 forward, -1 adjoint) West takes the rows with
+    s*a > 0, East s*a < 0, South s*b > 0 and North s*b < 0.  A side that
+    takes all three rows keeps the identity, so its data are plain
+    Dirichlet values of (u, v, phi).
+    """
+    t = hyperbolic_transform(p)
+    entering = {
+        Side.WEST: s * t.a > 0,
+        Side.EAST: s * t.a < 0,
+        Side.SOUTH: s * t.b > 0,
+        Side.NORTH: s * t.b < 0,
+    }
+    return {side: np.eye(3) if m.all() else t.Pinv[m] for side, m in entering.items()}
 
 
 def bc_catalog(regime: Regime, p: PhysicalConstants) -> BoundarySpec:
     """Forward-problem constraint rows for the regime of p.
 
-    Supercritical inflow sides take all three components; hyperbolic regimes
-    with one subcritical direction constrain the two entering characteristic
-    combinations at the inflow face and one at the outflow face of that
-    direction; the mixed subcritical regime constrains the shear and
-    energy-flux combinations on West/South and phi alone on East/North.
+    In the hyperbolic regimes each side constrains exactly the
+    characteristics entering through it (the sign law of _entering_rows);
+    the mixed subcritical regime constrains the shear and energy-flux
+    combinations on West/South and phi alone on East/North.
     """
     if classify(p) is not regime:
         raise RegimeMismatch(f"constants classify as {classify(p)}, not {regime}")
+    if regime is not Regime.MIXED_SUBCRITICAL:
+        return BoundarySpec(regime, False, _entering_rows(p, 1.0))
     u0, v0, g = p.u0, p.v0, p.g
-    if regime is Regime.MIXED_SUBCRITICAL:
-        ws = _rows((v0, -u0, 0.0), (u0, v0, g))
-        side_rows = {
-            Side.WEST: ws,
-            Side.SOUTH: ws.copy(),
-            # the elliptic pair leaves a single Dirichlet trace; stored as
-            # phi = 0 (any positive rescaling of the row is the same set)
-            Side.EAST: _rows((0.0, 0.0, 1.0)),
-            Side.NORTH: _rows((0.0, 0.0, 1.0)),
-        }
-        return BoundarySpec(regime, False, side_rows)
-
-    k0 = hyperbolic_transform(p).kappa0
-    xi = (v0, -u0, k0)
-    eta = (v0, -u0, -k0)
-    zeta = (u0, v0, g)
-    if regime is Regime.SUPERCRITICAL:
-        side_rows = {
-            Side.WEST: _DIRICHLET.copy(),
-            Side.EAST: _NO_ROWS.copy(),
-            Side.SOUTH: _DIRICHLET.copy(),
-            Side.NORTH: _NO_ROWS.copy(),
-        }
-    elif regime is Regime.MIXED_HYPERBOLIC_I:
-        side_rows = {
-            Side.WEST: _rows(xi, zeta),
-            Side.EAST: _rows(eta),
-            Side.SOUTH: _DIRICHLET.copy(),
-            Side.NORTH: _NO_ROWS.copy(),
-        }
-    elif regime is Regime.MIXED_HYPERBOLIC_II:
-        side_rows = {
-            Side.WEST: _DIRICHLET.copy(),
-            Side.EAST: _NO_ROWS.copy(),
-            Side.SOUTH: _rows(eta, zeta),
-            Side.NORTH: _rows(xi),
-        }
-    else:  # fully hyperbolic subcritical
-        side_rows = {
-            Side.WEST: _rows(xi, zeta),
-            Side.EAST: _rows(eta),
-            Side.SOUTH: _rows(eta, zeta),
-            Side.NORTH: _rows(xi),
-        }
+    ws = _rows((v0, -u0, 0.0), (u0, v0, g))
+    side_rows = {
+        Side.WEST: ws,
+        Side.SOUTH: ws.copy(),
+        # the elliptic pair leaves a single Dirichlet trace; stored as
+        # phi = 0 (any positive rescaling of the row is the same set)
+        Side.EAST: _rows((0.0, 0.0, 1.0)),
+        Side.NORTH: _rows((0.0, 0.0, 1.0)),
+    }
     return BoundarySpec(regime, False, side_rows)
 
 
 def adjoint_bc_catalog(regime: Regime, p: PhysicalConstants) -> BoundarySpec:
     """Adjoint-problem constraint rows (homogeneous in the adjoint variables).
 
-    The adjoint operator transports information the opposite way, so its
-    constrained sides mirror the forward ones.  The catalog for the second
-    mixed hyperbolic regime is produced from the first by the x<->y /
-    (u,v)<->(v,u) relabeling symmetry and carries derived_by_symmetry=True;
-    it is validated through the discrete duality property.
+    The adjoint operator transports information the opposite way, so in the
+    hyperbolic regimes it is the sign law with reversed orientation: the
+    W<->E, S<->N mirror of the forward catalog.  The mixed subcritical rows
+    are closed-form.
     """
     if classify(p) is not regime:
         raise RegimeMismatch(f"constants classify as {classify(p)}, not {regime}")
+    if regime is not Regime.MIXED_SUBCRITICAL:
+        return BoundarySpec(regime, True, _entering_rows(p, -1.0))
     u0, v0, g = p.u0, p.v0, p.g
-
-    if regime is Regime.MIXED_SUBCRITICAL:
-        k1 = elliptic_transform(p).kappa1
-        side_rows = {
-            Side.WEST: _rows((g * v0**2, -g * v0 * u0, -u0 * k1**2)),
-            Side.EAST: _rows((u0 * v0, -u0**2, g * v0), (u0, v0, g)),
-            Side.SOUTH: _rows((g * u0 * v0, -g * u0**2, v0 * k1**2)),
-            Side.NORTH: _rows((v0**2, -v0 * u0, -g * u0), (u0, v0, g)),
-        }
-        return BoundarySpec(regime, True, side_rows)
-
-    k0 = hyperbolic_transform(p).kappa0
-    xi = (v0, -u0, k0)
-    eta = (v0, -u0, -k0)
-    zeta = (u0, v0, g)
-    derived = False
-    if regime is Regime.SUPERCRITICAL:
-        side_rows = {
-            Side.WEST: _NO_ROWS.copy(),
-            Side.EAST: _DIRICHLET.copy(),
-            Side.SOUTH: _NO_ROWS.copy(),
-            Side.NORTH: _DIRICHLET.copy(),
-        }
-    elif regime is Regime.MIXED_HYPERBOLIC_I:
-        side_rows = {
-            Side.WEST: _rows(eta),
-            Side.EAST: _rows(xi, zeta),
-            Side.SOUTH: _NO_ROWS.copy(),
-            Side.NORTH: _DIRICHLET.copy(),
-        }
-    elif regime is Regime.MIXED_HYPERBOLIC_II:
-        derived = True
-        side_rows = {
-            Side.WEST: _NO_ROWS.copy(),
-            Side.EAST: _DIRICHLET.copy(),
-            Side.SOUTH: _rows(xi),
-            Side.NORTH: _rows(eta, zeta),
-        }
-    else:
-        side_rows = {
-            Side.WEST: _rows(eta),
-            Side.EAST: _rows(xi, zeta),
-            Side.SOUTH: _rows(xi),
-            Side.NORTH: _rows(eta, zeta),
-        }
-    return BoundarySpec(regime, True, side_rows, derived_by_symmetry=derived)
+    k1 = elliptic_transform(p).kappa1
+    side_rows = {
+        Side.WEST: _rows((g * v0**2, -g * v0 * u0, -u0 * k1**2)),
+        Side.EAST: _rows((u0 * v0, -u0**2, g * v0), (u0, v0, g)),
+        Side.SOUTH: _rows((g * u0 * v0, -g * u0**2, v0 * k1**2)),
+        Side.NORTH: _rows((v0**2, -v0 * u0, -g * u0), (u0, v0, g)),
+    }
+    return BoundarySpec(regime, True, side_rows)
 
 
 @dataclass
@@ -292,34 +235,23 @@ def _independent_then_complete(rows: np.ndarray, pinv: np.ndarray):
 
 
 @dataclass
-class _SidePlan:
+class _Plan:
     G_data: np.ndarray   # (3, n_kept)
     G_free: np.ndarray   # (3, 3) acting on the extrapolated state; zero rows when n_kept = 3
-    keep_idx: List[int]
+    keep_idx: List[int]  # into the rows; at a corner, x side rows stacked over y side rows
 
 
-@dataclass
-class _CornerPlan:
-    G_data: np.ndarray
-    G_free: np.ndarray
-    keep_idx: List[int]  # into the stacked (rows_a; rows_b)
-    k_a: int             # rows contributed by side a (for data gathering)
-
-
-def _make_plan(rows: np.ndarray, pinv: np.ndarray) -> Optional[_SidePlan]:
+def _make_plan(rows: np.ndarray, pinv: np.ndarray, include_free_sides: bool) -> Optional[_Plan]:
     if rows.shape[0] == 0:
-        return None
+        # pure extrapolation (identity on the extrapolated state), or untouched
+        return _Plan(np.zeros((3, 0)), np.eye(3), []) if include_free_sides else None
     keep, n_kept, M = _independent_then_complete(rows, pinv)
     Minv = np.linalg.inv(M)
-    G_data = Minv[:, :n_kept]
-    if n_kept == 3:
-        G_free = np.zeros((3, 3))
-    else:
-        G_free = Minv[:, n_kept:] @ M[n_kept:]
-    return _SidePlan(G_data, G_free, keep)
+    G_free = np.zeros((3, 3)) if n_kept == 3 else Minv[:, n_kept:] @ M[n_kept:]
+    return _Plan(Minv[:, :n_kept], G_free, keep)
 
 
-# corner -> (x side, y side), node index, extrapolation source indices
+# corner -> (x side, y side)
 _CORNERS = {
     "SW": (Side.WEST, Side.SOUTH),
     "SE": (Side.EAST, Side.SOUTH),
@@ -348,27 +280,13 @@ class BcEnforcer:
         self.grid = grid
         self.include_free_sides = include_free_sides
         pinv = transform.Pinv
-        self._side_plans: Dict[Side, Optional[_SidePlan]] = {}
-        for side in SIDES:
-            rows = spec.rows[side]
-            if rows.shape[0] == 0 and include_free_sides:
-                # pure extrapolation: identity on the extrapolated state
-                self._side_plans[side] = _SidePlan(np.zeros((3, 0)), np.eye(3), [])
-            else:
-                self._side_plans[side] = _make_plan(rows, pinv)
-        self._corner_plans: Dict[str, Optional[_CornerPlan]] = {}
-        for name, (sx, sy) in _CORNERS.items():
-            ra, rb = spec.rows[sx], spec.rows[sy]
-            union = np.vstack([ra, rb])
-            if union.shape[0] == 0:
-                self._corner_plans[name] = (
-                    _CornerPlan(np.zeros((3, 0)), np.eye(3), [], 0) if include_free_sides else None
-                )
-                continue
-            keep, n_kept, M = _independent_then_complete(union, pinv)
-            Minv = np.linalg.inv(M)
-            G_free = np.zeros((3, 3)) if n_kept == 3 else Minv[:, n_kept:] @ M[n_kept:]
-            self._corner_plans[name] = _CornerPlan(Minv[:, :n_kept], G_free, keep, ra.shape[0])
+        self._side_plans: Dict[Side, Optional[_Plan]] = {
+            side: _make_plan(spec.rows[side], pinv, include_free_sides) for side in SIDES
+        }
+        self._corner_plans: Dict[str, Optional[_Plan]] = {
+            name: _make_plan(np.vstack([spec.rows[sx], spec.rows[sy]]), pinv, include_free_sides)
+            for name, (sx, sy) in _CORNERS.items()
+        }
 
     def apply(self, W: np.ndarray, data: BoundaryData, t: float = 0.0) -> np.ndarray:
         nx, ny = self.grid.nx, self.grid.ny

@@ -11,20 +11,18 @@ switch.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .boundary import BcEnforcer, BoundaryData, BoundarySpec, bc_catalog
-from .algebra import elliptic_transform, hyperbolic_transform
+from .algebra import transform_for
 from .errors import CflViolation, InvalidValue, NonFinite
 from .fields import EnergyLog, Grid, StateField
 from .manufactured import ManufacturedSolution
 from .operator import DiscreteOperator, energy_value
-from .regime import PhysicalConstants, Regime, classify
+from .regime import PhysicalConstants, classify
 
 
 def cfl_dt(p: PhysicalConstants, grid: Grid, cfl: float) -> float:
@@ -44,7 +42,6 @@ class RunConfig:
     forcing: Optional[Callable[[float], np.ndarray]] = None
     boundary_data: BoundaryData = field(default_factory=BoundaryData.homogeneous)
     snapshot_cadence: int = 0
-    transport_enabled: bool = True  # test hook: False drops the A term (pure rotation)
 
     def __post_init__(self):
         if not (0.0 < self.cfl <= 0.9):
@@ -64,11 +61,10 @@ class _Stepper:
         self.cfg = cfg
         self.regime = classify(cfg.p)
         self.spec: BoundarySpec = bc_catalog(self.regime, cfg.p)
-        transform = (elliptic_transform(cfg.p) if self.regime is Regime.MIXED_SUBCRITICAL
-                     else hyperbolic_transform(cfg.p))
         # rows-only enforcement: outflow sides evolve under the one-sided
         # stencils, which is what keeps the discrete energy estimate
-        self.enforcer = BcEnforcer(self.spec, transform, cfg.grid, include_free_sides=False)
+        self.enforcer = BcEnforcer(self.spec, transform_for(cfg.p), cfg.grid,
+                                   include_free_sides=False)
         self.op = DiscreteOperator(cfg.p, cfg.grid)
         self.f = cfg.p.f
 
@@ -76,7 +72,7 @@ class _Stepper:
         return self.enforcer.apply(W, self.cfg.boundary_data, t)
 
     def rhs(self, W: np.ndarray, t: float) -> np.ndarray:
-        R = -self.op.apply_stack(W) if self.cfg.transport_enabled else np.zeros_like(W)
+        R = -self.op.apply_stack(W)
         if self.f != 0.0:
             R[0] += self.f * W[1]
             R[1] -= self.f * W[0]
@@ -187,11 +183,8 @@ class MmsReport:
 
 def _mms_error(solution: ManufacturedSolution, p: PhysicalConstants, grid: Grid,
                t_end: float, cfl: float, scheme: str) -> float:
-    from .boundary import BoundaryData as BD
-
-    regime = classify(p)
-    spec = bc_catalog(regime, p)
-    data = BD.from_state_samples(spec, grid, lambda x, y, t: solution.state(x, y, t))
+    spec = bc_catalog(classify(p), p)
+    data = BoundaryData.from_state_samples(spec, grid, lambda x, y, t: solution.state(x, y, t))
     cfg = RunConfig(
         p=p, grid=grid, t_end=t_end,
         initial=solution.state_field(grid, 0.0),
@@ -204,15 +197,6 @@ def _mms_error(solution: ManufacturedSolution, p: PhysicalConstants, grid: Grid,
     diff = StateField(result.final.u - exact.u, result.final.v - exact.v,
                       result.final.phi - exact.phi)
     return math.sqrt(energy_value(diff, grid, p))
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("SWE_RECT_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
 
 
 def refinement_ladder(base: Grid, levels: int) -> List[Grid]:
@@ -230,17 +214,9 @@ def mms_convergence(p: PhysicalConstants, grids: Sequence[Grid], t_end: float = 
     """Weighted-L2 errors against the manufactured solution on a grid ladder.
 
     Successive grids should halve the spacing exactly (refinement_ladder does
-    this) so the reported orders are plain log2 ratios.  Levels run on a
-    thread pool capped by SWE_RECT_THREADS (default sequential); result order
-    follows the input order regardless of completion order.
+    this) so the reported orders are plain log2 ratios.
     """
     sol = solution if solution is not None else ManufacturedSolution()
-    workers = min(_worker_count(), len(grids))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_mms_error, sol, p, g, t_end, cfl, scheme) for g in grids]
-            errors = [f.result() for f in futures]
-    else:
-        errors = [_mms_error(sol, p, g, t_end, cfl, scheme) for g in grids]
+    errors = [_mms_error(sol, p, g, t_end, cfl, scheme) for g in grids]
     orders = [math.log2(errors[k] / errors[k + 1]) for k in range(len(errors) - 1)]
     return MmsReport([(g.nx, g.ny) for g in grids], errors, orders)

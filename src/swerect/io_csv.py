@@ -76,6 +76,9 @@ def read_field_csv(path) -> Tuple[np.ndarray, np.ndarray, StateField]:
     nx, ny = x.size, y.size
     if nx * ny != data.shape[0]:
         raise IoError(f"'{path}': {data.shape[0]} rows do not fill a {nx}x{ny} grid")
+    if not (np.array_equal(data[:, 0], np.repeat(x, ny))
+            and np.array_equal(data[:, 1], np.tile(y, nx))):
+        raise IoError(f"'{path}': rows are not in x-major order (all y for each x)")
     u = data[:, 2].reshape(nx, ny)
     v = data[:, 3].reshape(nx, ny)
     phi = data[:, 4].reshape(nx, ny)

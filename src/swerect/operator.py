@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from .algebra import coefficient_matrices, elliptic_transform, hyperbolic_transform
+from .algebra import coefficient_matrices, transform_for
 from .boundary import BcEnforcer, BoundaryData, Side, SIDES, adjoint_bc_catalog, bc_catalog
 from .errors import ShapeMismatch
 from .fields import Grid, StateField, inner_product
@@ -188,9 +188,7 @@ def positivity_probe(p: PhysicalConstants, regime: Regime, grid: Grid,
     negative floor set by the boundary extrapolation error of the samples.
     """
     spec = bc_catalog(regime, p)
-    transform = (elliptic_transform(p) if regime is Regime.MIXED_SUBCRITICAL
-                 else hyperbolic_transform(p))
-    enforcer = BcEnforcer(spec, transform, grid, include_free_sides=True)
+    enforcer = BcEnforcer(spec, transform_for(p), grid, include_free_sides=True)
     op = DiscreteOperator(p, grid)
     data = BoundaryData.homogeneous()
     rng = SplitMix64(seed)

@@ -138,10 +138,6 @@ def compatible_pair(kind, p, grid):
             _char_field(ADJ_CHAR_SIDES[kind], t, grid))
 
 
-def transform_for(kind, p):
-    return sw.elliptic_transform(p) if kind == "msub" else sw.hyperbolic_transform(p)
-
-
 def boundary_row_residual(U, spec, grid):
     """Worst |rows . U| over the four sides (0 for catalog-satisfying U)."""
     sel = {W: (0, slice(None)), E: (-1, slice(None)),

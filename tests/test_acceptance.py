@@ -110,8 +110,8 @@ def test_criterion_05_discrete_duality_halves():
         for r in ratios:
             assert 0.35 <= r <= 0.65, (kind, resids, ratios)
     print("criterion 5: PASS — duality residual halves per refinement on "
-          "33/65/129 for all five regimes (adjoint rows for the x-super/y-sub "
-          "regime come from the symmetry construction)")
+          "33/65/129 for all five regimes (hyperbolic adjoint rows come from "
+          "the sign law with reversed orientation)")
 
 
 def test_criterion_06_contraction_500_steps():

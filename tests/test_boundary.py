@@ -14,7 +14,6 @@ from helpers import (
     compatible_pair,
     draw_params,
     params,
-    transform_for,
 )
 
 W, E, S, N = Side.WEST, Side.EAST, Side.SOUTH, Side.NORTH
@@ -45,16 +44,33 @@ def test_adjoint_counts_mirror_forward():
         assert (aw, ae, as_, an) == (3 - cw, 3 - ce, 3 - cs, 3 - cn)
 
 
+# entering characteristics per side as rows of Pinv = (xi, eta, zeta);
+# "all" is a Dirichlet side (identity rows), "" an unconstrained one
+ROW_SPEC = {
+    "super": {W: "all", E: "", S: "all", N: ""},
+    "mix1": {W: "xi zeta", E: "eta", S: "all", N: ""},
+    "mix2": {W: "all", E: "", S: "eta zeta", N: "xi"},
+    "fhs": {W: "xi zeta", E: "eta", S: "eta zeta", N: "xi"},
+}
+MIRROR = {W: E, E: W, S: N, N: S}
+
+
 def test_forward_rows_are_characteristic_rows():
-    # hyperbolic catalogs are built from the rows of Pinv: xi, eta, zeta
-    p = params("mix1")
-    t = sw.hyperbolic_transform(p)
-    spec = sw.bc_catalog(sw.classify(p), p)
-    xi, eta, zeta = t.Pinv
-    assert np.allclose(spec.rows[W], np.stack([xi, zeta]))
-    assert np.allclose(spec.rows[E], eta[None, :])
-    assert np.allclose(spec.rows[S], np.eye(3))
-    assert spec.rows[N].shape == (0, 3)
+    # hyperbolic catalogs are built from the rows of Pinv: xi, eta, zeta; the
+    # adjoint catalog is the forward one mirrored W<->E, S<->N
+    for kind, sides in ROW_SPEC.items():
+        for adjoint in (False, True):
+            catalog = sw.adjoint_bc_catalog if adjoint else sw.bc_catalog
+            rng = SplitMix64(53)
+            for _ in range(200):
+                p = draw_params(kind, rng)
+                named = dict(zip(("xi", "eta", "zeta"), sw.hyperbolic_transform(p).Pinv))
+                spec = catalog(sw.classify(p), p)
+                for side, want in sides.items():
+                    ref = (np.eye(3) if want == "all"
+                           else np.array([named[n] for n in want.split()]).reshape(-1, 3))
+                    got = spec.rows[MIRROR[side] if adjoint else side]
+                    assert np.array_equal(got, ref), (kind, adjoint, side, got, ref)
 
 
 def test_msub_adjoint_rows_closed_form():
@@ -66,14 +82,6 @@ def test_msub_adjoint_rows_closed_form():
     assert np.allclose(spec.rows[E], [[u0 * v0, -u0**2, g * v0], [u0, v0, g]])
     assert np.allclose(spec.rows[S], [[g * u0 * v0, -g * u0**2, v0 * k1**2]])
     assert np.allclose(spec.rows[N], [[v0**2, -v0 * u0, -g * u0], [u0, v0, g]])
-
-
-def test_mix2_adjoint_marked_symmetry_derived():
-    p2 = params("mix2")
-    spec = sw.adjoint_bc_catalog(sw.classify(p2), p2)
-    assert spec.derived_by_symmetry
-    p1 = params("mix1")
-    assert not sw.adjoint_bc_catalog(sw.classify(p1), p1).derived_by_symmetry
 
 
 def test_incoming_count_check_on_draws():
@@ -110,7 +118,7 @@ def test_apply_bc_idempotent():
         u, v, phi = sw.band_limited_fields(rng, 20, 24)
         state = StateField(u, v, phi)
         data = sw.BoundaryData.homogeneous()
-        t = transform_for(kind, p)
+        t = sw.transform_for(p)
         once = sw.apply_bc(state, spec, data, t)
         twice = sw.apply_bc(once, spec, data, t)
         assert np.array_equal(once.stack(), twice.stack())
@@ -127,7 +135,7 @@ def test_apply_bc_reproduces_sampled_data():
         data = sw.BoundaryData.from_state_samples(spec, grid, DEFAULT_SOLUTION.state)
         rng = SplitMix64(19)
         u, v, phi = sw.band_limited_fields(rng, grid.nx, grid.ny)
-        state = sw.apply_bc(StateField(u, v, phi), spec, data, transform_for(kind, p), t=0.3)
+        state = sw.apply_bc(StateField(u, v, phi), spec, data, sw.transform_for(p), t=0.3)
         ref = DEFAULT_SOLUTION.state_field(grid, 0.3).stack()
         W_ = state.stack()
         sel = {W: W_[:, 0, :], E: W_[:, -1, :], S: W_[:, :, 0], N: W_[:, :, -1]}
@@ -149,7 +157,7 @@ def test_apply_bc_interior_untouched():
     rng = SplitMix64(4)
     u, v, phi = sw.band_limited_fields(rng, 12, 12)
     state = StateField(u, v, phi)
-    out = sw.apply_bc(state, spec, sw.BoundaryData.homogeneous(), transform_for("fhs", p))
+    out = sw.apply_bc(state, spec, sw.BoundaryData.homogeneous(), sw.transform_for(p))
     assert np.array_equal(out.stack()[:, 1:-1, 1:-1], state.stack()[:, 1:-1, 1:-1])
 
 
@@ -160,7 +168,7 @@ def test_bad_sampler_shape_raises():
     rng = SplitMix64(4)
     u, v, phi = sw.band_limited_fields(rng, 10, 10)
     with pytest.raises(ShapeMismatch):
-        sw.apply_bc(StateField(u, v, phi), spec, data, transform_for("fhs", p))
+        sw.apply_bc(StateField(u, v, phi), spec, data, sw.transform_for(p))
 
 
 def test_lifted_forcing_consistency():

@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -124,23 +123,6 @@ def test_mms_small_ladder_first_order():
                              t_end=0.1)
     assert rep.errors[0] > rep.errors[1] > rep.errors[2]
     assert all(0.6 <= o <= 1.5 for o in rep.orders), rep.orders
-
-
-def test_threaded_ladder_matches_sequential():
-    p = params("msub")
-    grids = sw.refinement_ladder(sw.Grid(1.0, 1.0, 9, 9), 2)
-    old = os.environ.get("SWE_RECT_THREADS")
-    try:
-        os.environ["SWE_RECT_THREADS"] = "2"
-        threaded = sw.mms_convergence(p, grids, t_end=0.05)
-        os.environ["SWE_RECT_THREADS"] = ""
-        sequential = sw.mms_convergence(p, grids, t_end=0.05)
-    finally:
-        if old is None:
-            os.environ.pop("SWE_RECT_THREADS", None)
-        else:
-            os.environ["SWE_RECT_THREADS"] = old
-    assert threaded.errors == sequential.errors
 
 
 def test_energy_log_rejects_non_monotone_time():

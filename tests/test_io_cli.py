@@ -79,6 +79,42 @@ def test_field_csv_shape_and_header_errors(tmp_path):
         sw.read_field_csv(p2)
 
 
+def _field_table(grid, seed=3):
+    """(nx, ny, 5) table of x, y, u, v, phi on the grid."""
+    state = sw.band_limited_fields(sw.SplitMix64(seed), grid.nx, grid.ny)
+    return np.concatenate([np.stack(grid.meshgrid()), state]).transpose(1, 2, 0)
+
+
+def _write_rows(path, rows):
+    body = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+    path.write_text("x,y,u,v,phi\n" + body)
+
+
+def test_field_csv_rejects_rows_out_of_x_major_order(tmp_path):
+    grid = sw.Grid(1.0, 1.0, 6, 6)
+    table = _field_table(grid)
+    rows = table.reshape(-1, 5)
+    _write_rows(tmp_path / "x.csv", rows)
+    assert np.array_equal(sw.read_field_csv(tmp_path / "x.csv")[2].u, table[:, :, 2])
+    # y-major files used to come back silently transposed when nx = ny
+    _write_rows(tmp_path / "y.csv", table.transpose(1, 0, 2).reshape(-1, 5))
+    with pytest.raises(IoError, match="y.csv.*x-major"):
+        sw.read_field_csv(tmp_path / "y.csv")
+    order = np.argsort(sw.SplitMix64(9).doubles(rows.shape[0]))
+    _write_rows(tmp_path / "s.csv", rows[order])
+    with pytest.raises(IoError, match="s.csv.*x-major"):
+        sw.read_field_csv(tmp_path / "s.csv")
+
+
+def test_boundary_file_rejects_y_major_trace(tmp_path):
+    grid = sw.Grid(1.0, 1.0, 16, 16)
+    _write_rows(tmp_path / "trace.csv", _field_table(grid).transpose(1, 0, 2).reshape(-1, 5))
+    cfg = write_cfg(tmp_path, MINIMAL + "\n[boundary]\nkind = file\nfile = trace.csv\n")
+    doc = sw.load_config(cfg)
+    with pytest.raises(IoError, match="trace.csv.*x-major"):
+        sw.build_run_config(doc)
+
+
 def test_energy_csv_round_trip(tmp_path):
     log = sw.EnergyLog()
     log.append(0.0, 1.2345678901234567)
