@@ -376,13 +376,16 @@ def lift_nonhomogeneous(ug, dug_dt, forcing, p: PhysicalConstants, grid: Grid) -
     The lifted forcing is F - d(ug)/dt - A_h ug - B ug, so the remainder
     solves the same system with homogeneous boundary data.
     """
-    from .operator import apply_A, apply_B  # local import; operator imports this module
+    from .operator import DiscreteOperator, apply_B  # local import; operator imports this module
+    op = DiscreteOperator(p, grid)
 
     def lifted(t: float) -> np.ndarray:
         base = forcing(t) if forcing is not None else None
         g = ug(t)
+        if g.u.shape != (grid.nx, grid.ny):
+            raise ShapeMismatch(f"field shape {g.u.shape} vs grid ({grid.nx}, {grid.ny})")
         out = -dug_dt(t).stack()
-        out -= apply_A(g, p, grid).stack()
+        out -= op.apply_stack(g.stack())
         out -= apply_B(g, p).stack()
         if base is not None:
             out += np.asarray(base)

@@ -118,11 +118,14 @@ def test_refinement_ladder_halves_spacing():
 
 
 def test_mms_small_ladder_first_order():
-    p = params("fhs")
-    rep = sw.mms_convergence(p, sw.refinement_ladder(sw.Grid(1.0, 1.0, 17, 17), 3),
-                             t_end=0.1)
-    assert rep.errors[0] > rep.errors[1] > rep.errors[2]
-    assert all(0.6 <= o <= 1.5 for o in rep.orders), rep.orders
+    grids = sw.refinement_ladder(sw.Grid(1.0, 1.0, 17, 17), 3)
+    for kind in sorted(REGIME_CASES):
+        for f in (0.0, 5.0):
+            rep = sw.mms_convergence(sw.validate_params(*REGIME_CASES[kind], f), grids,
+                                     t_end=0.1)
+            assert rep.errors[0] > rep.errors[1] > rep.errors[2], (kind, f, rep.errors)
+            assert all(0.8 <= o <= 1.3 for o in rep.orders), (kind, f, rep.orders)
+            assert rep.errors[0] / rep.errors[2] >= 3.0, (kind, f, rep.errors)
 
 
 def test_energy_log_rejects_non_monotone_time():

@@ -63,6 +63,12 @@ GOLDEN_HOMOGENEOUS = {
 # its forcing, its initial state and non-homogeneous data sampled from it
 GOLDEN_MANUFACTURED = (29, (1.821739158669013, 1.7575250308040395, 1.691165874310558))
 
+# manufactured runs with rotation f = 5, which pin the forcing's B U term
+GOLDEN_MANUFACTURED_ROTATING = {
+    "fhs": (29, (1.821739158669013, 1.7575401881251633, 1.6913057394007271)),
+    "msub": (22, (1.8215723932359538, 1.7553010889226823, 1.6924867479585288)),
+}
+
 
 def _fingerprint(res):
     n = res.n_steps
@@ -85,11 +91,19 @@ def test_golden_energy_homogeneous(key):
     _assert_golden(res, GOLDEN_HOMOGENEOUS[key])
 
 
-def test_golden_energy_manufactured():
-    p = sw.validate_params(*REGIME_CASES["fhs"])
+def _manufactured_run(kind, f):
+    p = sw.validate_params(*REGIME_CASES[kind], f)
     grid = sw.Grid(1.0, 1.0, 24, 24)
     spec = sw.bc_catalog(sw.classify(p), p)
-    res = _run(p, grid, DEFAULT_SOLUTION.state(*grid.meshgrid(), 0.0),
-               forcing=DEFAULT_SOLUTION.forcing_on_grid(p, grid),
-               boundary_data=sw.BoundaryData.from_state_samples(spec, grid, DEFAULT_SOLUTION.state))
-    _assert_golden(res, GOLDEN_MANUFACTURED)
+    return _run(p, grid, DEFAULT_SOLUTION.state(*grid.meshgrid(), 0.0),
+                forcing=DEFAULT_SOLUTION.forcing_on_grid(p, grid),
+                boundary_data=sw.BoundaryData.from_state_samples(spec, grid, DEFAULT_SOLUTION.state))
+
+
+def test_golden_energy_manufactured():
+    _assert_golden(_manufactured_run("fhs", 0.0), GOLDEN_MANUFACTURED)
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_MANUFACTURED_ROTATING))
+def test_golden_energy_manufactured_rotating(kind):
+    _assert_golden(_manufactured_run(kind, 5.0), GOLDEN_MANUFACTURED_ROTATING[kind])
