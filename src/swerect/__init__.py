@@ -52,6 +52,7 @@ from .elliptic import (
     apriori_check,
     build_coeffs,
     cross_gradient_residual,
+    manufactured_convergence_T,
     manufactured_solution_T,
     manufactured_solution_T_star,
     neumann_crosscheck,

@@ -111,16 +111,7 @@ def _cmd_solve_elliptic(args) -> int:
     p = doc.constants()
     c = elliptic.swe_elliptic_block(p)
     if args.mms:
-        coarse = doc.make_grid()
-        fine = type(coarse)(coarse.l1, coarse.l2, 2 * coarse.nx - 1, 2 * coarse.ny - 1)
-        errs = []
-        for grid in (coarse, fine):
-            exact, F = elliptic.manufactured_solution_T(c, grid)
-            theta = elliptic.solve_T(F, c, grid)
-            diff = elliptic.ThetaField(theta.theta1 - exact.theta1,
-                                       theta.theta2 - exact.theta2)
-            errs.append(elliptic.theta_norm(diff, grid))
-        order = float(np.log2(errs[0] / errs[1])) if errs[1] > 0 else np.inf
+        errs, order = elliptic.manufactured_convergence_T(c, doc.make_grid())
         print(f"errors: {errs[0]:.6e} -> {errs[1]:.6e}, order {order:.3f}")
         if order >= 1.0:
             print("solve-elliptic --mms: PASS")

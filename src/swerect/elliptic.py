@@ -15,9 +15,12 @@ Solvers assemble the first-order system directly on the grid: centered
 differences inside, one-sided at the boundary; at each boundary node the
 constrained combination's row is replaced by the boundary condition and the
 equation is retained only along the unconstrained direction (the orthogonal
-complement of the constraint row).  A sparse direct factorization does the
-rest.  No second-order reformulation is used -- the first-order form is
-what the positivity and duality identities are stated for.
+complement of the constraint row).  Constraints, free directions and
+stencils depend only on a node's class -- interior, one of four edges, one
+of four corners -- so assembly runs once per class over whole index arrays,
+not once per node.  A sparse direct factorization does the rest.  No
+second-order reformulation is used -- the first-order form is what the
+positivity and duality identities are stated for.
 """
 
 from __future__ import annotations
@@ -261,46 +264,51 @@ def _stencil(i: int, n: int, d: float):
     return ((-1, -0.5 / d), (1, 0.5 / d))
 
 
-def _assemble_and_solve(F: ThetaField, c: EllipticCoeffs, grid: Grid,
-                        bc_rows: dict, sign: float) -> ThetaField:
-    nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
+def _axis_classes(n: int, d: float, low: str, high: str):
+    """(index slice, side or None, stencil) for the low edge, the inside and
+    the high edge of one axis."""
+    return ((slice(0, 1), low, _stencil(0, n, d)),
+            (slice(1, n - 1), None, _stencil(1, n, d)),
+            (slice(n - 1, n), high, _stencil(n - 1, n, d)))
+
+
+def _assemble(F: ThetaField, c: EllipticCoeffs, grid: Grid, bc_rows: dict, sign: float):
+    """Sparse system, right-hand side and equation-row mask for one solve.
+
+    Node n = i*ny + j owns rows 2n and 2n+1: its kept constraint rows, then
+    its free directions.  Constraints, free directions and stencils depend
+    only on the node's class (interior, one of four edges, one of four
+    corners), so each class contributes whole index arrays at once.  No
+    (row, col) pair gets more than two entries (corner stencils meet at the
+    node itself), so the summed, sorted CSR matrix does not depend on the
+    order the entries come in: it equals the per-node loop's bit for bit.
+    """
+    nx, ny = grid.nx, grid.ny
     if F.theta1.shape != (nx, ny):
         raise ShapeMismatch(f"forcing shape {F.theta1.shape} vs grid ({nx}, {ny})")
     N = nx * ny
     T1, T2 = c.T1, c.T2
+    node = np.arange(N).reshape(nx, ny)
+    F1, F2 = F.theta1.ravel(), F.theta2.ravel()
 
     rows, cols, vals = [], [], []
     rhs = np.zeros(2 * N)
-    eq_rows = []  # indices of retained equation rows, for the residual check
-
-    def idx(comp, i, j):
-        return comp * N + i * ny + j
-
-    r = 0
-    for i in range(nx):
-        for j in range(ny):
-            sides = []
-            if i == 0:
-                sides.append("W")
-            if i == nx - 1:
-                sides.append("E")
-            if j == 0:
-                sides.append("S")
-            if j == ny - 1:
-                sides.append("N")
+    eq_mask = np.zeros(2 * N, dtype=bool)
+    for xs, xside, xst in _axis_classes(nx, grid.dx, "W", "E"):
+        for ys, yside, yst in _axis_classes(ny, grid.dy, "S", "N"):
+            n = node[xs, ys].ravel()
+            sides = [s for s in (xside, yside) if s is not None]
             C = np.array([bc_rows[s] for s in sides]).reshape(-1, 2)
             keep = []
             for k in range(C.shape[0]):
                 if np.linalg.matrix_rank(C[keep + [k]]) > len(keep):
                     keep.append(k)
             C = C[keep]
-            for crow in C:
-                rows.extend((r, r))
-                cols.extend((idx(0, i, j), idx(1, i, j)))
-                vals.extend((crow[0], crow[1]))
-                r += 1  # homogeneous: rhs stays 0
-            n_free = 2 - C.shape[0]
-            if n_free == 0:
+            for k, crow in enumerate(C):
+                rows.append(np.repeat(2 * n + k, 2))
+                cols.append(np.stack([n, N + n], axis=1).ravel())
+                vals.append(np.tile(crow, n.size))  # homogeneous: rhs stays 0
+            if C.shape[0] == 2:
                 continue
             if C.shape[0] == 0:
                 free_dirs = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
@@ -308,32 +316,40 @@ def _assemble_and_solve(F: ThetaField, c: EllipticCoeffs, grid: Grid,
                 # retain the residual component orthogonal to the constraint
                 cn = C[0] / np.linalg.norm(C[0])
                 free_dirs = (np.array([-cn[1], cn[0]]),)
-            for e in free_dirs:
+            # neighbour offsets: x stencil, then y; w below follows suit
+            offs = [off * ny for off, _ in xst] + [off for off, _ in yst]
+            for m, e in enumerate(free_dirs):
                 cx = sign * (e @ T1)
                 cy = sign * (e @ T2)
-                for off, w in _stencil(i, nx, dx):
-                    rows.extend((r, r))
-                    cols.extend((idx(0, i + off, j), idx(1, i + off, j)))
-                    vals.extend((cx[0] * w, cx[1] * w))
-                for off, w in _stencil(j, ny, dy):
-                    rows.extend((r, r))
-                    cols.extend((idx(0, i, j + off), idx(1, i, j + off)))
-                    vals.extend((cy[0] * w, cy[1] * w))
-                rhs[r] = e[0] * F.theta1[i, j] + e[1] * F.theta2[i, j]
-                eq_rows.append(r)
-                r += 1
+                w = [v * wt for v, st in ((cx, xst), (cy, yst)) for _, wt in st]
+                r = 2 * n + C.shape[0] + m
+                rows.append(np.repeat(r, 2 * len(offs)))
+                nb = n[:, None] + np.array(offs)
+                cols.append(np.stack([nb, N + nb], axis=2).ravel())
+                vals.append(np.tile(np.ravel(w), n.size))
+                rhs[r] = e[0] * F1[n] + e[1] * F2[n]
+                eq_mask[r] = True
 
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(2 * N, 2 * N))
+    A = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(2 * N, 2 * N))
+    return A, rhs, eq_mask
+
+
+def _assemble_and_solve(F: ThetaField, c: EllipticCoeffs, grid: Grid,
+                        bc_rows: dict, sign: float) -> ThetaField:
+    A, rhs, eq = _assemble(F, c, grid, bc_rows, sign)
+    nx, ny = grid.nx, grid.ny
+    N = nx * ny
+    system = f"{'T' if sign > 0 else 'T*'} on {nx}x{ny} ({2 * N} unknowns)"
     with np.errstate(all="ignore"):
         sol = spla.spsolve(A, rhs)
     if not np.all(np.isfinite(sol)):
-        raise SingularSystem("direct solve produced non-finite values")
+        raise SingularSystem(f"{system}: direct solve produced non-finite values")
     res = A @ sol - rhs
-    eq = np.asarray(eq_rows, dtype=int)
     scale = max(float(np.linalg.norm(rhs[eq])), 1e-300)
     rel = float(np.linalg.norm(res[eq])) / scale
     if rel > 1e-10:
-        raise NonConvergence(f"equation-row residual {rel:.3e} exceeds 1e-10")
+        raise NonConvergence(f"{system}: equation-row residual {rel:.3e} exceeds 1e-10")
     return ThetaField(sol[:N].reshape(nx, ny), sol[N:].reshape(nx, ny))
 
 
@@ -431,6 +447,21 @@ def manufactured_solution_T_star(c: EllipticCoeffs, grid: Grid) -> Tuple[ThetaFi
     P1 = -(c.alpha1 * t1x + c.beta1 * t2x) - (c.alpha2 * t1y + c.beta2 * t2y)
     P2 = -(c.beta1 * t1x - c.alpha1 * t2x) - (c.beta2 * t1y - c.alpha2 * t2y)
     return ThetaField(t1, t2), ThetaField(P1, P2)
+
+
+def manufactured_convergence_T(c: EllipticCoeffs, grid: Grid) -> Tuple[Tuple[float, float], float]:
+    """Two-level check of solve_T on the manufactured pair: the errors on
+    grid and on its 2x refinement (2n-1 nodes per axis), and the observed
+    order log2(coarse / fine)."""
+    fine = Grid(grid.l1, grid.l2, 2 * grid.nx - 1, 2 * grid.ny - 1)
+    errs = []
+    for g in (grid, fine):
+        exact, F = manufactured_solution_T(c, g)
+        theta = solve_T(F, c, g)
+        diff = ThetaField(theta.theta1 - exact.theta1, theta.theta2 - exact.theta2)
+        errs.append(theta_norm(diff, g))
+    order = float(np.log2(errs[0] / errs[1])) if errs[1] > 0 else np.inf
+    return (errs[0], errs[1]), order
 
 
 def neumann_crosscheck(theta: ThetaField, c: EllipticCoeffs, grid: Grid):

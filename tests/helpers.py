@@ -183,3 +183,80 @@ def boundary_flat_theta(grid, scale=400.0):
     s = scale / (l1**5 * l2**5)
     psi = s * X**2 * (l1 - X) ** 3 * Y**2 * (l2 - Y) ** 3
     return ThetaField(psi.copy(), psi.copy())
+
+
+def _reference_stencil(i, n, d):
+    if i == 0:
+        return ((0, -1.0 / d), (1, 1.0 / d))
+    if i == n - 1:
+        return ((-1, -1.0 / d), (0, 1.0 / d))
+    return ((-1, -0.5 / d), (1, 0.5 / d))
+
+
+def reference_assemble(F, c, grid, bc_rows, sign):
+    """The per-node assembly loop the vectorized `elliptic._assemble` must
+    reproduce bit for bit: (A as CSR, rhs, boolean equation-row mask)."""
+    import scipy.sparse as sp
+
+    nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
+    N = nx * ny
+    T1, T2 = c.T1, c.T2
+
+    rows, cols, vals = [], [], []
+    rhs = np.zeros(2 * N)
+    eq_rows = []  # indices of retained equation rows, for the residual check
+
+    def idx(comp, i, j):
+        return comp * N + i * ny + j
+
+    r = 0
+    for i in range(nx):
+        for j in range(ny):
+            sides = []
+            if i == 0:
+                sides.append("W")
+            if i == nx - 1:
+                sides.append("E")
+            if j == 0:
+                sides.append("S")
+            if j == ny - 1:
+                sides.append("N")
+            C = np.array([bc_rows[s] for s in sides]).reshape(-1, 2)
+            keep = []
+            for k in range(C.shape[0]):
+                if np.linalg.matrix_rank(C[keep + [k]]) > len(keep):
+                    keep.append(k)
+            C = C[keep]
+            for crow in C:
+                rows.extend((r, r))
+                cols.extend((idx(0, i, j), idx(1, i, j)))
+                vals.extend((crow[0], crow[1]))
+                r += 1  # homogeneous: rhs stays 0
+            n_free = 2 - C.shape[0]
+            if n_free == 0:
+                continue
+            if C.shape[0] == 0:
+                free_dirs = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+            else:
+                # retain the residual component orthogonal to the constraint
+                cn = C[0] / np.linalg.norm(C[0])
+                free_dirs = (np.array([-cn[1], cn[0]]),)
+            for e in free_dirs:
+                cx = sign * (e @ T1)
+                cy = sign * (e @ T2)
+                for off, w in _reference_stencil(i, nx, dx):
+                    rows.extend((r, r))
+                    cols.extend((idx(0, i + off, j), idx(1, i + off, j)))
+                    vals.extend((cx[0] * w, cx[1] * w))
+                for off, w in _reference_stencil(j, ny, dy):
+                    rows.extend((r, r))
+                    cols.extend((idx(0, i, j + off), idx(1, i, j + off)))
+                    vals.extend((cy[0] * w, cy[1] * w))
+                rhs[r] = e[0] * F.theta1[i, j] + e[1] * F.theta2[i, j]
+                eq_rows.append(r)
+                r += 1
+
+    A = sp.csr_matrix((vals, (rows, cols)), shape=(2 * N, 2 * N))
+    eq_mask = np.zeros(2 * N, dtype=bool)
+    eq_mask[eq_rows] = True
+    return A, rhs, eq_mask

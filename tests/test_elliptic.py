@@ -1,11 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import swerect as sw
+from swerect import elliptic
 from swerect.elliptic import ThetaField, apply_T, apply_T_star
-from swerect.errors import BcViolation, RegimeMismatch, ViolatesCondition
+from swerect.errors import (
+    BcViolation,
+    NonConvergence,
+    RegimeMismatch,
+    SingularSystem,
+    ViolatesCondition,
+)
 
-from helpers import boundary_flat_theta, params
+from helpers import boundary_flat_theta, params, reference_assemble
 
 P_MSUB = params("msub")
 C_SWE = sw.swe_elliptic_block(P_MSUB)
@@ -169,3 +178,104 @@ def test_transform_round_trip():
     xb, yb = from_transformed(xp, yp, C_SWE)
     assert np.max(np.abs(xb - X)) < 1e-12
     assert np.max(np.abs(yb - Y)) < 1e-12
+
+
+# --- vectorized assembly against the per-node reference loop ----------------
+
+# (1, 1, 1, -1) has a1*a2 + b1*b2 = 0: the adjoint East and South rows are
+# parallel, so the SE corner (and NW) keeps one constraint row, not two
+ASSEMBLY_COEFFS = {
+    "swe": C_SWE,
+    "orthogonal": sw.build_coeffs(1.0, 1.0, 1.0, -1.0),
+    "generic": sw.build_coeffs(0.7, 1.3, -0.4, 2.1),
+    "steep": sw.build_coeffs(2.0, 0.5, 0.3, 0.9),
+}
+ASSEMBLY_GRIDS = {
+    "4x4": sw.Grid(1.0, 1.0, 4, 4),
+    "5x9": sw.Grid(1.0, 1.5, 5, 9),
+    "17x23": sw.Grid(2.0, 0.7, 17, 23),
+    "33x33": sw.Grid(1.0, 1.0, 33, 33),
+}
+
+
+def _assert_same_system(F, c, grid):
+    for bc_rows, sign in ((elliptic._FORWARD_BC, 1.0), (elliptic._adjoint_bc(c), -1.0)):
+        A, rhs, eq = elliptic._assemble(F, c, grid, bc_rows, sign)
+        B, rhs_ref, eq_ref = reference_assemble(F, c, grid, bc_rows, sign)
+        # csr_matrix sums duplicates and sorts indices on construction, so
+        # these are the canonical arrays spsolve receives
+        assert A.has_canonical_format and B.has_canonical_format
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(A, attr), getattr(B, attr)), (attr, sign)
+        assert A.shape == B.shape
+        assert np.array_equal(rhs, rhs_ref)
+        assert np.array_equal(eq, eq_ref)
+
+
+@pytest.mark.parametrize("grid_name", sorted(ASSEMBLY_GRIDS))
+@pytest.mark.parametrize("coeff_name", sorted(ASSEMBLY_COEFFS))
+def test_assembly_matches_reference_loop(coeff_name, grid_name):
+    c, grid = ASSEMBLY_COEFFS[coeff_name], ASSEMBLY_GRIDS[grid_name]
+    f = sw.band_limited_fields(sw.SplitMix64(11), grid.nx, grid.ny, n_fields=2)
+    _assert_same_system(ThetaField(f[0], f[1]), c, grid)
+
+
+def test_assembly_parallel_corner_rows_keep_one_constraint():
+    c, grid = ASSEMBLY_COEFFS["orthogonal"], ASSEMBLY_GRIDS["5x9"]
+    F = ThetaField.zeros(grid)
+    _, _, eq = elliptic._assemble(F, c, grid, elliptic._adjoint_bc(c), -1.0)
+    owned = eq.reshape(grid.nx, grid.ny, 2)  # node (i, j) owns rows 2n, 2n+1
+    for i, j in ((grid.nx - 1, 0), (0, grid.ny - 1)):  # SE, NW
+        assert owned[i, j].tolist() == [False, True]
+    for i, j in ((0, 0), (grid.nx - 1, grid.ny - 1)):  # SW, NE: two constraints
+        assert owned[i, j].tolist() == [False, False]
+    assert owned[1:-1, 1:-1].all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    a1=st.floats(0.05, 5.0), a2=st.floats(0.05, 5.0),
+    b1=st.floats(-5.0, 5.0), b2=st.floats(-5.0, 5.0),
+    nx=st.integers(4, 12), ny=st.integers(4, 12),
+    l1=st.floats(0.2, 3.0), l2=st.floats(0.2, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_assembly_matches_reference_property(a1, a2, b1, b2, nx, ny, l1, l2, seed):
+    try:
+        c = sw.build_coeffs(a1, a2, b1, b2)
+    except ViolatesCondition:
+        assume(False)
+    grid = sw.Grid(l1, l2, nx, ny)
+    f = sw.band_limited_fields(sw.SplitMix64(seed), nx, ny, n_fields=2)
+    _assert_same_system(ThetaField(f[0], f[1]), c, grid)
+
+
+# --- solver diagnostics -----------------------------------------------------
+
+SOLVERS = {"T": sw.solve_T, "T*": sw.solve_T_star}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_singular_system_names_direction_and_size(name, monkeypatch):
+    grid = sw.Grid(1.0, 1.5, 9, 13)
+    monkeypatch.setattr("swerect.elliptic.spla.spsolve",
+                        lambda A, b: np.full_like(b, np.nan))
+    with pytest.raises(SingularSystem) as info:
+        SOLVERS[name](ThetaField.zeros(grid), C_SWE, grid)
+    assert str(info.value) == f"{name} on 9x13 (234 unknowns): direct solve produced non-finite values"
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_nonconvergence_names_direction_size_and_residual(name, monkeypatch):
+    grid = sw.Grid(1.0, 1.5, 9, 13)
+    exact_solve = elliptic.spla.spsolve
+    # a ramp, not a constant: T annihilates constants, so their residual is 0
+    monkeypatch.setattr("swerect.elliptic.spla.spsolve",
+                        lambda A, b: exact_solve(A, b) + 1e-3 * np.linspace(0.0, 1.0, b.size))
+    _, F = sw.manufactured_solution_T(C_SWE, grid)
+    with pytest.raises(NonConvergence) as info:
+        SOLVERS[name](F, C_SWE, grid)
+    msg = str(info.value)
+    assert msg.startswith(f"{name} on 9x13 (234 unknowns): equation-row residual ")
+    assert msg.endswith(" exceeds 1e-10")
+    assert float(msg.split("residual ")[1].split()[0]) > 1e-10

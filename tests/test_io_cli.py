@@ -275,6 +275,31 @@ def test_cli_solve_elliptic_wrong_regime(tmp_path, capsys):
     capsys.readouterr()
 
 
+MSUB_TEXT = MINIMAL.replace("u0 = 4.0", "u0 = 1.0").replace("v0 = 4.0", "v0 = 1.0")
+
+# (config text, exit code, stdout, stderr) of `solve-elliptic --mms`, captured
+# before the two-level check moved into elliptic.manufactured_convergence_T
+SOLVE_ELLIPTIC_MMS_OUTPUT = {
+    "square": (MSUB_TEXT, 0,
+               "errors: 9.620146e-03 -> 2.176197e-03, order 2.144\n"
+               "solve-elliptic --mms: PASS\n", ""),
+    "rect": (MSUB_TEXT.replace("v0 = 1.0", "v0 = 1.7").replace("L2 = 1.0", "L2 = 1.5")
+             .replace("ny = 16", "ny = 23"), 0,
+             "errors: 7.455025e-03 -> 1.739975e-03, order 2.099\n"
+             "solve-elliptic --mms: PASS\n", ""),
+    "wrong-regime": (MINIMAL, 2, "",
+                     "error: swe_elliptic_block requires the mixed subcritical regime\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SOLVE_ELLIPTIC_MMS_OUTPUT))
+def test_cli_solve_elliptic_mms_output_pinned(case, tmp_path, capsys):
+    text, code, out, err = SOLVE_ELLIPTIC_MMS_OUTPUT[case]
+    cfg = write_cfg(tmp_path, text)
+    assert cli.main(["solve-elliptic", "--config", cfg, "--mms"]) == code
+    assert capsys.readouterr() == (out, err)
+
+
 def test_cli_mms_convergence(tmp_path, capsys):
     text = (MINIMAL.replace("u0 = 4.0", "u0 = 2.5").replace("v0 = 4.0", "v0 = 2.5")
             .replace("nx = 16", "nx = 17").replace("ny = 16", "ny = 17")

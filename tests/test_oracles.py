@@ -1,9 +1,12 @@
-"""Behaviour oracles: the x<->y swap symmetry and golden energy logs.
+"""Behaviour oracles: the x<->y swap symmetry, golden energy logs and
+golden elliptic solutions.
 
-A refactor of the catalogs, the enforcement or the stepper must leave both
-untouched: the swap maps every regime onto a regime the package also covers
-(MixedHyperbolicI onto MixedHyperbolicII), and the golden logs pin the
-energy trajectory of fixed seeded runs.
+A refactor of the catalogs, the enforcement or the stepper must leave the
+first two untouched: the swap maps every regime onto a regime the package
+also covers (MixedHyperbolicI onto MixedHyperbolicII), and the golden logs
+pin the energy trajectory of fixed seeded runs.  The elliptic fingerprints
+pin what solve_T and solve_T_star return, so a change to the assembly or
+the solve cannot move a solution unnoticed.
 """
 
 import numpy as np
@@ -107,3 +110,42 @@ def test_golden_energy_manufactured():
 @pytest.mark.parametrize("kind", sorted(GOLDEN_MANUFACTURED_ROTATING))
 def test_golden_energy_manufactured_rotating(kind):
     _assert_golden(_manufactured_run(kind, 5.0), GOLDEN_MANUFACTURED_ROTATING[kind])
+
+
+# (nx, ny, solver, forcing) -> (|theta1|, |theta2|, sum(theta1 w), sum(theta2 w))
+# on the msub elliptic block; 33x33 on the unit square, 17x25 on
+# [0,1]x[0,1.5]; seeded forcing is band_limited_fields(SplitMix64(7), 4 fields)
+GOLDEN_ELLIPTIC = {
+    (33, 33, "T", "manufactured"): (15.852381870231163, 16.95147310676403, 4161.974767565745, 5176.900639933041),
+    (33, 33, "T*", "manufactured"): (16.57245058856934, 16.57245058856934, 2378.8983939563477, -4970.463924222083),
+    (33, 33, "T", "seeded"): (0.6174544657181883, 0.6426660761738248, -68.23732645794037, -10.745623348670861),
+    (33, 33, "T*", "seeded"): (0.7428543404790756, 0.6967009377259377, 74.80811044258368, 1.4548116590192492),
+    (17, 25, "T", "manufactured"): (9.824489829288275, 10.505143449736313, 1190.8033618065451, 1516.192595010558),
+    (17, 25, "T*", "manufactured"): (10.263283502910578, 10.30111757223541, 725.530267853462, -1475.6073990153902),
+    (17, 25, "T", "seeded"): (0.6207264554212915, 0.6099486230997758, 37.79794696862892, 30.82480783878706),
+    (17, 25, "T*", "seeded"): (1.1245686895171003, 1.2358996404946845, 10.172566644469036, -118.52501210427029),
+}
+
+
+def _elliptic_fingerprint(th):
+    t1, t2 = th.theta1, th.theta2
+    nx, ny = t1.shape
+    w = np.add.outer(np.arange(1, nx + 1) / nx, np.arange(1, ny + 1) ** 2 / ny)
+    return (float(np.sqrt(np.sum(t1 * t1))), float(np.sqrt(np.sum(t2 * t2))),
+            float(np.sum(t1 * w)), float(np.sum(t2 * w)))
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_ELLIPTIC), ids=lambda k: f"{k[0]}x{k[1]}-{k[2]}-{k[3]}")
+def test_golden_elliptic_solution(key):
+    nx, ny, solver, forcing = key
+    c = sw.swe_elliptic_block(sw.validate_params(*REGIME_CASES["msub"]))
+    grid = sw.Grid(1.0, 1.0 if nx == ny else 1.5, nx, ny)
+    if forcing == "manufactured":
+        make = sw.manufactured_solution_T if solver == "T" else sw.manufactured_solution_T_star
+        F = make(c, grid)[1]
+    else:
+        f = sw.band_limited_fields(sw.SplitMix64(7), nx, ny, n_fields=4)
+        F = sw.ThetaField(*(f[:2] if solver == "T" else f[2:]))
+    solve = sw.solve_T if solver == "T" else sw.solve_T_star
+    got = _elliptic_fingerprint(solve(F, c, grid))
+    assert got == pytest.approx(GOLDEN_ELLIPTIC[key], rel=1e-15, abs=0.0)
