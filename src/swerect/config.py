@@ -66,6 +66,16 @@ _CHOICES = {
 }
 
 
+# schema keys whose bare name is ambiguous carry their section in the field name
+_FIELD_NAMES = {
+    ("forcing", "kind"): "forcing_kind",
+    ("forcing", "file"): "forcing_file",
+    ("boundary", "kind"): "boundary_kind",
+    ("boundary", "file"): "boundary_file",
+    ("output", "dir"): "output_dir",
+}
+
+
 @dataclass
 class ConfigDocument:
     u0: float
@@ -171,29 +181,8 @@ def parse_config(text: str, source: str = "<string>") -> ConfigDocument:
             else:
                 values[(section, key)] = default
 
-    doc = ConfigDocument(
-        u0=values[("physics", "u0")],
-        v0=values[("physics", "v0")],
-        phi0=values[("physics", "phi0")],
-        g=values[("physics", "g")],
-        f=values[("physics", "f")],
-        L1=values[("grid", "L1")],
-        L2=values[("grid", "L2")],
-        nx=values[("grid", "nx")],
-        ny=values[("grid", "ny")],
-        t_end=values[("run", "t_end")],
-        cfl=values[("run", "cfl")],
-        scheme=values[("run", "scheme")],
-        seed=values[("run", "seed")],
-        forcing_kind=values[("forcing", "kind")],
-        forcing_file=values[("forcing", "file")],
-        boundary_kind=values[("boundary", "kind")],
-        boundary_file=values[("boundary", "file")],
-        output_dir=values[("output", "dir")],
-        cadence=values[("output", "cadence")],
-        precision=values[("output", "precision")],
-        source=source,
-    )
+    doc = ConfigDocument(**{_FIELD_NAMES.get(sk, sk[1]): v for sk, v in values.items()},
+                         source=source)
     _validate_semantics(doc)
     return doc
 

@@ -40,7 +40,7 @@ from .errors import (
     SingularSystem,
     ViolatesCondition,
 )
-from .fields import Grid, trapezoid
+from .fields import Grid, integrate
 from .regime import PhysicalConstants, Regime, classify
 from .algebra import elliptic_transform
 
@@ -120,9 +120,7 @@ class ThetaField:
 
 
 def theta_inner(A: ThetaField, B: ThetaField, grid: Grid) -> float:
-    dens = A.theta1 * B.theta1 + A.theta2 * B.theta2
-    ix = trapezoid(dens, dx=grid.dx, axis=0)
-    return float(trapezoid(ix, dx=grid.dy))
+    return integrate(A.theta1 * B.theta1 + A.theta2 * B.theta2, grid)
 
 
 def theta_norm(A: ThetaField, grid: Grid) -> float:
@@ -172,9 +170,7 @@ def cross_gradient_residual(theta: ThetaField, grid: Grid) -> float:
     _check_in_V(theta)
     t1x, t1y = _grads(theta.theta1, grid)
     t2x, t2y = _grads(theta.theta2, grid)
-    d = t2x * t1y - t1x * t2y
-    ix = trapezoid(d, dx=grid.dx, axis=0)
-    return abs(float(trapezoid(ix, dx=grid.dy)))
+    return abs(integrate(t2x * t1y - t1x * t2y, grid))
 
 
 @dataclass
@@ -218,8 +214,7 @@ def apriori_check(theta: ThetaField, c: EllipticCoeffs, grid: Grid) -> AprioriRe
     t2x, t2y = _grads(theta.theta2, grid)
 
     def l2(*fs):
-        dens = sum(f * f for f in fs)
-        return float(np.sqrt(trapezoid(trapezoid(dens, dx=grid.dx, axis=0), dx=grid.dy)))
+        return float(np.sqrt(integrate(sum(f * f for f in fs), grid)))
 
     grad_norm = l2(t1x, t1y, t2x, t2y)
     Tt = apply_T(theta, c, grid)

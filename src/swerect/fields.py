@@ -91,16 +91,17 @@ def inner_product(a: StateField, b: StateField, grid: Grid, g: float, phi0: floa
     This is the weighted inner product in which the evolution semigroup is
     contractive; inner_product(U, U) is the energy the run log records.
     """
-    dens = a.u * b.u + a.v * b.v + (g / phi0) * a.phi * b.phi
-    ix = trapezoid(dens, dx=grid.dx, axis=0)
-    return float(trapezoid(ix, dx=grid.dy))
+    return integrate(a.u * b.u + a.v * b.v + (g / phi0) * a.phi * b.phi, grid)
+
+
+def integrate(dens: np.ndarray, grid: Grid) -> float:
+    """Trapezoid rule over the grid for an (nx, ny) density: x first, then y."""
+    return float(trapezoid(trapezoid(dens, dx=grid.dx, axis=0), dx=grid.dy))
 
 
 def l2_norm(w: np.ndarray, grid: Grid) -> float:
     """Plain (unweighted) L2 norm of a (..., nx, ny) stack via trapezoid rule."""
-    dens = np.sum(w * w, axis=0) if w.ndim == 3 else w * w
-    ix = trapezoid(dens, dx=grid.dx, axis=0)
-    return float(np.sqrt(trapezoid(ix, dx=grid.dy)))
+    return float(np.sqrt(integrate(np.sum(w * w, axis=0) if w.ndim == 3 else w * w, grid)))
 
 
 @dataclass
@@ -111,6 +112,8 @@ class EnergyLog:
     energies: list = field(default_factory=list)
 
     def append(self, t: float, e: float) -> None:
+        if not np.isfinite(t):
+            raise NonFinite(f"non-finite time {t} in energy log")
         if self.times and t <= self.times[-1]:
             raise InvalidValue(f"energy log times must increase: {t} after {self.times[-1]}")
         if not np.isfinite(e):

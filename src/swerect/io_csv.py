@@ -9,6 +9,7 @@ seed produces byte-identical files.
 
 from __future__ import annotations
 
+import math
 from typing import Tuple
 
 import numpy as np
@@ -63,9 +64,12 @@ def read_field_csv(path) -> Tuple[np.ndarray, np.ndarray, StateField]:
         if len(parts) != 5:
             raise IoError(f"'{path}' line {lineno}: expected 5 fields, got {len(parts)}")
         try:
-            rows.append([float(p) for p in parts])
+            row = [float(p) for p in parts]
         except ValueError:
             raise IoError(f"'{path}' line {lineno}: malformed number") from None
+        if not all(map(math.isfinite, row)):
+            raise IoError(f"'{path}' line {lineno}: non-finite value")
+        rows.append(row)
     if not rows:
         raise IoError(f"'{path}': no data rows")
     data = np.array(rows, dtype=float)

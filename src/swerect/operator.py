@@ -9,7 +9,7 @@ import numpy as np
 
 from .algebra import coefficient_matrices, transform_for
 from .boundary import BcEnforcer, BoundaryData, Side, SIDES, adjoint_bc_catalog, bc_catalog
-from .errors import ShapeMismatch
+from .errors import InvalidValue, ShapeMismatch
 from .fields import Grid, StateField, inner_product
 from .regime import PhysicalConstants, Regime
 from .rng import SplitMix64
@@ -46,40 +46,12 @@ def flux_split(E: np.ndarray, S0: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return Ep, Em
 
 
-def _dminus(W: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Backward difference, one-sided (forward) at the low end."""
-    d = np.empty_like(W)
-    lo = [slice(None)] * W.ndim
-    hi = [slice(None)] * W.ndim
-    lo[axis] = slice(None, -1)
-    hi[axis] = slice(1, None)
-    diff = (W[tuple(hi)] - W[tuple(lo)]) / h
-    tgt = [slice(None)] * W.ndim
-    tgt[axis] = slice(1, None)
-    d[tuple(tgt)] = diff
-    tgt[axis] = slice(0, 1)
-    src = [slice(None)] * W.ndim
-    src[axis] = slice(0, 1)
-    d[tuple(tgt)] = diff[tuple(src)]
-    return d
-
-
-def _dplus(W: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Forward difference, one-sided (backward) at the high end."""
-    d = np.empty_like(W)
-    lo = [slice(None)] * W.ndim
-    hi = [slice(None)] * W.ndim
-    lo[axis] = slice(None, -1)
-    hi[axis] = slice(1, None)
-    diff = (W[tuple(hi)] - W[tuple(lo)]) / h
-    tgt = [slice(None)] * W.ndim
-    tgt[axis] = slice(None, -1)
-    d[tuple(tgt)] = diff
-    tgt[axis] = slice(-1, None)
-    src = [slice(None)] * W.ndim
-    src[axis] = slice(-1, None)
-    d[tuple(tgt)] = diff[tuple(src)]
-    return d
+def _one_sided(W: np.ndarray, axis: int, h: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Backward and forward differences along axis from one np.diff; each
+    repeats the nearest difference at the end that has no neighbour."""
+    d = np.diff(W, axis=axis) / h
+    first, last = d.take([0], axis=axis), d.take([-1], axis=axis)
+    return np.concatenate((first, d), axis=axis), np.concatenate((d, last), axis=axis)
 
 
 def _mul(M: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -104,28 +76,17 @@ class DiscreteOperator:
         self.E1p, self.E1m = flux_split(m.E1, m.S0)
         self.E2p, self.E2m = flux_split(m.E2, m.S0)
 
+    def _upwind(self, W: np.ndarray, Exp, Exm, Eyp, Eym) -> np.ndarray:
+        dxm, dxp = _one_sided(W, 1, self.grid.dx)
+        dym, dyp = _one_sided(W, 2, self.grid.dy)
+        return _mul(Exp, dxm) + _mul(Exm, dxp) + _mul(Eyp, dym) + _mul(Eym, dyp)
+
     def apply_stack(self, W: np.ndarray) -> np.ndarray:
-        g = self.grid
-        dxm = _dminus(W, 1, g.dx)
-        dxp = _dplus(W, 1, g.dx)
-        dym = _dminus(W, 2, g.dy)
-        dyp = _dplus(W, 2, g.dy)
-        return (
-            _mul(self.E1p, dxm) + _mul(self.E1m, dxp)
-            + _mul(self.E2p, dym) + _mul(self.E2m, dyp)
-        )
+        return self._upwind(W, self.E1p, self.E1m, self.E2p, self.E2m)
 
     def apply_adjoint_stack(self, V: np.ndarray) -> np.ndarray:
-        g = self.grid
-        dxm = _dminus(V, 1, g.dx)
-        dxp = _dplus(V, 1, g.dx)
-        dym = _dminus(V, 2, g.dy)
-        dyp = _dplus(V, 2, g.dy)
         # (-E1)^± = -(E1^∓): transport reverses, upwind orientation flips
-        return (
-            _mul(-self.E1m, dxm) + _mul(-self.E1p, dxp)
-            + _mul(-self.E2m, dym) + _mul(-self.E2p, dyp)
-        )
+        return self._upwind(V, -self.E1m, -self.E1p, -self.E2m, -self.E2p)
 
 
 def apply_A(U: StateField, p: PhysicalConstants, grid: Grid) -> StateField:
@@ -187,6 +148,8 @@ def positivity_probe(p: PhysicalConstants, regime: Regime, grid: Grid,
     operator; discretely, upwind dissipation keeps the quotient above a small
     negative floor set by the boundary extrapolation error of the samples.
     """
+    if n_samples < 1:
+        raise InvalidValue(f"positivity probe needs at least one sample, got {n_samples}")
     spec = bc_catalog(regime, p)
     enforcer = BcEnforcer(spec, transform_for(p), grid, include_free_sides=True)
     op = DiscreteOperator(p, grid)

@@ -260,3 +260,72 @@ def reference_assemble(F, c, grid, bc_rows, sign):
     eq_mask = np.zeros(2 * N, dtype=bool)
     eq_mask[eq_rows] = True
     return A, rhs, eq_mask
+
+
+# The two one-sided differences and the two upwind bodies the shared kernel
+# of `operator.DiscreteOperator` must reproduce bit for bit.
+
+
+def _dminus(W: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """Backward difference, one-sided (forward) at the low end."""
+    d = np.empty_like(W)
+    lo = [slice(None)] * W.ndim
+    hi = [slice(None)] * W.ndim
+    lo[axis] = slice(None, -1)
+    hi[axis] = slice(1, None)
+    diff = (W[tuple(hi)] - W[tuple(lo)]) / h
+    tgt = [slice(None)] * W.ndim
+    tgt[axis] = slice(1, None)
+    d[tuple(tgt)] = diff
+    tgt[axis] = slice(0, 1)
+    src = [slice(None)] * W.ndim
+    src[axis] = slice(0, 1)
+    d[tuple(tgt)] = diff[tuple(src)]
+    return d
+
+
+def _dplus(W: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """Forward difference, one-sided (backward) at the high end."""
+    d = np.empty_like(W)
+    lo = [slice(None)] * W.ndim
+    hi = [slice(None)] * W.ndim
+    lo[axis] = slice(None, -1)
+    hi[axis] = slice(1, None)
+    diff = (W[tuple(hi)] - W[tuple(lo)]) / h
+    tgt = [slice(None)] * W.ndim
+    tgt[axis] = slice(None, -1)
+    d[tuple(tgt)] = diff
+    tgt[axis] = slice(-1, None)
+    src = [slice(None)] * W.ndim
+    src[axis] = slice(-1, None)
+    d[tuple(tgt)] = diff[tuple(src)]
+    return d
+
+
+def _mul(M: np.ndarray, W: np.ndarray) -> np.ndarray:
+    return np.einsum("ab,bij->aij", M, W)
+
+
+def reference_apply_stack(op, W):
+    g = op.grid
+    dxm = _dminus(W, 1, g.dx)
+    dxp = _dplus(W, 1, g.dx)
+    dym = _dminus(W, 2, g.dy)
+    dyp = _dplus(W, 2, g.dy)
+    return (
+        _mul(op.E1p, dxm) + _mul(op.E1m, dxp)
+        + _mul(op.E2p, dym) + _mul(op.E2m, dyp)
+    )
+
+
+def reference_apply_adjoint_stack(op, V):
+    g = op.grid
+    dxm = _dminus(V, 1, g.dx)
+    dxp = _dplus(V, 1, g.dx)
+    dym = _dminus(V, 2, g.dy)
+    dyp = _dplus(V, 2, g.dy)
+    # (-E1)^± = -(E1^∓): transport reverses, upwind orientation flips
+    return (
+        _mul(-op.E1m, dxm) + _mul(-op.E1p, dxp)
+        + _mul(-op.E2m, dym) + _mul(-op.E2p, dyp)
+    )

@@ -134,3 +134,29 @@ def test_energy_log_rejects_non_monotone_time():
     log.append(0.1, 0.9)
     with pytest.raises(InvalidValue):
         log.append(0.1, 0.8)
+
+
+def test_energy_log_rejects_non_finite_time():
+    log = sw.EnergyLog()
+    for t in (float("nan"), float("inf")):
+        with pytest.raises(NonFinite, match="time"):
+            log.append(t, 1.0)
+    assert len(log) == 0
+    log.append(0.0, 1.0)
+    with pytest.raises(NonFinite):
+        log.append(float("nan"), 1.0)
+    assert log.times == [0.0]
+
+
+@pytest.mark.parametrize("levels", [1, 0, -3])
+def test_refinement_ladder_needs_two_levels(levels):
+    with pytest.raises(InvalidValue, match=f"at least two levels, got {levels}"):
+        sw.refinement_ladder(sw.Grid(1.0, 1.0, 9, 9), levels)
+
+
+def test_mms_report_without_orders_does_not_pass():
+    grid = sw.Grid(1.0, 1.0, 9, 9)
+    rep = sw.mms_convergence(params("fhs"), [grid], t_end=0.05)
+    assert len(rep.errors) == 1 and rep.orders == []
+    assert not rep.passed()
+    assert not sw.mms_convergence(params("fhs"), [], t_end=0.05).passed()

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import swerect as sw
 from swerect import cli
-from swerect.errors import InvalidValue, IoError, MissingKey, ParseError, UnknownKey
+from swerect.errors import InvalidValue, IoError, MissingKey, NonFinite, ParseError, UnknownKey
 
 MINIMAL = """\
 [physics]
@@ -134,6 +136,24 @@ def test_energy_csv_empty_log_is_header_only(tmp_path):
     assert len(sw.read_energy_csv(path)) == 0
 
 
+def test_field_csv_rejects_non_finite_entries(tmp_path):
+    rows = _field_table(sw.Grid(1.0, 1.0, 4, 5)).reshape(-1, 5)
+    for bad in ("nan", "inf", "-inf"):
+        body = [",".join(repr(float(v)) for v in row) for row in rows]
+        body[6] = body[6].rsplit(",", 1)[0] + "," + bad
+        path = tmp_path / f"{bad}.csv"
+        path.write_text("x,y,u,v,phi\n" + "\n".join(body) + "\n")
+        with pytest.raises(IoError, match=rf"{bad}.csv' line 8: non-finite"):
+            sw.read_field_csv(path)
+
+
+def test_energy_csv_rejects_non_finite_time(tmp_path):
+    path = tmp_path / "e.csv"
+    path.write_text("t,energy\nnan,1.0\n0.5,0.9\n")
+    with pytest.raises(NonFinite, match="time"):
+        sw.read_energy_csv(path)
+
+
 def test_read_missing_file(tmp_path):
     with pytest.raises(IoError):
         sw.read_field_csv(tmp_path / "nope.csv")
@@ -155,6 +175,62 @@ def test_minimal_config_defaults():
     grid = doc.make_grid()
     assert (grid.nx, grid.ny) == (16, 16)
     assert str(sw.classify(doc.constants())) == "Supercritical"
+
+
+FULL = MINIMAL.replace("g = 9.81\n", "g = 9.81\nf = -2.5\n") + """\
+scheme = euler
+seed = 42
+
+[forcing]
+kind = file
+file = forcing.csv
+
+[boundary]
+kind = manufactured
+file = trace.csv
+
+[output]
+dir = results
+cadence = 5
+precision = 12
+"""
+
+# every ConfigDocument field after parsing MINIMAL and FULL, recorded before
+# parse_config built the document from the schema
+PARSED_CONFIGS = {
+    "minimal": {
+        "u0": 4.0, "v0": 4.0, "phi0": 1.0, "g": 9.81, "f": 0.0,
+        "L1": 1.0, "L2": 1.0, "nx": 16, "ny": 16,
+        "t_end": 0.05, "cfl": 0.45, "scheme": "ssprk2", "seed": 0,
+        "forcing_kind": "none", "forcing_file": "",
+        "boundary_kind": "homogeneous", "boundary_file": "",
+        "output_dir": ".", "cadence": 0, "precision": 17, "source": "minimal.cfg",
+    },
+    "full": {
+        "u0": 4.0, "v0": 4.0, "phi0": 1.0, "g": 9.81, "f": -2.5,
+        "L1": 1.0, "L2": 1.0, "nx": 16, "ny": 16,
+        "t_end": 0.05, "cfl": 0.45, "scheme": "euler", "seed": 42,
+        "forcing_kind": "file", "forcing_file": "forcing.csv",
+        "boundary_kind": "manufactured", "boundary_file": "trace.csv",
+        "output_dir": "results", "cadence": 5, "precision": 12, "source": "full.cfg",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARSED_CONFIGS))
+def test_parsed_config_golden(name):
+    text = MINIMAL if name == "minimal" else FULL
+    doc = sw.parse_config(text, source=f"{name}.cfg")
+    assert dataclasses.asdict(doc) == PARSED_CONFIGS[name]
+
+
+def test_config_document_fields_come_from_schema():
+    from swerect.config import _FIELD_NAMES, _SCHEMA, ConfigDocument
+
+    names = [f.name for f in dataclasses.fields(ConfigDocument) if f.name != "source"]
+    schema = [_FIELD_NAMES.get((sec, key), key) for sec, keys in _SCHEMA.items() for key in keys]
+    assert names == schema
+    assert len(names) == 20
 
 
 def test_missing_required_key():
@@ -310,3 +386,21 @@ def test_cli_mms_convergence(tmp_path, capsys):
     assert code == 0
     assert "mms-convergence: PASS" in out
     assert "17x17: error" in out
+
+
+@pytest.mark.parametrize("levels", ["1", "0", "-3"])
+def test_cli_mms_convergence_needs_two_levels(levels, tmp_path, capsys):
+    cfg = write_cfg(tmp_path, MINIMAL)
+    assert cli.main(["mms-convergence", "--config", cfg, "--levels", levels]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: a refinement ladder needs at least two levels, got {levels}\n"
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_cli_probe_positivity_needs_a_sample(samples, tmp_path, capsys):
+    cfg = write_cfg(tmp_path, MINIMAL)
+    assert cli.main(["probe-positivity", "--config", cfg, "--samples", samples]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: positivity probe needs at least one sample, got {samples}\n"

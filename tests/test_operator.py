@@ -1,13 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import swerect as sw
 from swerect.algebra import coefficient_matrices
+from swerect.errors import InvalidValue
 from swerect.fields import StateField, inner_product
 from swerect.operator import DiscreteOperator, flux_split
 from swerect.rng import SplitMix64
 
-from helpers import REGIME_CASES, compatible_pair, draw_params, duality_residual, params
+from helpers import (
+    REGIME_CASES,
+    compatible_pair,
+    draw_params,
+    duality_residual,
+    params,
+    reference_apply_adjoint_stack,
+    reference_apply_stack,
+)
 
 
 def test_flux_split_reconstructs_and_signs():
@@ -68,6 +79,42 @@ def test_apply_A_matches_operator_stack():
     assert np.array_equal(direct, op.apply_stack(U.stack()))
 
 
+KERNEL_GRIDS = {
+    "4x4": sw.Grid(1.0, 1.0, 4, 4),
+    "5x9": sw.Grid(1.0, 1.5, 5, 9),
+    "33x33": sw.Grid(1.0, 1.0, 33, 33),
+    "65x33": sw.Grid(1.0, 1.0, 65, 33),
+}
+
+
+def _assert_kernel_matches_reference(p, grid, W):
+    op = DiscreteOperator(p, grid)
+    assert np.array_equal(op.apply_stack(W), reference_apply_stack(op, W))
+    assert np.array_equal(op.apply_adjoint_stack(W), reference_apply_adjoint_stack(op, W))
+
+
+@pytest.mark.parametrize("grid_name", sorted(KERNEL_GRIDS))
+@pytest.mark.parametrize("kind", sorted(REGIME_CASES))
+def test_kernel_matches_reference(kind, grid_name):
+    grid = KERNEL_GRIDS[grid_name]
+    W = sw.band_limited_fields(SplitMix64(13), grid.nx, grid.ny)
+    _assert_kernel_matches_reference(params(kind), grid, W)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(REGIME_CASES)),
+    nx=st.integers(4, 20), ny=st.integers(4, 20),
+    l1=st.floats(0.1, 5.0), l2=st.floats(0.1, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernel_matches_reference_property(kind, nx, ny, l1, l2, seed):
+    rng = SplitMix64(seed)
+    p = draw_params(kind, rng)
+    W = rng.doubles(3 * nx * ny).reshape(3, nx, ny) - 0.5
+    _assert_kernel_matches_reference(p, sw.Grid(l1, l2, nx, ny), W)
+
+
 def test_duality_residual_halves_one_regime():
     p = params("fhs")
     resids = []
@@ -97,6 +144,13 @@ def test_positivity_probe_small_grids():
         rep = sw.positivity_probe(p, sw.classify(p), sw.Grid(1.0, 1.0, 24, 24), 30, rng_seed)
         assert rep.passed, (kind, rep.min_quotient, rep.threshold)
         assert rep.n_samples == 30
+
+
+@pytest.mark.parametrize("n_samples", [0, -5])
+def test_positivity_probe_needs_a_sample(n_samples):
+    p = params("super")
+    with pytest.raises(InvalidValue, match="at least one sample"):
+        sw.positivity_probe(p, sw.classify(p), sw.Grid(1.0, 1.0, 8, 8), n_samples, 0)
 
 
 def test_boundary_forms_restricted_nonnegative():

@@ -6,8 +6,12 @@ first two untouched: the swap maps every regime onto a regime the package
 also covers (MixedHyperbolicI onto MixedHyperbolicII), and the golden logs
 pin the energy trajectory of fixed seeded runs.  The elliptic fingerprints
 pin what solve_T and solve_T_star return, so a change to the assembly or
-the solve cannot move a solution unnoticed.
+the solve cannot move a solution unnoticed.  The exact goldens pin the
+quadratures and two seeded runs bit for bit, for refactors that promise to
+keep every floating-point operation in order.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -15,7 +19,7 @@ import pytest
 import swerect as sw
 from swerect.manufactured import DEFAULT_SOLUTION
 
-from helpers import REGIME_CASES
+from helpers import REGIME_CASES, draw_params
 
 
 def _swapped(W):
@@ -149,3 +153,118 @@ def test_golden_elliptic_solution(key):
     solve = sw.solve_T if solver == "T" else sw.solve_T_star
     got = _elliptic_fingerprint(solve(F, c, grid))
     assert got == pytest.approx(GOLDEN_ELLIPTIC[key], rel=1e-15, abs=0.0)
+
+
+# --- exact goldens ------------------------------------------------------------
+# Recorded before the operator's one-sided differences were folded into one
+# kernel and the trapezoid copies into fields.integrate; both refactors keep
+# every floating-point operation in order, so these hold with ==, not a
+# tolerance.  Fields are band_limited_fields(SplitMix64(11), 7 fields) on
+# 33x29 over [0,1]x[0,1.3]; the theta pair is zeroed where discrete V pins it,
+# and the energies use one draw_params state per regime from SplitMix64(19).
+
+EXACT_ENERGY = {
+    "fhs": 0.8439232109125662,
+    "mix1": 1.5669613766906882,
+    "mix2": 2.020467822117277,
+    "msub": 1.4602905326448634,
+    "super": 1.4687433155085294,
+}
+EXACT_QUADRATURE = {
+    "l2_norm_stack": 0.648031440897076,
+    "l2_norm_plane": 0.3454730627513913,
+    "theta_inner": -0.010185081397779018,
+    "cross_gradient_residual": 8.881784197001252e-16,
+    "grad_norm": 14.023453240633929,
+    "T_norm": 10.639640075985733,
+    "slack": 59.52835611621936,
+}
+
+
+def _exact_inputs():
+    grid = sw.Grid(1.0, 1.3, 33, 29)
+    f = sw.band_limited_fields(sw.SplitMix64(11), grid.nx, grid.ny, n_fields=7)
+    t1, t2 = f[3].copy(), f[4].copy()
+    t1[0, :] = t1[:, 0] = 0.0
+    t2[-1, :] = t2[:, -1] = 0.0
+    return grid, f, sw.ThetaField(t1, t2)
+
+
+def _exact_energies():
+    grid, f, _ = _exact_inputs()
+    U = sw.StateField.from_stack(f[:3])
+    rng = sw.SplitMix64(19)
+    return {kind: sw.energy_value(U, grid, draw_params(kind, rng)) for kind in sorted(REGIME_CASES)}
+
+
+def _exact_quadrature():
+    grid, f, theta = _exact_inputs()
+    c = sw.swe_elliptic_block(sw.validate_params(*REGIME_CASES["msub"]))
+    rep = sw.apriori_check(theta, c, grid)
+    return {
+        "l2_norm_stack": sw.l2_norm(f[:3], grid),
+        "l2_norm_plane": sw.l2_norm(f[3], grid),
+        "theta_inner": sw.theta_inner(sw.ThetaField(f[3], f[4]), sw.ThetaField(f[5], f[6]), grid),
+        "cross_gradient_residual": sw.cross_gradient_residual(theta, grid),
+        "grad_norm": rep.grad_norm,
+        "T_norm": rep.T_norm,
+        "slack": rep.slack,
+    }
+
+
+def test_exact_energy_values():
+    assert _exact_energies() == EXACT_ENERGY
+
+
+def test_exact_quadrature_values():
+    assert _exact_quadrature() == EXACT_QUADRATURE
+
+
+# sha256 of every snapshot stack, the energy log and the final stack of two
+# seeded runs with snapshot_cadence > 0 on 17x13 over [0,1]x[0,1.3],
+# t_end = 0.05: a homogeneous fhs run (f = 3, seed 5, cadence 4) and an msub
+# run driven by the manufactured solution (f = -2, cadence 5)
+EXACT_RUN_DIGESTS = {
+    "fhs-homogeneous": (
+        ["994d707f5bb36762ccd33683b757b8b7924398c8de05a5cd5271a794c0b9bfa9",
+         "07fccbb6fbb04462e7b8b2795e967b7e4f18b7e54f61dfbce160db9dccc9bc76",
+         "5fee3cc4a731f29dc61087009d5ac3390f74a36b82675a4501a7154db1a2c71d",
+         "25da4146b152166bccea7e7afbb5ace3cbda7cfdaf6ace43abdef8b6115ffd1b",
+         "a51eb8765a17ca6c51ed7063de2be89b09e2a5de29e3e66cba2be7d97c5f5a8b"],
+        "83db7517e3002c6aa47103873b9e046dc5e1c39916fd41828b9f7df08ce359a1",
+        "a51eb8765a17ca6c51ed7063de2be89b09e2a5de29e3e66cba2be7d97c5f5a8b",
+    ),
+    "msub-manufactured": (
+        ["6176bf58da6202cb9717e08ef09e61dc6c366be0a3ee5b0412caba901b5d71e2",
+         "22e11e40e80fb0b18158a3b133cc2732d50aa481e27ddaeadef914d54500b6cc",
+         "18640e27caa6f6c8279519f0429354989abc8c4de91db7f5864724e3987cb1d4",
+         "dc3dd8f06f162c2c39e861a0b9865edbf5c3cd4b1340cea0b7328d71c1fb6835"],
+        "9a5651355777e724bc21f2842310b049ac51a2e19388351aa3d76472874ca59b",
+        "dc3dd8f06f162c2c39e861a0b9865edbf5c3cd4b1340cea0b7328d71c1fb6835",
+    ),
+}
+
+
+def _digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64).tobytes()).hexdigest()
+
+
+def _exact_run_digests(name):
+    grid = sw.Grid(1.0, 1.3, 17, 13)
+    if name == "fhs-homogeneous":
+        p = sw.validate_params(*REGIME_CASES["fhs"], 3.0)
+        res = _run(p, grid, sw.band_limited_fields(sw.SplitMix64(5), 17, 13), snapshot_cadence=4)
+    else:
+        p = sw.validate_params(*REGIME_CASES["msub"], -2.0)
+        spec = sw.bc_catalog(sw.classify(p), p)
+        res = _run(p, grid, DEFAULT_SOLUTION.state(*grid.meshgrid(), 0.0), snapshot_cadence=5,
+                   forcing=DEFAULT_SOLUTION.forcing_on_grid(p, grid),
+                   boundary_data=sw.BoundaryData.from_state_samples(spec, grid,
+                                                                    DEFAULT_SOLUTION.state))
+    return ([_digest(s.stack()) for _, s in res.snapshots],
+            _digest(res.log.energies), _digest(res.final.stack()))
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_RUN_DIGESTS))
+def test_exact_run_digests(name):
+    assert _exact_run_digests(name) == EXACT_RUN_DIGESTS[name]
