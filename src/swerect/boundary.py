@@ -382,8 +382,6 @@ def lift_nonhomogeneous(ug, dug_dt, forcing, p: PhysicalConstants, grid: Grid) -
     def lifted(t: float) -> np.ndarray:
         base = forcing(t) if forcing is not None else None
         g = ug(t)
-        if g.u.shape != (grid.nx, grid.ny):
-            raise ShapeMismatch(f"field shape {g.u.shape} vs grid ({grid.nx}, {grid.ny})")
         out = -dug_dt(t).stack()
         out -= op.apply_stack(g.stack())
         out -= apply_B(g, p).stack()

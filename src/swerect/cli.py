@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
 from typing import List, Optional
 
@@ -142,14 +143,19 @@ def _cmd_run(args) -> int:
     outdir = os.path.join(args.out, doc.output_dir)
     os.makedirs(outdir, exist_ok=True)
     grid = cfg.grid
-    write_field_csv(grid.x, grid.y, result.final,
-                    os.path.join(outdir, "field_final.csv"), precision=doc.precision)
+    final = os.path.join(outdir, "field_final.csv")
+    write_field_csv(grid.x, grid.y, result.final, final, precision=doc.precision)
     write_energy_csv(result.log, os.path.join(outdir, "energy.csv"),
                      precision=doc.precision)
-    for k, (t, snap) in enumerate(result.snapshots):
-        write_field_csv(grid.x, grid.y, snap,
-                        os.path.join(outdir, f"field_{k:06d}.csv"),
-                        precision=doc.precision)
+    names = [os.path.join(outdir, f"field_{k:06d}.csv") for k in range(len(result.snapshots))]
+    for name, (_, snap) in zip(names[:-1], result.snapshots):
+        write_field_csv(grid.x, grid.y, snap, name, precision=doc.precision)
+    if names:
+        # run() always snapshots the last step: the final field, already written
+        try:
+            shutil.copyfile(final, names[-1])
+        except OSError as exc:
+            raise IoError(f"cannot write '{names[-1]}': {exc}") from None
     print(f"ran {result.n_steps} steps (dt={result.dt:.6g}); "
           f"final energy {result.log.energies[-1]:.12g}")
     return 0

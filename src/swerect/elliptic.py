@@ -164,8 +164,12 @@ def cross_gradient_residual(theta: ThetaField, grid: Grid) -> float:
     """|integral(theta2_x * theta1_y) - integral(theta1_x * theta2_y)|.
 
     The two integrals agree exactly in the continuum for fields with theta1
-    pinned on West+South and theta2 on East+North; discretely the residual
-    decays at least at first order.  Inputs outside discrete V are rejected.
+    pinned on West+South and theta2 on East+North.  Discretely they agree to
+    round-off (about 1e-15 * ||theta||^2 on any grid, for any field in
+    discrete V, smooth or not): np.gradient's stencils and the trapezoid
+    weights telescope exactly, so there is no truncation error to decay.  A
+    residual above round-off means a broken gradient or quadrature.  Inputs
+    outside discrete V are rejected.
     """
     _check_in_V(theta)
     t1x, t1y = _grads(theta.theta1, grid)

@@ -55,7 +55,12 @@ class RunConfig:
 
 
 class _Stepper:
-    """Bound operator + enforcer for one run; reused across steps/stages."""
+    """Bound operator + enforcer for one run; reused across steps/stages.
+
+    The stage arithmetic runs in place on two buffers the stepper owns; the
+    state it returns is always the enforcer's fresh output, so callers may
+    keep it across steps.
+    """
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
@@ -67,12 +72,17 @@ class _Stepper:
                                    include_free_sides=False)
         self.op = DiscreteOperator(cfg.p, cfg.grid)
         self.f = cfg.p.f
+        shape = (3, cfg.grid.nx, cfg.grid.ny)
+        self._k = np.empty(shape)   # stage slope, then the stage sum
+        self._s = np.empty(shape)   # the SSP-RK2 average
 
     def enforce(self, W: np.ndarray, t: float) -> np.ndarray:
         return self.enforcer.apply(W, self.cfg.boundary_data, t)
 
     def rhs(self, W: np.ndarray, t: float) -> np.ndarray:
-        R = -self.op.apply_stack(W)
+        """-(A + B) W + F(t) into the stepper's slope buffer."""
+        R = self.op.apply_stack(W, out=self._k)
+        np.negative(R, out=R)
         if self.f != 0.0:
             R[0] += self.f * W[1]
             R[1] -= self.f * W[0]
@@ -81,12 +91,20 @@ class _Stepper:
         return R
 
     def advance(self, W: np.ndarray, dt: float, t: float) -> np.ndarray:
+        # each in-place sequence rounds exactly like W + dt*K1 and
+        # 0.5*(W + W1 + dt*K2)
+        K = self.rhs(W, t)
+        K *= dt
+        K += W
+        W1 = self.enforce(K, t + dt)
         if self.cfg.scheme == "euler":
-            return self.enforce(W + dt * self.rhs(W, t), t + dt)
-        K1 = self.rhs(W, t)
-        W1 = self.enforce(W + dt * K1, t + dt)
-        K2 = self.rhs(W1, t + dt)
-        return self.enforce(0.5 * (W + W1 + dt * K2), t + dt)
+            return W1
+        K = self.rhs(W1, t + dt)
+        K *= dt
+        S = np.add(W, W1, out=self._s)
+        S += K
+        S *= 0.5
+        return self.enforce(S, t + dt)
 
 
 def step(state: StateField, dt: float, t: float, cfg: RunConfig) -> StateField:

@@ -4,17 +4,21 @@ Field files carry the header ``x,y,u,v,phi`` and one row per grid node in
 x-major order (all y for the first x, then the next x, ...).  Energy logs
 carry ``t,energy``.  Values are written with ``%.17g``-style formatting by
 default, which round-trips IEEE doubles exactly, so a rerun with the same
-seed produces byte-identical files.
+seed produces byte-identical files.  Field files are streamed row by row in
+both directions, so no whole-file text or per-row Python lists are held.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from array import array
+from contextlib import contextmanager
+from itertools import chain
+from typing import Iterator, List, TextIO, Tuple
 
 import numpy as np
 
-from .errors import InvalidValue, IoError
+from .errors import InvalidValue, IoError, NonFinite
 from .fields import EnergyLog, StateField
 
 FIELD_HEADER = "x,y,u,v,phi"
@@ -26,53 +30,40 @@ def _fmt(value: float, precision: int) -> str:
 
 
 def write_field_csv(x, y, state: StateField, path, precision: int = 17) -> None:
-    """Write a state on the tensor grid ``x`` (outer) by ``y`` (inner)."""
+    """Write a state on the tensor grid ``x`` (outer) by ``y`` (inner).
+
+    Streamed one x-row at a time: each row of ``ny`` nodes is one
+    %-template with the y column already formatted in it.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if state.u.shape != (x.size, y.size):
         raise InvalidValue(
             f"field shape {state.u.shape} does not match grid ({x.size}, {y.size})"
         )
-    lines = [FIELD_HEADER]
-    for i in range(x.size):
-        xi = _fmt(x[i], precision)
-        for j in range(y.size):
-            lines.append(
-                ",".join(
-                    (
-                        xi,
-                        _fmt(y[j], precision),
-                        _fmt(state.u[i, j], precision),
-                        _fmt(state.v[i, j], precision),
-                        _fmt(state.phi[i, j], precision),
-                    )
-                )
-            )
-    _write_text(path, "\n".join(lines) + "\n")
+    node = f"%.{precision}g"
+    # "X" marks the x column; no formatted number contains it
+    row = "".join(f"X,{_fmt(yj, precision)},{node},{node},{node}\n" for yj in y.tolist())
+    values = np.stack((state.u, state.v, state.phi), axis=-1)  # (nx, ny, 3)
+    with _writing(path) as fh:
+        fh.write(FIELD_HEADER + "\n")
+        for xi, vals in zip(x.tolist(), values):
+            fh.write(row.replace("X", _fmt(xi, precision)) % tuple(vals.ravel().tolist()))
 
 
 def read_field_csv(path) -> Tuple[np.ndarray, np.ndarray, StateField]:
-    text = _read_text(path)
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != FIELD_HEADER:
-        raise IoError(f"'{path}': expected header '{FIELD_HEADER}'")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise IoError(f"'{path}' line {lineno}: expected 5 fields, got {len(parts)}")
+    values = array("d")
+    for lineno, parts in _records(path, FIELD_HEADER, 5):
         try:
             row = [float(p) for p in parts]
         except ValueError:
             raise IoError(f"'{path}' line {lineno}: malformed number") from None
         if not all(map(math.isfinite, row)):
             raise IoError(f"'{path}' line {lineno}: non-finite value")
-        rows.append(row)
-    if not rows:
+        values.extend(row)
+    if not values:
         raise IoError(f"'{path}': no data rows")
-    data = np.array(rows, dtype=float)
+    data = np.frombuffer(values, dtype=float).reshape(-1, 5)
     x, x_first = np.unique(data[:, 0], return_index=True)
     x = data[np.sort(x_first), 0]  # preserve file order
     y, y_first = np.unique(data[:, 1], return_index=True)
@@ -93,39 +84,52 @@ def write_energy_csv(log: EnergyLog, path, precision: int = 17) -> None:
     lines = [ENERGY_HEADER]
     for t, e in zip(log.times, log.energies):
         lines.append(f"{_fmt(t, precision)},{_fmt(e, precision)}")
-    _write_text(path, "\n".join(lines) + "\n")
+    with _writing(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_energy_csv(path) -> EnergyLog:
-    text = _read_text(path)
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != ENERGY_HEADER:
-        raise IoError(f"'{path}': expected header '{ENERGY_HEADER}'")
     log = EnergyLog()
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise IoError(f"'{path}' line {lineno}: expected 2 fields, got {len(parts)}")
+    for lineno, (t, e) in _records(path, ENERGY_HEADER, 2):
         try:
-            log.append(float(parts[0]), float(parts[1]))
+            t, e = float(t), float(e)
         except ValueError:
             raise IoError(f"'{path}' line {lineno}: malformed number") from None
+        try:
+            log.append(t, e)
+        except (NonFinite, InvalidValue) as exc:
+            raise IoError(f"'{path}' line {lineno}: {exc}") from None
     return log
 
 
-def _write_text(path, text: str) -> None:
+@contextmanager
+def _writing(path) -> Iterator[TextIO]:
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
     except OSError as exc:
         raise IoError(f"cannot write '{path}': {exc}") from None
 
 
-def _read_text(path) -> str:
+def _records(path, header: str, n_fields: int) -> Iterator[Tuple[int, List[str]]]:
+    """(line number, fields) of every non-blank line after ``header``.
+
+    Streams the file; lines split exactly as ``str.splitlines`` splits the
+    whole text.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            lines = enumerate(chain.from_iterable(map(str.splitlines, fh)), start=1)
+            first = next(lines, (1, None))[1]
+            if first is None or first.strip() != header:
+                raise IoError(f"'{path}': expected header '{header}'")
+            for lineno, line in lines:
+                if not line.strip():
+                    continue
+                parts = line.split(",")
+                if len(parts) != n_fields:
+                    raise IoError(f"'{path}' line {lineno}: expected {n_fields} fields, "
+                                  f"got {len(parts)}")
+                yield lineno, parts
     except OSError as exc:
         raise IoError(f"cannot read '{path}': {exc}") from None

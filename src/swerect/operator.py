@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -46,16 +46,7 @@ def flux_split(E: np.ndarray, S0: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return Ep, Em
 
 
-def _one_sided(W: np.ndarray, axis: int, h: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Backward and forward differences along axis from one np.diff; each
-    repeats the nearest difference at the end that has no neighbour."""
-    d = np.diff(W, axis=axis) / h
-    first, last = d.take([0], axis=axis), d.take([-1], axis=axis)
-    return np.concatenate((first, d), axis=axis), np.concatenate((d, last), axis=axis)
-
-
-def _mul(M: np.ndarray, W: np.ndarray) -> np.ndarray:
-    return np.einsum("ab,bij->aij", M, W)
+_MUL = "ab,bij->aij"  # one 3x3 matrix applied at every node of a (3, nx, ny) stack
 
 
 class DiscreteOperator:
@@ -75,30 +66,51 @@ class DiscreteOperator:
         self.E1, self.E2, self.S0 = m.E1, m.E2, m.S0
         self.E1p, self.E1m = flux_split(m.E1, m.S0)
         self.E2p, self.E2m = flux_split(m.E2, m.S0)
+        nx, ny = grid.nx, grid.ny
+        # private scratch, reused by every apply (so one operator must not
+        # be applied from two threads at once): the padded differences per
+        # axis and one einsum term
+        self._px = np.empty((3, nx + 1, ny))
+        self._py = np.empty((3, nx, ny + 1))
+        self._term = np.empty((3, nx, ny))
 
-    def _upwind(self, W: np.ndarray, Exp, Exm, Eyp, Eym) -> np.ndarray:
-        dxm, dxp = _one_sided(W, 1, self.grid.dx)
-        dym, dyp = _one_sided(W, 2, self.grid.dy)
-        return _mul(Exp, dxm) + _mul(Exm, dxp) + _mul(Eyp, dym) + _mul(Eym, dyp)
+    def _upwind(self, W: np.ndarray, out: Optional[np.ndarray],
+                Exp, Exm, Eyp, Eym) -> np.ndarray:
+        shape = self._term.shape
+        if W.shape != shape:
+            raise ShapeMismatch(f"stack shape {W.shape} vs {shape}")
+        # padded differences: P[k] = (W[k] - W[k-1]) / h inside, the end
+        # differences repeated into the pad cells, so the backward and
+        # forward one-sided differences are the views P[:-1] and P[1:]
+        px, py = self._px, self._py
+        np.subtract(W[:, 1:], W[:, :-1], out=px[:, 1:-1])
+        px[:, 1:-1] /= self.grid.dx
+        px[:, 0], px[:, -1] = px[:, 1], px[:, -2]
+        np.subtract(W[:, :, 1:], W[:, :, :-1], out=py[:, :, 1:-1])
+        py[:, :, 1:-1] /= self.grid.dy
+        py[:, :, 0], py[:, :, -1] = py[:, :, 1], py[:, :, -2]
+        if out is None:
+            out = np.empty(shape)
+        np.einsum(_MUL, Exp, px[:, :-1], out=out)
+        for M, D in ((Exm, px[:, 1:]), (Eyp, py[:, :, :-1]), (Eym, py[:, :, 1:])):
+            out += np.einsum(_MUL, M, D, out=self._term)
+        return out
 
-    def apply_stack(self, W: np.ndarray) -> np.ndarray:
-        return self._upwind(W, self.E1p, self.E1m, self.E2p, self.E2m)
+    def apply_stack(self, W: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """A_h W for a (3, nx, ny) stack, into ``out`` when given."""
+        return self._upwind(W, out, self.E1p, self.E1m, self.E2p, self.E2m)
 
     def apply_adjoint_stack(self, V: np.ndarray) -> np.ndarray:
         # (-E1)^± = -(E1^∓): transport reverses, upwind orientation flips
-        return self._upwind(V, -self.E1m, -self.E1p, -self.E2m, -self.E2p)
+        return self._upwind(V, None, -self.E1m, -self.E1p, -self.E2m, -self.E2p)
 
 
 def apply_A(U: StateField, p: PhysicalConstants, grid: Grid) -> StateField:
     """A_h U; boundary conditions are the enforcer's business, not this one's."""
-    if U.u.shape != (grid.nx, grid.ny):
-        raise ShapeMismatch(f"field shape {U.u.shape} vs grid ({grid.nx}, {grid.ny})")
     return StateField.from_stack(DiscreteOperator(p, grid).apply_stack(U.stack()))
 
 
 def apply_adjoint(V: StateField, p: PhysicalConstants, grid: Grid) -> StateField:
-    if V.u.shape != (grid.nx, grid.ny):
-        raise ShapeMismatch(f"field shape {V.u.shape} vs grid ({grid.nx}, {grid.ny})")
     return StateField.from_stack(DiscreteOperator(p, grid).apply_adjoint_stack(V.stack()))
 
 

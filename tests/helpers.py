@@ -1,11 +1,16 @@
-"""Shared fixtures: reference states, seeded parameter draws, and smooth
-fields satisfying the boundary catalogs analytically (used by the duality
-and enforcement tests)."""
+"""Shared fixtures: reference states, seeded parameter draws, smooth fields
+satisfying the boundary catalogs analytically (used by the duality and
+enforcement tests), and reference implementations of the kernels, the
+stepper and the field CSV I/O that the package must reproduce exactly."""
+
+import math
 
 import numpy as np
 
 import swerect as sw
 from swerect.boundary import Side
+from swerect.errors import InvalidValue, IoError
+from swerect.fields import StateField
 from swerect.rng import SplitMix64
 
 W, E, S, N = Side.WEST, Side.EAST, Side.SOUTH, Side.NORTH
@@ -329,3 +334,115 @@ def reference_apply_adjoint_stack(op, V):
         _mul(-op.E1m, dxm) + _mul(-op.E1p, dxp)
         + _mul(-op.E2m, dym) + _mul(-op.E2p, dyp)
     )
+
+
+# The stepper stage arithmetic, CSV writer and CSV reader as they were before
+# the stepper and the field files switched to reused buffers and streaming:
+# the current code must reproduce them bit for bit and byte for byte.
+
+
+def reference_rhs(stepper, W, t):
+    R = -reference_apply_stack(stepper.op, W)
+    if stepper.f != 0.0:
+        R[0] += stepper.f * W[1]
+        R[1] -= stepper.f * W[0]
+    if stepper.cfg.forcing is not None:
+        R += stepper.cfg.forcing(t)
+    return R
+
+
+def reference_advance(stepper, W, dt, t):
+    """One step of `evolve._Stepper` with a fresh array for every stage."""
+    if stepper.cfg.scheme == "euler":
+        return stepper.enforce(W + dt * reference_rhs(stepper, W, t), t + dt)
+    K1 = reference_rhs(stepper, W, t)
+    W1 = stepper.enforce(W + dt * K1, t + dt)
+    K2 = reference_rhs(stepper, W1, t + dt)
+    return stepper.enforce(0.5 * (W + W1 + dt * K2), t + dt)
+
+
+FIELD_HEADER = "x,y,u,v,phi"
+
+
+def _fmt(value, precision):
+    return f"{value:.{precision}g}"
+
+
+def reference_write_field_csv(x, y, state, path, precision=17):
+    """Write a state on the tensor grid ``x`` (outer) by ``y`` (inner)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if state.u.shape != (x.size, y.size):
+        raise InvalidValue(
+            f"field shape {state.u.shape} does not match grid ({x.size}, {y.size})"
+        )
+    lines = [FIELD_HEADER]
+    for i in range(x.size):
+        xi = _fmt(x[i], precision)
+        for j in range(y.size):
+            lines.append(
+                ",".join(
+                    (
+                        xi,
+                        _fmt(y[j], precision),
+                        _fmt(state.u[i, j], precision),
+                        _fmt(state.v[i, j], precision),
+                        _fmt(state.phi[i, j], precision),
+                    )
+                )
+            )
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+def reference_read_field_csv(path):
+    text = _read_text(path)
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != FIELD_HEADER:
+        raise IoError(f"'{path}': expected header '{FIELD_HEADER}'")
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 5:
+            raise IoError(f"'{path}' line {lineno}: expected 5 fields, got {len(parts)}")
+        try:
+            row = [float(p) for p in parts]
+        except ValueError:
+            raise IoError(f"'{path}' line {lineno}: malformed number") from None
+        if not all(map(math.isfinite, row)):
+            raise IoError(f"'{path}' line {lineno}: non-finite value")
+        rows.append(row)
+    if not rows:
+        raise IoError(f"'{path}': no data rows")
+    data = np.array(rows, dtype=float)
+    x, x_first = np.unique(data[:, 0], return_index=True)
+    x = data[np.sort(x_first), 0]  # preserve file order
+    y, y_first = np.unique(data[:, 1], return_index=True)
+    y = data[np.sort(y_first), 1]
+    nx, ny = x.size, y.size
+    if nx * ny != data.shape[0]:
+        raise IoError(f"'{path}': {data.shape[0]} rows do not fill a {nx}x{ny} grid")
+    if not (np.array_equal(data[:, 0], np.repeat(x, ny))
+            and np.array_equal(data[:, 1], np.tile(y, nx))):
+        raise IoError(f"'{path}': rows are not in x-major order (all y for each x)")
+    u = data[:, 2].reshape(nx, ny)
+    v = data[:, 3].reshape(nx, ny)
+    phi = data[:, 4].reshape(nx, ny)
+    return x, y, StateField(u, v, phi)
+
+
+def _write_text(path, text):
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise IoError(f"cannot write '{path}': {exc}") from None
+
+
+def _read_text(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise IoError(f"cannot read '{path}': {exc}") from None

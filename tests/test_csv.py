@@ -1,0 +1,300 @@
+"""Field and energy CSV files: byte identity with the reference writer,
+reader parity with the reference reader, round trips, and the sha256 of
+every file two seeded `swerect run` configs and `solve-elliptic --out`
+write.
+
+The reference writer and reader in helpers.py hold the whole file as text
+and one Python list per row; the package streams.  The two must agree byte
+for byte on output and message for message on rejected input.
+"""
+
+import hashlib
+import math
+import os
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import swerect as sw
+from swerect import cli
+from swerect.errors import IoError
+
+from helpers import reference_read_field_csv, reference_write_field_csv
+
+SPECIAL = [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e-300, -1e-300,
+           1e300, -1e300, 1.7976931348623157e308, 1e16, -1e16, 1e17, 3.0, -7.0,
+           123456789012345678.0, 0.1, 1 / 3, math.pi, -1e-5, 1e-4, 9.999999999999999e22]
+VALUES = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=True, allow_infinity=True),
+                   st.integers(-10**6, 10**6).map(float))
+
+
+def _state(values, nx, ny):
+    w = np.array(values, dtype=float).reshape(3, nx, ny)
+    return sw.StateField(w[0], w[1], w[2])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), nx=st.integers(1, 6), ny=st.integers(1, 6),
+       precision=st.integers(1, 17))
+def test_field_csv_bytes_match_reference(data, nx, ny, precision, tmp_path_factory):
+    x = data.draw(st.lists(VALUES, min_size=nx, max_size=nx))
+    y = data.draw(st.lists(VALUES, min_size=ny, max_size=ny))
+    state = _state(data.draw(st.lists(VALUES, min_size=3 * nx * ny, max_size=3 * nx * ny)),
+                   nx, ny)
+    d = tmp_path_factory.mktemp("bytes")
+    sw.write_field_csv(x, y, state, d / "new.csv", precision=precision)
+    reference_write_field_csv(x, y, state, d / "ref.csv", precision=precision)
+    assert (d / "new.csv").read_bytes() == (d / "ref.csv").read_bytes()
+
+
+FINITE = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), nx=st.integers(1, 6), ny=st.integers(1, 6))
+def test_field_csv_round_trip_property(data, nx, ny, tmp_path_factory):
+    x = data.draw(st.lists(FINITE, min_size=nx, max_size=nx, unique=True))
+    y = data.draw(st.lists(FINITE, min_size=ny, max_size=ny, unique=True))
+    state = _state(data.draw(st.lists(FINITE, min_size=3 * nx * ny, max_size=3 * nx * ny)),
+                   nx, ny)
+    path = tmp_path_factory.mktemp("trip") / "f.csv"
+    sw.write_field_csv(x, y, state, path)
+    bx, by, back = sw.read_field_csv(path)
+    assert _bits(bx) == _bits(x) and _bits(by) == _bits(y)
+    assert _bits(back.stack()) == _bits(state.stack())
+    rx, ry, ref = reference_read_field_csv(path)
+    assert _bits(rx) == _bits(bx) and _bits(ry) == _bits(by)
+    assert _bits(ref.stack()) == _bits(back.stack())
+
+
+@settings(max_examples=100, deadline=None)
+@given(times=st.lists(FINITE, max_size=12, unique=True), data=st.data())
+def test_energy_csv_round_trip_property(times, data, tmp_path_factory):
+    times = sorted(times)
+    energies = data.draw(st.lists(FINITE, min_size=len(times), max_size=len(times)))
+    log = sw.EnergyLog()
+    for t, e in zip(times, energies):
+        log.append(t, e)
+    path = tmp_path_factory.mktemp("energy") / "e.csv"
+    sw.write_energy_csv(log, path)
+    back = sw.read_energy_csv(path)
+    assert _bits(back.times) == _bits(log.times)
+    assert _bits(back.energies) == _bits(log.energies)
+
+
+# --- reader parity ----------------------------------------------------------
+
+
+def _valid_lines(nx=3, ny=4, seed=5):
+    grid = sw.Grid(1.0, 2.0, max(nx, 4), max(ny, 4))
+    w = sw.band_limited_fields(sw.SplitMix64(seed), grid.nx, grid.ny)
+    X, Y = grid.meshgrid()
+    rows = np.stack([X, Y, *w], axis=-1).reshape(-1, 5)
+    return ["x,y,u,v,phi"] + [",".join(repr(float(v)) for v in r) for r in rows]
+
+
+def _corrupt(lines, kind, k, token):
+    """Apply one corruption to data line k (1-based after the header)."""
+    lines = list(lines)
+    k = 1 + k % (len(lines) - 1)
+    parts = lines[k].split(",")
+    if kind == "fields-short":
+        lines[k] = ",".join(parts[:-1])
+    elif kind == "fields-long":
+        lines[k] = lines[k] + ",0"
+    elif kind == "token":
+        parts[k % 5] = token
+        lines[k] = ",".join(parts)
+    elif kind == "blank":
+        lines.insert(k, token if not token.strip() else "")
+    elif kind == "header":
+        lines[0] = "x,y,u,v"
+    elif kind == "no-header":
+        lines = lines[1:]
+    elif kind == "header-only":
+        lines = lines[:1]
+    elif kind == "empty":
+        lines = []
+    elif kind == "swap":
+        j = 1 + (k + 2) % (len(lines) - 1)
+        lines[k], lines[j] = lines[j], lines[k]
+    elif kind == "drop":
+        del lines[k]
+    elif kind == "separator":
+        cut = len(lines[k]) // 2
+        lines[k] = lines[k][:cut] + token + lines[k][cut:]
+    return lines
+
+
+KINDS = ["none", "fields-short", "fields-long", "token", "blank", "header", "no-header",
+         "header-only", "empty", "swap", "drop", "separator"]
+TOKENS = ["nan", "inf", "-inf", "abc", "1.2.3", "", " ", "1e999", "\t", " 0.5 ", "1_0",
+          "\x0c", "\x0b", "\x1c", "\x85", " "]
+ENDINGS = {"LF": "\n", "CRLF": "\r\n", "CR": "\r"}
+
+
+def _outcome(reader, path):
+    try:
+        x, y, s = reader(path)
+    except IoError as exc:
+        return ("IoError", str(exc))
+    return ("ok", _bits(x), _bits(y), _bits(s.stack()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(KINDS), k=st.integers(0, 40), token=st.sampled_from(TOKENS),
+       ending=st.sampled_from(sorted(ENDINGS)), trailing=st.booleans(),
+       blanks=st.lists(st.integers(0, 20), max_size=3))
+def test_field_reader_matches_reference(kind, k, token, ending, trailing, blanks,
+                                        tmp_path_factory):
+    lines = _valid_lines()
+    if kind != "none":
+        lines = _corrupt(lines, kind, k, token)
+    for b in blanks:
+        lines.insert(min(1 + b, len(lines)), "")
+    eol = ENDINGS[ending]
+    text = eol.join(lines) + (eol if trailing and lines else "")
+    path = tmp_path_factory.mktemp("parity") / "f.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(sw.read_field_csv, path) == _outcome(reference_read_field_csv, path)
+
+
+def test_field_reader_line_numbers_count_blank_and_crlf_lines(tmp_path):
+    lines = _valid_lines()
+    lines[3] = lines[3].replace(",", ",nan,", 1).rsplit(",", 1)[0]
+    path = tmp_path / "c.csv"
+    path.write_bytes(("\r\n".join(lines[:2] + ["", "  "] + lines[2:]) + "\r\n").encode())
+    with pytest.raises(IoError, match=r"c.csv' line 6: non-finite value"):
+        sw.read_field_csv(path)
+
+
+# --- energy reader ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("body, message", [
+    ("0.0,1.0\n0.5,0.9\n0.5,0.8\n", "line 4: energy log times must increase: 0.5 after 0.5"),
+    ("0.0,1.0\n\n0.5,0.9\n0.25,0.8\n", "line 5: energy log times must increase"),
+    ("0.0,1.0\n0.5,inf\n", "line 3: non-finite energy at t=0.5"),
+    ("0.0,1.0\r\n0.5\r\n", "line 3: expected 2 fields, got 1"),
+    ("0.0,x\n", "line 2: malformed number"),
+])
+def test_energy_csv_rejections_name_file_and_line(tmp_path, body, message):
+    path = tmp_path / "e.csv"
+    path.write_text("t,energy\n" + body)
+    with pytest.raises(IoError, match="e.csv' " + message):
+        sw.read_energy_csv(path)
+
+
+# --- pinned output files ----------------------------------------------------
+
+RUN_A = """\
+[physics]
+u0 = 2.5
+v0 = 2.5
+phi0 = 1.0
+g = 9.81
+f = 3.0
+[grid]
+L1 = 1.0
+L2 = 1.3
+nx = 13
+ny = 11
+[run]
+t_end = 0.05
+cfl = 0.45
+seed = 5
+[forcing]
+kind = manufactured
+[boundary]
+kind = manufactured
+[output]
+dir = a
+cadence = 3
+precision = 17
+"""
+
+RUN_B = """\
+[physics]
+u0 = 1.0
+v0 = 1.0
+phi0 = 1.0
+g = 9.81
+[grid]
+L1 = 1.5
+L2 = 1.0
+nx = 10
+ny = 7
+[run]
+t_end = 0.04
+cfl = 0.45
+seed = 11
+[output]
+dir = b
+cadence = 4
+precision = 9
+"""
+
+ELLIPTIC = """\
+[physics]
+u0 = 1.0
+v0 = 1.0
+phi0 = 1.0
+g = 9.81
+[grid]
+L1 = 1.0
+L2 = 1.3
+nx = 12
+ny = 9
+[run]
+t_end = 0.05
+cfl = 0.45
+[output]
+dir = e
+"""
+
+# sha256 of every file each command writes, recorded before the field files
+# were streamed: run A is a rotating fhs run with manufactured forcing and
+# boundary data (13 steps, cadence 3), run B a homogeneous msub run at
+# precision 9 (5 steps, cadence 4); in both the last snapshot is the final
+# field, so the two files are equal
+PINNED_FILES = {
+    "run-a": (RUN_A, "run", {
+        "energy.csv": "2b85e9a50f8a26e26f383eea07ffffae10ea442883c7d93632118732ceb60f27",
+        "field_000000.csv": "79ecb9d6950969b1068bbc576cdf4555df804f1ba5b07eb57f3305361f49f2e2",
+        "field_000001.csv": "e6a7b0eb622d0c6636b878349d7a34416cb126716ce355b9fcacfd475d91ac33",
+        "field_000002.csv": "bc5a4ea11b26bd04b16ed8f66a4ee8b78e64b5d3a096f907b04b1a23a828b4eb",
+        "field_000003.csv": "f0ee6193e0a3752fdeb6798e704124cf0a98c35251093c292d2dbdea371a2326",
+        "field_000004.csv": "33f1666c4c2d780bc85475ca09fa07ae01a27d0161a19a7fe207c3dc5bbd8195",
+        "field_000005.csv": "a9e0737df57966094f340e883ac0a1fe63fa50919867ca36b97eb4640b2bd4d4",
+        "field_final.csv": "a9e0737df57966094f340e883ac0a1fe63fa50919867ca36b97eb4640b2bd4d4",
+    }),
+    "run-b": (RUN_B, "run", {
+        "energy.csv": "b305c6ba88c06e2d2e1cc2d504e06ef024dc5a89442a320ff5d6a63c1616d19e",
+        "field_000000.csv": "005c6551875859532a80b182f322f0c04ef82f445d85655ccfa652900c6617dd",
+        "field_000001.csv": "b11c741a7868a7b30252224db5eab50df9f5bd93d42d2d0f212a73bc92f9e806",
+        "field_000002.csv": "ef6318fa3bccdc54d63c849d613ad828208fcda137e091382374bcebd09be465",
+        "field_final.csv": "ef6318fa3bccdc54d63c849d613ad828208fcda137e091382374bcebd09be465",
+    }),
+    "solve-elliptic": (ELLIPTIC, "solve-elliptic", {
+        "theta.csv": "09ef71553120f6c332aeb2bd8ee6e083bf7458cc9ab1e9c029679900735ee26b",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FILES))
+def test_output_files_pinned(name, tmp_path, capsys):
+    text, command, want = PINNED_FILES[name]
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(text)
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    outdir = tmp_path / text.split("dir = ")[1].split("\n")[0]
+    got = {fn: hashlib.sha256((outdir / fn).read_bytes()).hexdigest()
+           for fn in sorted(os.listdir(outdir))}
+    assert got == want

@@ -5,8 +5,10 @@ import pytest
 
 import swerect as sw
 from swerect.errors import CflViolation, InvalidValue, NonFinite
+from swerect.evolve import _Stepper
+from swerect.manufactured import DEFAULT_SOLUTION
 
-from helpers import REGIME_CASES, params
+from helpers import REGIME_CASES, params, reference_advance
 
 
 def seeded_state(grid, seed=7):
@@ -160,3 +162,65 @@ def test_mms_report_without_orders_does_not_pass():
     assert len(rep.errors) == 1 and rep.orders == []
     assert not rep.passed()
     assert not sw.mms_convergence(params("fhs"), [], t_end=0.05).passed()
+
+
+STEPPER_GRIDS = {
+    "4x4": sw.Grid(1.0, 1.0, 4, 4),
+    "5x9": sw.Grid(1.0, 1.5, 5, 9),
+    "65x33": sw.Grid(2.0, 1.0, 65, 33),
+}
+
+
+def _stepper_config(kind, f, grid, forced, scheme="ssprk2", **kw):
+    p = sw.validate_params(*REGIME_CASES[kind], f)
+    if not forced:
+        return sw.RunConfig(p=p, grid=grid, t_end=0.05, initial=seeded_state(grid),
+                            scheme=scheme, **kw)
+    spec = sw.bc_catalog(sw.classify(p), p)
+    return sw.RunConfig(
+        p=p, grid=grid, t_end=0.05, initial=DEFAULT_SOLUTION.state_field(grid, 0.0),
+        scheme=scheme, forcing=DEFAULT_SOLUTION.forcing_on_grid(p, grid),
+        boundary_data=sw.BoundaryData.from_state_samples(spec, grid, DEFAULT_SOLUTION.state),
+        **kw)
+
+
+@pytest.mark.parametrize("grid_name", sorted(STEPPER_GRIDS))
+@pytest.mark.parametrize("kind", sorted(REGIME_CASES))
+def test_advance_matches_reference(kind, grid_name):
+    """The in-place stages give the bits of one fresh array per stage."""
+    grid = STEPPER_GRIDS[grid_name]
+    for f in (0.0, 3.0):
+        for forced in (False, True):
+            for scheme in ("ssprk2", "euler"):
+                cfg = _stepper_config(kind, f, grid, forced, scheme)
+                stepper = _Stepper(cfg)
+                dt = sw.cfl_dt(cfg.p, grid, cfg.cfl)
+                W = stepper.enforce(cfg.initial.stack(), 0.0)
+                for k in range(3):
+                    before = W.copy()
+                    new = stepper.advance(W, dt, k * dt)
+                    assert np.array_equal(W, before)
+                    assert np.array_equal(new, reference_advance(stepper, W, dt, k * dt))
+                    W = new
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_run_results_survive_later_steps(forced):
+    """Snapshots, log and final field of run() equal a loop that copies the
+    state every step: no step writes into a state run() handed out."""
+    grid = STEPPER_GRIDS["5x9"]
+    cfg = _stepper_config("fhs", 3.0, grid, forced, snapshot_cadence=1)
+    res = sw.run(cfg)
+    stepper = _Stepper(cfg)
+    W = stepper.enforce(cfg.initial.stack(), 0.0).copy()
+    states, energies = [W.copy()], [sw.energy_value(sw.StateField(*W), grid, cfg.p)]
+    for k in range(res.n_steps):
+        W = reference_advance(stepper, W, res.dt, k * res.dt).copy()
+        states.append(W.copy())
+        energies.append(sw.energy_value(sw.StateField(*W), grid, cfg.p))
+    assert len(res.snapshots) == len(states) == res.n_steps + 1
+    for (t, snap), (k, want) in zip(res.snapshots, enumerate(states)):
+        assert t == k * res.dt
+        assert np.array_equal(snap.stack(), want)
+    assert res.log.energies == energies
+    assert np.array_equal(res.final.stack(), states[-1])

@@ -5,7 +5,7 @@ import pytest
 
 import swerect as sw
 from swerect import cli
-from swerect.errors import InvalidValue, IoError, MissingKey, NonFinite, ParseError, UnknownKey
+from swerect.errors import InvalidValue, IoError, MissingKey, ParseError, UnknownKey
 
 MINIMAL = """\
 [physics]
@@ -150,7 +150,7 @@ def test_field_csv_rejects_non_finite_entries(tmp_path):
 def test_energy_csv_rejects_non_finite_time(tmp_path):
     path = tmp_path / "e.csv"
     path.write_text("t,energy\nnan,1.0\n0.5,0.9\n")
-    with pytest.raises(NonFinite, match="time"):
+    with pytest.raises(IoError, match=r"e.csv' line 2: non-finite time"):
         sw.read_energy_csv(path)
 
 

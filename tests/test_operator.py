@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import swerect as sw
 from swerect.algebra import coefficient_matrices
-from swerect.errors import InvalidValue
+from swerect.errors import InvalidValue, ShapeMismatch
 from swerect.fields import StateField, inner_product
 from swerect.operator import DiscreteOperator, flux_split
 from swerect.rng import SplitMix64
@@ -113,6 +113,36 @@ def test_kernel_matches_reference_property(kind, nx, ny, l1, l2, seed):
     p = draw_params(kind, rng)
     W = rng.doubles(3 * nx * ny).reshape(3, nx, ny) - 0.5
     _assert_kernel_matches_reference(p, sw.Grid(l1, l2, nx, ny), W)
+
+
+def test_apply_returns_a_new_array_each_call():
+    grid = KERNEL_GRIDS["5x9"]
+    op = DiscreteOperator(params("fhs"), grid)
+    rng = SplitMix64(4)
+    W, V = (sw.band_limited_fields(rng, grid.nx, grid.ny) for _ in range(2))
+    a, b = op.apply_stack(W), op.apply_stack(W)
+    c = op.apply_adjoint_stack(W)
+    assert not np.shares_memory(a, b) and not np.shares_memory(a, c)
+    kept = a.copy(), c.copy()
+    op.apply_stack(V)
+    op.apply_adjoint_stack(V)  # reuses the scratch; earlier results stay put
+    assert np.array_equal(a, kept[0]) and np.array_equal(b, kept[0])
+    assert np.array_equal(c, kept[1])
+    out = np.empty_like(W)
+    assert op.apply_stack(W, out=out) is out and np.array_equal(out, kept[0])
+
+
+def test_apply_rejects_wrong_shape():
+    op = DiscreteOperator(params("msub"), KERNEL_GRIDS["5x9"])
+    for shape in ((3, 9, 5), (3, 5, 8), (2, 5, 9), (5, 9)):
+        with pytest.raises(ShapeMismatch):
+            op.apply_stack(np.zeros(shape))
+        with pytest.raises(ShapeMismatch):
+            op.apply_adjoint_stack(np.zeros(shape))
+    wrong = StateField.zeros(sw.Grid(1.0, 1.0, 9, 5))
+    for apply in (sw.apply_A, sw.apply_adjoint):
+        with pytest.raises(ShapeMismatch):
+            apply(wrong, params("msub"), KERNEL_GRIDS["5x9"])
 
 
 def test_duality_residual_halves_one_regime():
