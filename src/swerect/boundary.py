@@ -159,7 +159,9 @@ class BoundaryData:
 
     samplers maps Side -> callable(t) -> array (k_side, n_side) where n is ny
     for West/East and nx for South/North, ordered along the side with corner
-    nodes included.  Missing sides are homogeneous (zero data).
+    nodes included.  Missing sides are homogeneous (zero data).  A sampler
+    must be a function of t alone: an enforcer samples each side once per
+    distinct t.
     """
 
     def __init__(self, samplers: Optional[Dict[Side, Callable[[float], np.ndarray]]] = None):
@@ -251,22 +253,14 @@ def _make_plan(rows: np.ndarray, pinv: np.ndarray, include_free_sides: bool) -> 
     return _Plan(Minv[:, :n_kept], G_free, keep)
 
 
-# corner -> (x side, y side)
-_CORNERS = {
-    "SW": (Side.WEST, Side.SOUTH),
-    "SE": (Side.EAST, Side.SOUTH),
-    "NW": (Side.WEST, Side.NORTH),
-    "NE": (Side.EAST, Side.NORTH),
-}
-
-
 class BcEnforcer:
     """Precompiled boundary projection for one (spec, transform, grid) triple.
 
     apply() overwrites boundary nodes of a (3, nx, ny) stack so the constraint
     rows hold exactly with the sampled data while free combinations take the
     linear extrapolation 2*U_1 - U_2 from the interior (diagonal at corners).
-    Only interior values are read, so the projection is idempotent.
+    Only interior values are read, so the projection is idempotent and can
+    run in place.
 
     include_free_sides: when True, sides without any constraint rows are also
     overwritten by pure extrapolation; the time stepper keeps them evolving
@@ -280,61 +274,61 @@ class BcEnforcer:
         self.grid = grid
         self.include_free_sides = include_free_sides
         pinv = transform.Pinv
-        self._side_plans: Dict[Side, Optional[_Plan]] = {
-            side: _make_plan(spec.rows[side], pinv, include_free_sides) for side in SIDES
-        }
-        self._corner_plans: Dict[str, Optional[_Plan]] = {
-            name: _make_plan(np.vstack([spec.rows[sx], spec.rows[sy]]), pinv, include_free_sides)
-            for name, (sx, sy) in _CORNERS.items()
-        }
+        nx, ny = grid.nx, grid.ny
+        c, ix, iy = slice(None), slice(1, nx - 1), slice(1, ny - 1)
+        # sides are numbered in SIDES order (W, E, S, N); (k, n) of their data
+        self._shapes = tuple((spec.rows[s].shape[0], ny if i < 2 else nx)
+                             for i, s in enumerate(SIDES))
+        # projection targets (G_free, boundary nodes, nearest and next
+        # interior nodes): the edges without their end nodes, then the
+        # corners with their diagonal neighbours
+        targets = []
+        self._edges = []    # (side, plan)
+        for side, node, near, far in (
+            (0, (c, 0, iy), (c, 1, iy), (c, 2, iy)),
+            (1, (c, nx - 1, iy), (c, nx - 2, iy), (c, nx - 3, iy)),
+            (2, (c, ix, 0), (c, ix, 1), (c, ix, 2)),
+            (3, (c, ix, ny - 1), (c, ix, ny - 2), (c, ix, ny - 3)),
+        ):
+            plan = _make_plan(spec.rows[SIDES[side]], pinv, include_free_sides)
+            if plan is not None:
+                self._edges.append((side, plan))
+                targets.append((plan.G_free, node, near, far))
+        self._corners = []  # (x side, y side, i, j, plan) for the node (i, j)
+        for sx, i, i1, i2 in ((0, 0, 1, 2), (1, nx - 1, nx - 2, nx - 3)):
+            for sy, j, j1, j2 in ((2, 0, 1, 2), (3, ny - 1, ny - 2, ny - 3)):
+                rows = np.vstack([spec.rows[SIDES[sx]], spec.rows[SIDES[sy]]])
+                plan = _make_plan(rows, pinv, include_free_sides)
+                if plan is not None:
+                    self._corners.append((sx, sy, i, j, plan))
+                    targets.append((plan.G_free, (c, i, j), (c, i1, j1), (c, i2, j2)))
+        self._targets = tuple(targets)
+        self._t = self._data = self._data_terms = None
 
-    def apply(self, W: np.ndarray, data: BoundaryData, t: float = 0.0) -> np.ndarray:
-        nx, ny = self.grid.nx, self.grid.ny
-        out = W.copy()
-        k_of = {s: self.spec.rows[s].shape[0] for s in SIDES}
-        n_of = {Side.WEST: ny, Side.EAST: ny, Side.SOUTH: nx, Side.NORTH: nx}
-        samples = {s: data.sample(s, t, k_of[s], n_of[s]) for s in SIDES}
+    def _sample(self, data: BoundaryData, t: float):
+        """G_data times the kept data of every target at time t."""
+        samples = [data.sample(side, t, k, n) for side, (k, n) in zip(SIDES, self._shapes)]
+        terms = [plan.G_data @ samples[side][plan.keep_idx, 1:-1] for side, plan in self._edges]
+        for sx, sy, i, j, plan in self._corners:
+            # the corner is node j along its x side and node i along its y side
+            stacked = np.concatenate([samples[sx][:, j], samples[sy][:, i]])
+            terms.append(plan.G_data @ stacked[plan.keep_idx])
+        return terms
 
-        # edges (corner nodes handled below)
-        extrap = {
-            Side.WEST: 2.0 * W[:, 1, 1:-1] - W[:, 2, 1:-1],
-            Side.EAST: 2.0 * W[:, -2, 1:-1] - W[:, -3, 1:-1],
-            Side.SOUTH: 2.0 * W[:, 1:-1, 1] - W[:, 1:-1, 2],
-            Side.NORTH: 2.0 * W[:, 1:-1, -2] - W[:, 1:-1, -3],
-        }
-        target = {
-            Side.WEST: (0, slice(1, ny - 1)),
-            Side.EAST: (nx - 1, slice(1, ny - 1)),
-            Side.SOUTH: (slice(1, nx - 1), 0),
-            Side.NORTH: (slice(1, nx - 1), ny - 1),
-        }
-        for side in SIDES:
-            plan = self._side_plans[side]
-            if plan is None:
-                continue
-            d = samples[side][plan.keep_idx, 1:-1]
-            vals = plan.G_data @ d + plan.G_free @ extrap[side]
-            ti, tj = target[side]
-            out[:, ti, tj] = vals
-
-        # corners: data gathered from both sides at the shared node
-        node = {"SW": (0, 0), "SE": (nx - 1, 0), "NW": (0, ny - 1), "NE": (nx - 1, ny - 1)}
-        diag = {
-            "SW": 2.0 * W[:, 1, 1] - W[:, 2, 2],
-            "SE": 2.0 * W[:, -2, 1] - W[:, -3, 2],
-            "NW": 2.0 * W[:, 1, -2] - W[:, 2, -3],
-            "NE": 2.0 * W[:, -2, -2] - W[:, -3, -3],
-        }
-        for name, (sx, sy) in _CORNERS.items():
-            plan = self._corner_plans[name]
-            if plan is None:
-                continue
-            i, j = node[name]
-            pos_x = j   # along W/E the coordinate is y
-            pos_y = i   # along S/N it is x
-            stacked = np.concatenate([samples[sx][:, pos_x], samples[sy][:, pos_y]])
-            d = stacked[plan.keep_idx]
-            out[:, i, j] = plan.G_data @ d + plan.G_free @ diag[name]
+    def apply(self, W: np.ndarray, data: BoundaryData, t: float = 0.0, *,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Project W into ``out`` (a fresh copy of W when None; W itself
+        projects in place).  The data are sampled once per distinct t: a
+        repeated (data, t) reuses the previous samples."""
+        if out is None:
+            out = W.copy()
+        elif out is not W:
+            out[...] = W
+        if t != self._t or data is not self._data:
+            self._data_terms = self._sample(data, t)
+            self._t, self._data = t, data
+        for (G_free, node, near, far), term in zip(self._targets, self._data_terms):
+            out[node] = term + G_free @ (2.0 * W[near] - W[far])
         return out
 
 

@@ -214,6 +214,8 @@ def load_config(path) -> ConfigDocument:
             text = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read config '{path}': {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise IoError(f"cannot read config '{path}': not UTF-8 text ({exc.reason})") from None
     return parse_config(text, source=str(path))
 
 

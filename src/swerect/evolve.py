@@ -59,7 +59,10 @@ class _Stepper:
 
     The stage arithmetic runs in place on two buffers the stepper owns; the
     state it returns is always the enforcer's fresh output, so callers may
-    keep it across steps.
+    keep it across steps.  The forcing, like the boundary data in the
+    enforcer, is evaluated once per distinct stage time: stage 2 of a step
+    and stage 1 of the next ask for the same t whenever k*dt rounds like
+    (k-1)*dt + dt.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -73,38 +76,42 @@ class _Stepper:
         self.op = DiscreteOperator(cfg.p, cfg.grid)
         self.f = cfg.p.f
         shape = (3, cfg.grid.nx, cfg.grid.ny)
-        self._k = np.empty(shape)   # stage slope, then the stage sum
-        self._s = np.empty(shape)   # the SSP-RK2 average
+        self._k = np.empty(shape)   # stage 1, then the stage sum
+        self._s = np.empty(shape)   # the stage 2 slope
+        self._forcing_t = self._forcing = None
 
     def enforce(self, W: np.ndarray, t: float) -> np.ndarray:
         return self.enforcer.apply(W, self.cfg.boundary_data, t)
 
-    def rhs(self, W: np.ndarray, t: float) -> np.ndarray:
-        """-(A + B) W + F(t) into the stepper's slope buffer."""
-        R = self.op.apply_stack(W, out=self._k)
+    def rhs(self, W: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
+        """-(A + B) W + F(t) into ``out``."""
+        R = self.op.apply_stack(W, out=out)
         np.negative(R, out=R)
         if self.f != 0.0:
             R[0] += self.f * W[1]
             R[1] -= self.f * W[0]
         if self.cfg.forcing is not None:
-            R += self.cfg.forcing(t)
+            if t != self._forcing_t:
+                self._forcing, self._forcing_t = self.cfg.forcing(t), t
+            R += self._forcing
         return R
 
     def advance(self, W: np.ndarray, dt: float, t: float) -> np.ndarray:
         # each in-place sequence rounds exactly like W + dt*K1 and
         # 0.5*(W + W1 + dt*K2)
-        K = self.rhs(W, t)
+        K = self.rhs(W, t, self._k)
         K *= dt
         K += W
-        W1 = self.enforce(K, t + dt)
         if self.cfg.scheme == "euler":
-            return W1
-        K = self.rhs(W1, t + dt)
-        K *= dt
-        S = np.add(W, W1, out=self._s)
-        S += K
-        S *= 0.5
-        return self.enforce(S, t + dt)
+            return self.enforce(K, t + dt)
+        # stage 1 projects in place: it reads only interior nodes
+        W1 = self.enforcer.apply(K, self.cfg.boundary_data, t + dt, out=K)
+        K2 = self.rhs(W1, t + dt, self._s)
+        K2 *= dt
+        W1 += W
+        W1 += K2
+        W1 *= 0.5
+        return self.enforce(W1, t + dt)
 
 
 def step(state: StateField, dt: float, t: float, cfg: RunConfig) -> StateField:

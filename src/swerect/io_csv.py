@@ -133,3 +133,5 @@ def _records(path, header: str, n_fields: int) -> Iterator[Tuple[int, List[str]]
                 yield lineno, parts
     except OSError as exc:
         raise IoError(f"cannot read '{path}': {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise IoError(f"cannot read '{path}': not UTF-8 text ({exc.reason})") from None

@@ -62,31 +62,50 @@ class ManufacturedSolution:
         _, ky, _, am, ax, ay, at = self._phases(x, y, t)
         return am * np.cos(at) * np.cos(ax) * (-ky * np.sin(ay))
 
-    def forcing(self, x, y, t: float, p: PhysicalConstants) -> np.ndarray:
-        """Analytic dU/dt + E1 U_x + E2 U_y + B U at the given positions: the
-        (3, 9) mix [diag(T') + B T | E1 T | E2 T] of [X Y, X' Y, X Y']."""
-        m = coefficient_matrices(p)
-        kx, ky, om, am, ax, ay, at = self._phases(x, y, t)
-        T, Tp = (am * np.cos(at)).ravel(), (-am * om * np.sin(at)).ravel()
-        B = np.array([[0.0, -p.f, 0.0], [p.f, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        M = np.hstack([np.diag(Tp) + B * T, m.E1 * T, m.E2 * T])
+    def _forcing_basis(self, x, y):
+        """The nine products [X Y, X' Y, X Y'] as a (9, N) matrix, with the
+        broadcast shape of x and y; independent of t."""
+        kx, ky, _, _, ax, ay, _ = self._phases(x, y, 0.0)
         X, Y = np.cos(ax), np.cos(ay)
         shape = np.broadcast_shapes(X.shape, Y.shape)[1:]
         P = np.empty((3, 3) + shape)
         np.multiply(X, Y, out=P[0])
         np.multiply(-kx * np.sin(ax), Y, out=P[1])
         np.multiply(X, -ky * np.sin(ay), out=P[2])
-        return (M @ P.reshape(9, -1)).reshape((3,) + shape)
+        return P.reshape(9, -1), shape
+
+    def forcing(self, x, y, t: float, p: PhysicalConstants, *, _basis=None) -> np.ndarray:
+        """Analytic dU/dt + E1 U_x + E2 U_y + B U at the given positions: the
+        (3, 9) mix [diag(T') + B T | E1 T | E2 T] of [X Y, X' Y, X Y'].
+
+        _basis: ``_forcing_basis(x, y)`` built once by the caller, who then
+        evaluates only the time mix per call; x and y are not read.
+        """
+        P, shape = self._forcing_basis(x, y) if _basis is None else _basis
+        m = coefficient_matrices(p)
+        om, am = np.asarray(self.om, float), np.asarray(self.am, float)
+        at = om * t + np.asarray(_LAG)
+        T, Tp = am * np.cos(at), -am * om * np.sin(at)
+        B = np.array([[0.0, -p.f, 0.0], [p.f, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        M = np.hstack([np.diag(Tp) + B * T, m.E1 * T, m.E2 * T])
+        return (M @ P).reshape((3,) + shape)
 
     def state_field(self, grid: Grid, t: float) -> StateField:
         return StateField.from_stack(self.state(grid.x[:, None], grid.y[None, :], t))
 
     def forcing_on_grid(self, p: PhysicalConstants, grid: Grid):
-        """Closure t -> (3, nx, ny) forcing stack for the time stepper."""
-        x, y = grid.x[:, None], grid.y[None, :]
+        """Closure t -> (3, nx, ny) forcing stack for the time stepper.
+
+        The product basis is built once here; each call only mixes it for
+        its t.  The returned stacks are read-only, since the stepper reuses
+        the one for a repeated stage time.
+        """
+        basis = self._forcing_basis(grid.x[:, None], grid.y[None, :])
 
         def F(t: float) -> np.ndarray:
-            return self.forcing(x, y, t, p)
+            out = self.forcing(None, None, t, p, _basis=basis)
+            out.flags.writeable = False
+            return out
 
         return F
 

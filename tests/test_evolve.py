@@ -224,3 +224,36 @@ def test_run_results_survive_later_steps(forced):
         assert np.array_equal(snap.stack(), want)
     assert res.log.energies == energies
     assert np.array_equal(res.final.stack(), states[-1])
+
+
+@pytest.mark.parametrize("kind", sorted(REGIME_CASES))
+def test_forcing_and_data_evaluated_once_per_distinct_time(kind):
+    """A forced run of n steps samples each side once per enforcement time
+    (n + 1) and evaluates the forcing once per distinct stage time.  The
+    reuse keys on t itself: k*dt and (k-1)*dt + dt differ in the last bit
+    on some steps, and those steps must evaluate twice."""
+    grid = STEPPER_GRIDS["65x33"]
+    for scheme in ("ssprk2", "euler"):
+        cfg = _stepper_config(kind, 3.0, grid, True, scheme)
+        forcing_times, sample_times = [], {}
+
+        def counted(fn, log):
+            def wrapper(t):
+                log.append(t)
+                return fn(t)
+            return wrapper
+
+        cfg.forcing = counted(cfg.forcing, forcing_times)
+        samplers = cfg.boundary_data.samplers
+        for side, fn in samplers.items():
+            samplers[side] = counted(fn, sample_times.setdefault(side, []))
+        res = sw.run(cfg)
+        n, dt = res.n_steps, res.dt
+        starts = [k * dt for k in range(n)]
+        stage_times = starts if scheme == "euler" else [s for t in starts for s in (t, t + dt)]
+        distinct = [t for i, t in enumerate(stage_times) if i == 0 or t != stage_times[i - 1]]
+        assert forcing_times == distinct and len(distinct) == len(set(stage_times))
+        if scheme == "ssprk2":
+            assert n + 1 < len(forcing_times) < 2 * n
+        assert samplers and all(times == [0.0] + [t + dt for t in starts]
+                                for times in sample_times.values())

@@ -159,6 +159,40 @@ def test_read_missing_file(tmp_path):
         sw.read_field_csv(tmp_path / "nope.csv")
 
 
+# one byte that is not UTF-8 is a read error naming the file, not a bare
+# UnicodeDecodeError
+
+
+def test_field_csv_rejects_non_utf8_byte(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_bytes(b"x,y,u,v,phi\n0,0,0,0,\xff\n")
+    with pytest.raises(IoError, match="f.csv': not UTF-8"):
+        sw.read_field_csv(path)
+
+
+def test_energy_csv_rejects_non_utf8_byte(tmp_path):
+    path = tmp_path / "e.csv"
+    path.write_bytes(b"t,energy\n0.0,1.0\n0.5,\xff\n")
+    with pytest.raises(IoError, match="e.csv': not UTF-8"):
+        sw.read_energy_csv(path)
+
+
+def test_config_rejects_non_utf8_byte(tmp_path, capsys):
+    path = tmp_path / "case.cfg"
+    path.write_bytes(MINIMAL.encode() + b"# caf\xe9\n")
+    with pytest.raises(IoError, match="case.cfg': not UTF-8"):
+        sw.load_config(path)
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "case.cfg': not UTF-8" in capsys.readouterr().err
+
+
+def test_cli_run_boundary_file_with_non_utf8_byte_exits_2(tmp_path, capsys):
+    (tmp_path / "trace.csv").write_bytes(b"x,y,u,v,phi\n0,0,0,0,\xff\n")
+    cfg = write_cfg(tmp_path, MINIMAL + "\n[boundary]\nkind = file\nfile = trace.csv\n")
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "trace.csv': not UTF-8" in capsys.readouterr().err
+
+
 # --- config -------------------------------------------------------------------
 
 

@@ -80,3 +80,21 @@ def test_open_grid_matches_meshgrid_and_paired_points_keep_shape():
     assert np.array_equal(field.stack(), DEFAULT_SOLUTION.state(X, Y, 0.4))
     assert np.array_equal(DEFAULT_SOLUTION.forcing_on_grid(p, grid)(0.4),
                           DEFAULT_SOLUTION.forcing(xo, yo, 0.4, p))
+
+
+@pytest.mark.parametrize("kind", sorted(REGIME_CASES))
+def test_grid_closure_equals_public_forcing(kind):
+    """The closure's prebuilt basis gives the bits of a full forcing call,
+    and its stacks are read-only (the stepper reuses them)."""
+    for f in (0.0, 5.0):
+        p = sw.validate_params(*REGIME_CASES[kind], f)
+        for grid in (sw.Grid(1.0, 1.0, 17, 17), sw.Grid(2.0, 0.7, 9, 23)):
+            for sol in SOLUTIONS:
+                F = sol.forcing_on_grid(p, grid)
+                for t in (0.0, 0.25, 1.0 / 3.0, 2.7):
+                    got = F(t)
+                    want = sol.forcing(grid.x[:, None], grid.y[None, :], t, p)
+                    assert np.array_equal(got, want), (f, grid, t)
+                    assert not got.flags.writeable
+                    with pytest.raises(ValueError):
+                        got[0, 0, 0] = 1.0
