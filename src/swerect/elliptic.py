@@ -21,6 +21,10 @@ of four corners -- so assembly runs once per class over whole index arrays,
 not once per node.  A sparse direct factorization does the rest.  No
 second-order reformulation is used -- the first-order form is what the
 positivity and duality identities are stated for.
+
+SciPy is imported by the first assembly or solve, not with the package:
+nothing outside the elliptic solvers needs it.  ``elliptic.sp`` and
+``elliptic.spla`` still name ``scipy.sparse`` and ``scipy.sparse.linalg``.
 """
 
 from __future__ import annotations
@@ -29,8 +33,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (
     BcViolation,
@@ -43,6 +45,17 @@ from .errors import (
 from .fields import Grid, integrate
 from .regime import PhysicalConstants, Regime, classify
 from .algebra import elliptic_transform
+
+
+def __getattr__(name: str):
+    # module-level sp/spla without an eager SciPy import (PEP 562)
+    if name == "sp":
+        import scipy.sparse as sp
+        return sp
+    if name == "spla":
+        import scipy.sparse.linalg as spla
+        return spla
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -329,6 +342,8 @@ def _assemble(F: ThetaField, c: EllipticCoeffs, grid: Grid, bc_rows: dict, sign:
                 rhs[r] = e[0] * F1[n] + e[1] * F2[n]
                 eq_mask[r] = True
 
+    import scipy.sparse as sp
+
     A = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                       shape=(2 * N, 2 * N))
     return A, rhs, eq_mask
@@ -336,6 +351,8 @@ def _assemble(F: ThetaField, c: EllipticCoeffs, grid: Grid, bc_rows: dict, sign:
 
 def _assemble_and_solve(F: ThetaField, c: EllipticCoeffs, grid: Grid,
                         bc_rows: dict, sign: float) -> ThetaField:
+    import scipy.sparse.linalg as spla
+
     A, rhs, eq = _assemble(F, c, grid, bc_rows, sign)
     nx, ny = grid.nx, grid.ny
     N = nx * ny

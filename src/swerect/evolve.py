@@ -137,7 +137,8 @@ def run(cfg: RunConfig) -> RunResult:
     """Integrate to t_end with a uniform step chosen to land exactly on t_end.
 
     Energy is logged every step; a NaN/Inf in any field aborts with NonFinite
-    and a diagnostic naming the regime and step.
+    and a diagnostic naming the regime, the step, and the first bad field and
+    node (u before v before phi, then row-major (i, j)).
     """
     stepper = _Stepper(cfg)
     dt_max = cfl_dt(cfg.p, cfg.grid, cfg.cfl)
@@ -156,8 +157,10 @@ def run(cfg: RunConfig) -> RunResult:
         W = stepper.advance(W, dt, t)
         t = k * dt
         if not np.all(np.isfinite(W)):
+            c, i, j = np.argwhere(~np.isfinite(W))[0]
             raise NonFinite(
-                f"non-finite state at step {k} (t={t:.6g}, regime {stepper.regime})"
+                f"non-finite state at step {k} (t={t:.6g}, regime {stepper.regime}): "
+                f"first in field '{('u', 'v', 'phi')[c]}' at node ({i}, {j})"
             )
         # advance returns a fresh W that nothing writes into later: a view will do
         log.append(t, energy_value(StateField(*W), cfg.grid, cfg.p))

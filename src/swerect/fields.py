@@ -90,8 +90,17 @@ def inner_product(a: StateField, b: StateField, grid: Grid, g: float, phi0: floa
 
     This is the weighted inner product in which the evolution semigroup is
     contractive; inner_product(U, U) is the energy the run log records.
+    The density is formed in two buffers and rounds exactly like
+    (u u' + v v') + ((g/phi0) phi) phi'.
     """
-    return integrate(a.u * b.u + a.v * b.v + (g / phi0) * a.phi * b.phi, grid)
+    dens = np.multiply(a.u, b.u)
+    tmp = np.multiply(a.v, b.v)
+    dens += tmp
+    np.multiply(g / phi0, a.phi, out=tmp)
+    tmp *= b.phi
+    dens += tmp
+    del tmp  # the quadrature's own temporaries can take its memory
+    return integrate(dens, grid)
 
 
 def integrate(dens: np.ndarray, grid: Grid) -> float:

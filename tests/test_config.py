@@ -1,0 +1,141 @@
+"""Property tests for config parsing: generated documents round-trip exactly.
+
+Documents list the schema's keys in random order (a section header is
+repeated whenever the next key belongs to another section), with full-line
+and trailing comments, blank lines, random indentation and floats written
+with repr, so float(text) gives the generated value back bit for bit.
+"""
+
+import math
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import swerect as sw
+from swerect.config import _FIELD_NAMES, _SCHEMA
+from swerect.errors import ParseError, UnknownKey
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+COUNT = st.integers(min_value=0, max_value=10**12)
+WORD = st.text("abcdefghijklmnopqrstuvwxyzABCXYZ0123456789._/-", min_size=1, max_size=12)
+# interior blanks survive: the parser strips only the ends of a value
+PATH = st.builds(lambda a, b: f"{a} {b}" if b else a, WORD, st.one_of(st.just(""), WORD))
+
+VALUES = {
+    ("physics", "u0"): FINITE,
+    ("physics", "v0"): FINITE,
+    ("physics", "phi0"): FINITE,
+    ("physics", "g"): FINITE,
+    ("physics", "f"): FINITE,
+    ("grid", "L1"): POSITIVE,
+    ("grid", "L2"): POSITIVE,
+    ("grid", "nx"): st.integers(min_value=4, max_value=10**6),
+    ("grid", "ny"): st.integers(min_value=4, max_value=10**6),
+    ("run", "t_end"): POSITIVE,
+    ("run", "cfl"): st.floats(min_value=0.0, max_value=0.9, exclude_min=True),
+    ("run", "scheme"): st.sampled_from(["ssprk2", "euler"]),
+    ("run", "seed"): COUNT,
+    ("forcing", "kind"): st.sampled_from(["none", "manufactured", "file"]),
+    ("forcing", "file"): PATH,
+    ("boundary", "kind"): st.sampled_from(["homogeneous", "manufactured", "file"]),
+    ("boundary", "file"): PATH,
+    ("output", "dir"): PATH,
+    ("output", "cadence"): COUNT,
+    ("output", "precision"): st.integers(min_value=1, max_value=17),
+}
+
+# comments hold look-alikes of every directive, so a comment the parser
+# failed to drop would change the result; nothing splitlines() breaks on
+COMMENT = ["", " note", "#", " u0 = 5.0", " [grid]", "nx=4 # again", "=", "]["]
+BLANKS = ["", " ", "\t", "  \t "]
+COMMENT_LINE = st.sampled_from([pad + "#" + c for pad in ("", "  ") for c in COMMENT])
+BLANK_LINE = st.sampled_from(BLANKS)
+TRAIL = st.sampled_from(BLANKS + [pad + "#" + c for pad in BLANKS for c in COMMENT])
+PADS = st.tuples(*[st.sampled_from(BLANKS)] * 4)
+FEW = st.integers(0, 2)
+# even the smallest document has the ten required keys, each a few draws
+SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.large_base_example])
+
+
+def test_value_strategies_cover_the_schema():
+    assert sorted(VALUES) == sorted((s, k) for s, keys in _SCHEMA.items() for k in keys)
+
+
+def _text(value) -> str:
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@st.composite
+def documents(draw):
+    """(lines, entries): entries[(section, key)] = (value, index of its line)."""
+    values = {}
+    for (section, key), strategy in VALUES.items():
+        if _SCHEMA[section][key][1] or draw(st.booleans()):
+            values[(section, key)] = draw(strategy)
+    # a 'file' kind needs its file key
+    for section in ("forcing", "boundary"):
+        if values.get((section, "kind")) == "file" and (section, "file") not in values:
+            values[(section, "file")] = draw(PATH)
+    lines, entries, current = [], {}, None
+    for section, key in draw(st.permutations(sorted(values))):
+        lines += [draw(COMMENT_LINE) for _ in range(draw(FEW))]
+        if section != current or draw(FEW) == 0:
+            a, b, c, d = draw(PADS)
+            lines.append(f"{a}[{b}{section}{c}]{d}")
+            current = section
+        lines += [draw(BLANK_LINE) for _ in range(draw(FEW))]
+        a, b, c, d = draw(PADS)
+        entries[(section, key)] = (values[(section, key)], len(lines))
+        lines.append(f"{a}{key}{b}={c}{_text(values[(section, key)])}{d}{draw(TRAIL)}")
+    return lines, entries
+
+
+def _same(got, want) -> bool:
+    if isinstance(want, float):
+        return type(got) is float and math.copysign(1.0, got) == math.copysign(1.0, want) \
+            and got == want
+    return type(got) is type(want) and got == want
+
+
+@settings(max_examples=150, **SETTINGS)
+@given(documents(), st.sampled_from(["\n", "\r\n"]), st.booleans())
+def test_generated_document_round_trips(doc, newline, final_newline):
+    lines, entries = doc
+    text = newline.join(lines) + (newline if final_newline else "")
+    parsed = sw.parse_config(text, source="gen.cfg")
+    for section, key in VALUES:
+        default = _SCHEMA[section][key][2]
+        want = entries[(section, key)][0] if (section, key) in entries else default
+        got = getattr(parsed, _FIELD_NAMES.get((section, key), key))
+        assert _same(got, want), (section, key, got, want)
+    assert parsed.source == "gen.cfg"
+
+
+@settings(max_examples=60, **SETTINGS)
+@given(documents(), st.data())
+def test_duplicate_key_names_its_line(doc, data):
+    lines, entries = doc
+    section, key = data.draw(st.sampled_from(sorted(entries)))
+    value, first = entries[(section, key)]
+    at = data.draw(st.integers(first + 1, len(lines)))
+    lines = lines[:at] + [f"[{section}]", f"{key} = {_text(value)}"] + lines[at:]
+    with pytest.raises(ParseError) as info:
+        sw.parse_config("\n".join(lines))
+    assert info.value.line == at + 2
+    assert f"duplicate key '{section}.{key}'" in str(info.value)
+
+
+@settings(max_examples=60, **SETTINGS)
+@given(documents(), st.data())
+def test_unknown_key_names_its_line(doc, data):
+    lines, _ = doc
+    section = data.draw(st.sampled_from(sorted(_SCHEMA)))
+    key = data.draw(st.text("abcdefghijklmnopqrstuvwxyz_0123456789", min_size=1, max_size=8)
+                    .filter(lambda k: k not in _SCHEMA[section]))
+    at = data.draw(st.integers(0, len(lines)))
+    lines = lines[:at] + [f"[{section}]", f"{key} = 1.0"] + lines[at:]
+    with pytest.raises(UnknownKey) as info:
+        sw.parse_config("\n".join(lines))
+    assert str(info.value) == f"unknown key '{section}.{key}' (line {at + 2})"

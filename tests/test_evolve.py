@@ -112,6 +112,24 @@ def test_non_finite_forcing_aborts():
         sw.run(cfg)
 
 
+@pytest.mark.parametrize("kind", sorted(REGIME_CASES))
+@pytest.mark.parametrize("c, node", [(0, (5, 7)), (1, (3, 9)), (2, (8, 3))])
+def test_non_finite_names_first_bad_field_and_node(kind, c, node):
+    # one Euler step moves forcing NaN/inf at nodes three or more from the
+    # boundary nowhere else
+    grid = sw.Grid(1.0, 1.0, 16, 17)
+    bad = np.zeros((3, grid.nx, grid.ny))
+    bad[(c, *node)] = np.nan
+    bad[(c, node[0] + 1, node[1])] = np.inf
+    cfg = sw.RunConfig(p=params(kind), grid=grid, t_end=0.01, initial=seeded_state(grid),
+                       scheme="euler", forcing=lambda t: bad)
+    name = ("u", "v", "phi")[c]
+    with pytest.raises(NonFinite) as info:
+        sw.run(cfg)
+    assert str(info.value).startswith("non-finite state at step 1 (t=")
+    assert str(info.value).endswith(f": first in field '{name}' at node {node}")
+
+
 def test_refinement_ladder_halves_spacing():
     grids = sw.refinement_ladder(sw.Grid(1.0, 1.0, 17, 13), 3)
     assert [(g.nx, g.ny) for g in grids] == [(17, 13), (33, 25), (65, 49)]

@@ -207,3 +207,16 @@ def test_boundary_forms_full_sides_have_no_free_directions():
     assert forms[sw.Side.SOUTH].eigenvalues.size == 0
     assert forms[sw.Side.EAST].eigenvalues.size == 3
     assert forms[sw.Side.NORTH].eigenvalues.size == 3
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (5, 9), (257, 129)])
+def test_inner_product_rounds_like_its_formula(shape):
+    # the buffered density must keep (u u' + v v') + ((g/phi0) phi) phi'
+    grid = sw.Grid(1.0, 2.0, *shape)
+    rng = np.random.default_rng(shape[0] * shape[1])
+    # magnitudes spread over 1e-60..1e60, so any reordering shows in the bits
+    a, b = (StateField(*(rng.standard_normal((3, *shape))
+                         * 10.0 ** rng.integers(-60, 60, (3, *shape)))) for _ in range(2))
+    for g, phi0 in ((9.81, 1.0), (1.0, 3.0), (0.1, 7e-3)):
+        want = sw.fields.integrate(a.u * b.u + a.v * b.v + (g / phi0) * a.phi * b.phi, grid)
+        assert inner_product(a, b, grid, g, phi0) == want
