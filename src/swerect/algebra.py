@@ -19,6 +19,8 @@ verify_diagonalization, which exists to check the closed forms.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Union
@@ -29,6 +31,25 @@ from .errors import SingularSystem
 from .regime import PhysicalConstants, Regime, classify, kappa0, kappa1
 
 
+def _memoized(derive):
+    """Memoize a derivation of the base state: every caller of one state
+    shares the same arrays, so they are made read-only.  Keying on the whole
+    state is safe because f, whose -0.0 and 0.0 compare equal, is never
+    read by a derivation."""
+
+    @functools.lru_cache(maxsize=32)
+    @functools.wraps(derive)
+    def cached(p: PhysicalConstants):
+        out = derive(p)
+        for fld in dataclasses.fields(out):
+            value = getattr(out, fld.name)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        return out
+
+    return cached
+
+
 @dataclass(frozen=True)
 class CoefficientMatrices:
     E1: np.ndarray
@@ -36,6 +57,7 @@ class CoefficientMatrices:
     S0: np.ndarray
 
 
+@_memoized
 def coefficient_matrices(p: PhysicalConstants) -> CoefficientMatrices:
     E1 = np.array([[p.u0, 0.0, p.g], [0.0, p.u0, 0.0], [p.phi0, 0.0, p.u0]])
     E2 = np.array([[p.v0, 0.0, 0.0], [0.0, p.v0, p.g], [0.0, p.phi0, p.v0]])
@@ -79,6 +101,7 @@ class CharTransform:
     kappa0: float
 
 
+@_memoized
 def hyperbolic_transform(p: PhysicalConstants) -> CharTransform:
     k0 = kappa0(p)  # raises NotHyperbolic when Delta <= 0
     u0, v0, g = p.u0, p.v0, p.g
@@ -118,6 +141,7 @@ class EllipticTransform:
     kappa1: float
 
 
+@_memoized
 def elliptic_transform(p: PhysicalConstants) -> EllipticTransform:
     k1 = kappa1(p)  # raises NotElliptic when Delta >= 0
     u0, v0, g = p.u0, p.v0, p.g
@@ -171,7 +195,7 @@ class DiagnosticReport:
 
 
 def _rel_residual(product: np.ndarray, target: np.ndarray) -> float:
-    return float(np.max(np.abs(product - target)) / np.max(np.abs(product)))
+    return float(np.abs(product - target).max() / np.abs(product).max())
 
 
 def verify_diagonalization(p: PhysicalConstants, tol: float = 1e-10) -> DiagnosticReport:

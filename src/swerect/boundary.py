@@ -145,11 +145,12 @@ def incoming_count_check(p: PhysicalConstants, regime: Regime) -> IncomingCountR
         expected = (2, 1, 2, 1)
     else:
         t = hyperbolic_transform(p)
+        a, b = t.a.tolist(), t.b.tolist()
         expected = (
-            int(np.sum(t.a > 0)),
-            int(np.sum(t.a < 0)),
-            int(np.sum(t.b > 0)),
-            int(np.sum(t.b < 0)),
+            sum(x > 0 for x in a),
+            sum(x < 0 for x in a),
+            sum(x > 0 for x in b),
+            sum(x < 0 for x in b),
         )
     return IncomingCountReport(spec.counts(), expected)
 
@@ -187,25 +188,28 @@ class BoundaryData:
         state_at(x, y, t) must return a (3, n) stack at the n given boundary
         nodes; used to manufacture compatible non-homogeneous data.
         """
-        xs, ys = grid.x, grid.y
-        side_nodes = {
-            Side.WEST: (np.zeros(grid.ny), ys),
-            Side.EAST: (np.full(grid.ny, grid.l1), ys),
-            Side.SOUTH: (xs, np.zeros(grid.nx)),
-            Side.NORTH: (xs, np.full(grid.nx, grid.l2)),
-        }
         samplers = {}
-        for side in SIDES:
-            rows = spec.rows[side]
-            if rows.shape[0] == 0:
-                continue
-            bx, by = side_nodes[side]
+        for side, rows, (bx, by) in constrained_sides(spec, grid):
 
-            def make(rows=rows, bx=bx, by=by):
-                return lambda t: rows @ np.asarray(state_at(bx, by, t))
+            def sample(t: float, rows=rows, bx=bx, by=by) -> np.ndarray:
+                return rows @ np.asarray(state_at(bx, by, t))
 
-            samplers[side] = make()
+            samplers[side] = sample
         return cls(samplers)
+
+
+def constrained_sides(spec: BoundarySpec, grid: Grid):
+    """(side, rows, (x, y)) for each side of spec with at least one row, in
+    SIDES order; x and y are the paired coordinates of the side's nodes,
+    corners included, in the order BoundaryData samplers return them."""
+    xs, ys = grid.x, grid.y
+    nodes = {
+        Side.WEST: (np.zeros(grid.ny), ys),
+        Side.EAST: (np.full(grid.ny, grid.l1), ys),
+        Side.SOUTH: (xs, np.zeros(grid.nx)),
+        Side.NORTH: (xs, np.full(grid.nx, grid.l2)),
+    }
+    return [(side, spec.rows[side], nodes[side]) for side in SIDES if spec.rows[side].shape[0]]
 
 
 # --- discrete enforcement ---------------------------------------------------

@@ -94,6 +94,8 @@ def _cmd_verify_algebra(args) -> int:
 
 
 def _cmd_probe_positivity(args) -> int:
+    if not 0 <= args.seed < 2**64:
+        raise InvalidValue(f"--seed must be in [0, 2^64), got {args.seed}")
     doc = load_config(args.config)
     p = doc.constants()
     regime = classify(p)

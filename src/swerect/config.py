@@ -196,8 +196,8 @@ def _validate_semantics(doc: ConfigDocument) -> None:
         raise InvalidValue(f"run.t_end must be positive, got {doc.t_end}")
     if not (0.0 < doc.cfl <= 0.9):
         raise InvalidValue(f"run.cfl must be in (0, 0.9], got {doc.cfl}")
-    if doc.seed < 0:
-        raise InvalidValue(f"run.seed must be nonnegative, got {doc.seed}")
+    if not 0 <= doc.seed < 2**64:
+        raise InvalidValue(f"run.seed must be in [0, 2^64), got {doc.seed}")
     if doc.cadence < 0:
         raise InvalidValue(f"output.cadence must be nonnegative, got {doc.cadence}")
     if not (1 <= doc.precision <= 17):
@@ -270,7 +270,7 @@ def build_run_config(doc: ConfigDocument, base_dir=None):
         initial = _seeded_initial(doc, grid, band_limited_fields, SplitMix64)
 
     if doc.boundary_kind == "manufactured":
-        data = BoundaryData.from_state_samples(spec, grid, DEFAULT_SOLUTION.state)
+        data = DEFAULT_SOLUTION.boundary_data_on_grid(spec, grid)
     elif doc.boundary_kind == "file":
         trace = _field_on_grid(_resolve(doc, doc.boundary_file, base_dir), grid).stack()
         lines = {"W": trace[:, 0, :], "E": trace[:, -1, :],

@@ -212,13 +212,12 @@ class MmsReport:
 def _mms_error(solution: ManufacturedSolution, p: PhysicalConstants, grid: Grid,
                t_end: float, cfl: float, scheme: str) -> float:
     spec = bc_catalog(classify(p), p)
-    data = BoundaryData.from_state_samples(spec, grid, lambda x, y, t: solution.state(x, y, t))
     cfg = RunConfig(
         p=p, grid=grid, t_end=t_end,
         initial=solution.state_field(grid, 0.0),
         cfl=cfl, scheme=scheme,
         forcing=solution.forcing_on_grid(p, grid),
-        boundary_data=data,
+        boundary_data=solution.boundary_data_on_grid(spec, grid),
     )
     result = run(cfg)
     exact = solution.state_field(grid, t_end)

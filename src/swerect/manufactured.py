@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import coefficient_matrices
+from .boundary import BoundaryData, BoundarySpec, constrained_sides
 from .fields import Grid, StateField
 from .regime import PhysicalConstants
 
@@ -26,6 +27,7 @@ _PH = (0.3, 1.1, 2.0)
 _OM = (1.2, 0.8, 1.5)
 _AM = (1.0, 0.8, 1.2)
 _LAG = (0.0, 0.2, 0.4)  # time phase 0.2 c of component c
+_LAG_COLUMN = np.reshape(_LAG, (3, 1))
 
 
 @dataclass(frozen=True)
@@ -74,20 +76,27 @@ class ManufacturedSolution:
         np.multiply(X, -ky * np.sin(ay), out=P[2])
         return P.reshape(9, -1), shape
 
-    def forcing(self, x, y, t: float, p: PhysicalConstants, *, _basis=None) -> np.ndarray:
+    def _time_mix(self, p: PhysicalConstants):
+        """E1, E2, B and the om, am and lag vectors of the forcing's time mix."""
+        m = coefficient_matrices(p)
+        B = np.array([[0.0, -p.f, 0.0], [p.f, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        return (m.E1, m.E2, B, np.asarray(self.om, float), np.asarray(self.am, float),
+                np.asarray(_LAG))
+
+    def forcing(self, x, y, t: float, p: PhysicalConstants, *, _bound=None) -> np.ndarray:
         """Analytic dU/dt + E1 U_x + E2 U_y + B U at the given positions: the
         (3, 9) mix [diag(T') + B T | E1 T | E2 T] of [X Y, X' Y, X Y'].
 
-        _basis: ``_forcing_basis(x, y)`` built once by the caller, who then
-        evaluates only the time mix per call; x and y are not read.
+        _bound: ``(_forcing_basis(x, y), _time_mix(p))`` built once by the
+        caller, who then evaluates only the time mix per call; x, y and p
+        are not read.
         """
-        P, shape = self._forcing_basis(x, y) if _basis is None else _basis
-        m = coefficient_matrices(p)
-        om, am = np.asarray(self.om, float), np.asarray(self.am, float)
-        at = om * t + np.asarray(_LAG)
+        if _bound is None:
+            _bound = self._forcing_basis(x, y), self._time_mix(p)
+        (P, shape), (E1, E2, B, om, am, lag) = _bound
+        at = om * t + lag
         T, Tp = am * np.cos(at), -am * om * np.sin(at)
-        B = np.array([[0.0, -p.f, 0.0], [p.f, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        M = np.hstack([np.diag(Tp) + B * T, m.E1 * T, m.E2 * T])
+        M = np.hstack([np.diag(Tp) + B * T, E1 * T, E2 * T])
         return (M @ P).reshape((3,) + shape)
 
     def state_field(self, grid: Grid, t: float) -> StateField:
@@ -96,18 +105,36 @@ class ManufacturedSolution:
     def forcing_on_grid(self, p: PhysicalConstants, grid: Grid):
         """Closure t -> (3, nx, ny) forcing stack for the time stepper.
 
-        The product basis is built once here; each call only mixes it for
-        its t.  The returned stacks are read-only, since the stepper reuses
-        the one for a repeated stage time.
+        The product basis and the time-mix constants are built once here;
+        each call only mixes them for its t.  The returned stacks are
+        read-only, since the stepper reuses the one for a repeated stage
+        time.
         """
-        basis = self._forcing_basis(grid.x[:, None], grid.y[None, :])
+        bound = self._forcing_basis(grid.x[:, None], grid.y[None, :]), self._time_mix(p)
 
         def F(t: float) -> np.ndarray:
-            out = self.forcing(None, None, t, p, _basis=basis)
+            out = self.forcing(None, None, t, None, _bound=bound)
             out.flags.writeable = False
             return out
 
         return F
+
+    def boundary_data_on_grid(self, spec: BoundarySpec, grid: Grid) -> BoundaryData:
+        """Data realizing the rows of spec on this solution, for the time
+        stepper: the bits of ``BoundaryData.from_state_samples(spec, grid,
+        self.state)``.  The X and Y factors of each side's nodes are built
+        once here; each sample only mixes in T for its t, in the association
+        of state()."""
+        samplers = {}
+        for side, rows, (bx, by) in constrained_sides(spec, grid):
+            _, _, om, am, ax, ay, _ = self._phases(bx, by, 0.0)
+            X, Y = np.cos(ax), np.cos(ay)
+
+            def sample(t: float, rows=rows, om=om, am=am, X=X, Y=Y) -> np.ndarray:
+                return rows @ (am * np.cos(om * t + _LAG_COLUMN) * X * Y)
+
+            samplers[side] = sample
+        return BoundaryData(samplers)
 
 
 DEFAULT_SOLUTION = ManufacturedSolution()

@@ -194,12 +194,15 @@ class SideForm:
     scale: float
 
 
+_EPS = np.finfo(float).eps
+
+
 def _null_basis(rows: np.ndarray) -> np.ndarray:
     if rows.shape[0] == 0:
         return np.eye(3)
     _, s, vt = np.linalg.svd(rows)
-    tol = max(rows.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > tol))
+    tol = max(rows.shape) * _EPS * (s[0] if s.size else 0.0)
+    rank = int((s > tol).sum())
     return vt[rank:].T
 
 
@@ -229,7 +232,7 @@ def boundary_quadratic_forms(p: PhysicalConstants, regime: Regime,
     for side in SIDES:
         F = 0.5 * (forms[side] + forms[side].T)
         basis = _null_basis(spec.rows[side])
-        scale = float(np.max(np.abs(F)))
+        scale = float(np.abs(F).max())
         R = basis.T @ (F / scale) @ basis
         R = 0.5 * (R + R.T)
         eigs = np.linalg.eigvalsh(R) if R.size else np.empty(0)

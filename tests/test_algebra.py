@@ -128,3 +128,29 @@ def test_transform_regime_guards():
         sw.hyperbolic_transform(params("msub"))
     with pytest.raises(NotElliptic):
         sw.elliptic_transform(params("fhs"))
+
+
+@pytest.mark.parametrize("kind", sorted(REGIME_CASES))
+def test_memoized_derivations_match_fresh_and_are_read_only(kind):
+    """The three per-state derivations are memoized: a repeated call hands
+    back the same object, equal to an uncached derivation, and the arrays
+    every caller shares cannot be written."""
+    derivations = [coefficient_matrices, sw.elliptic_transform if kind == "msub"
+                   else sw.hyperbolic_transform]
+    rng = SplitMix64(29)
+    for _ in range(20):
+        base = draw_params(kind, rng)
+        for f in (0.0, -0.0, 3.0):
+            p = sw.validate_params(base.u0, base.v0, base.phi0, base.g, f)
+            for derive in derivations:
+                cached, fresh = derive(p), derive.__wrapped__(p)
+                assert derive(p) is cached
+                for name, value in vars(fresh).items():
+                    got = getattr(cached, name)
+                    if isinstance(value, np.ndarray):
+                        assert np.array_equal(got, value), (derive.__name__, name)
+                        assert not got.flags.writeable
+                        with pytest.raises(ValueError):
+                            got[0] = 1.0
+                    else:
+                        assert got == value, (derive.__name__, name)

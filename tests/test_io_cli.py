@@ -438,3 +438,41 @@ def test_cli_probe_positivity_needs_a_sample(samples, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: positivity probe needs at least one sample, got {samples}\n"
+
+
+# --- seeds ----------------------------------------------------------------------
+# SplitMix64 masks its seed to 64 bits, so a wider seed would silently alias
+# a narrower one (2^64 ran seed 0's field, byte for byte); the entry points
+# reject it instead
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, -(2**64)])
+def test_config_seed_outside_64_bits_rejected(seed, tmp_path, capsys):
+    text = MINIMAL + f"seed = {seed}\n"
+    with pytest.raises(InvalidValue, match=r"run.seed must be in \[0, 2\^64\)"):
+        sw.parse_config(text)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+    assert f"run.seed must be in [0, 2^64), got {seed}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_seed_edges_accepted():
+    assert sw.parse_config(MINIMAL + "seed = 0\n").seed == 0
+    assert sw.parse_config(MINIMAL + f"seed = {2**64 - 1}\n").seed == 2**64 - 1
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_cli_probe_positivity_seed_outside_64_bits_exits_2(seed, tmp_path, capsys):
+    cfg = write_cfg(tmp_path, MINIMAL)
+    assert cli.main(["probe-positivity", "--config", cfg, "--samples", "1", "--seed", seed]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --seed must be in [0, 2^64), got {seed}\n"
+
+
+def test_cli_probe_positivity_largest_seed_runs(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, MINIMAL)
+    args = ["probe-positivity", "--config", cfg, "--samples", "2", "--seed", str(2**64 - 1)]
+    assert cli.main(args) == 0
+    assert "probe-positivity: PASS" in capsys.readouterr().out

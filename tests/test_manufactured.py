@@ -98,3 +98,35 @@ def test_grid_closure_equals_public_forcing(kind):
                     assert not got.flags.writeable
                     with pytest.raises(ValueError):
                         got[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("kind", sorted(REGIME_CASES))
+def test_grid_boundary_data_equals_state_samples(kind):
+    """The per-grid samplers give the bits of sampling through state(), on
+    every constrained side and at every t, and the config's manufactured
+    boundary kind uses them."""
+    p = sw.validate_params(*REGIME_CASES[kind])
+    spec = sw.bc_catalog(sw.classify(p), p)
+    for grid in (sw.Grid(1.0, 1.0, 17, 17), sw.Grid(2.0, 0.7, 9, 23)):
+        for sol in SOLUTIONS:
+            got = sol.boundary_data_on_grid(spec, grid)
+            want = sw.BoundaryData.from_state_samples(spec, grid, sol.state)
+            assert got.samplers.keys() == want.samplers.keys()
+            for side in sw.SIDES:
+                k = spec.rows[side].shape[0]
+                n = grid.ny if side in (sw.Side.WEST, sw.Side.EAST) else grid.nx
+                for t in (0.0, 0.25, 1.0 / 3.0, 2.7, 1e3):
+                    a, b = got.sample(side, t, k, n), want.sample(side, t, k, n)
+                    assert np.array_equal(a, b), (side, grid, t)
+
+
+def test_config_manufactured_boundary_uses_grid_samplers():
+    text = ("[physics]\nu0 = 1.0\nv0 = 1.0\nphi0 = 1.0\ng = 9.81\n"
+            "[grid]\nL1 = 1.0\nL2 = 1.5\nnx = 9\nny = 13\n"
+            "[run]\nt_end = 0.05\ncfl = 0.45\n[boundary]\nkind = manufactured\n")
+    cfg = sw.build_run_config(sw.parse_config(text))
+    spec = sw.bc_catalog(sw.classify(cfg.p), cfg.p)
+    want = sw.BoundaryData.from_state_samples(spec, cfg.grid, DEFAULT_SOLUTION.state)
+    assert cfg.boundary_data.samplers.keys() == want.samplers.keys()
+    for side, sample in want.samplers.items():
+        assert np.array_equal(cfg.boundary_data.samplers[side](0.3), sample(0.3))

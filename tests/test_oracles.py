@@ -268,3 +268,62 @@ def _exact_run_digests(name):
 @pytest.mark.parametrize("name", sorted(EXACT_RUN_DIGESTS))
 def test_exact_run_digests(name):
     assert _exact_run_digests(name) == EXACT_RUN_DIGESTS[name]
+
+
+# float.hex of the mms_convergence errors on refinement_ladder(Grid(1, 1, 9, 9),
+# 2) with t_end = 0.05 and the default solution, recorded before the per-grid
+# manufactured boundary samplers replaced sampling through state(): they keep
+# every floating-point operation of that path, so these hold with ==
+EXACT_MMS_ERRORS = {
+    ("fhs", 0.0, "ssprk2"): ("0x1.c714461b4e8e5p-6", "0x1.047e7bbf3f543p-6"),
+    ("fhs", 0.0, "euler"): ("0x1.d41566746d86fp-6", "0x1.07c5f6bd9b1b9p-6"),
+    ("fhs", 5.0, "ssprk2"): ("0x1.c5f53459600f2p-6", "0x1.03dfa266951eep-6"),
+    ("fhs", 5.0, "euler"): ("0x1.d34dd24bc1aa1p-6", "0x1.0747efedad572p-6"),
+    ("mix1", 0.0, "ssprk2"): ("0x1.1089a745b3f25p-5", "0x1.273ad7b154616p-6"),
+    ("mix1", 0.0, "euler"): ("0x1.1a0849ef5ab0fp-5", "0x1.2c1161c7e7d91p-6"),
+    ("mix1", 5.0, "ssprk2"): ("0x1.0faac1ea8aaf0p-5", "0x1.26602ec503e5ap-6"),
+    ("mix1", 5.0, "euler"): ("0x1.1978f0d1e2e8fp-5", "0x1.2b6382e92c40cp-6"),
+    ("mix2", 0.0, "ssprk2"): ("0x1.ee35b8c60230ap-6", "0x1.1791544315203p-6"),
+    ("mix2", 0.0, "euler"): ("0x1.fb0e2e3df7255p-6", "0x1.1a7fae2c9b526p-6"),
+    ("mix2", 5.0, "ssprk2"): ("0x1.eef4fe0ae9269p-6", "0x1.177f0467817c2p-6"),
+    ("mix2", 5.0, "euler"): ("0x1.fbd8283a7da2ap-6", "0x1.1a774942aa9dcp-6"),
+    ("msub", 0.0, "ssprk2"): ("0x1.3eaaa56a8b81bp-5", "0x1.076f22cc7d4aep-6"),
+    ("msub", 0.0, "euler"): ("0x1.461be3397e24fp-5", "0x1.0b1be46f7523ep-6"),
+    ("msub", 5.0, "ssprk2"): ("0x1.3eb16b6e6f54fp-5", "0x1.06db6ef428b92p-6"),
+    ("msub", 5.0, "euler"): ("0x1.460e35cc87d63p-5", "0x1.0aa3be220d99cp-6"),
+    ("super", 0.0, "ssprk2"): ("0x1.27f56a9376bcbp-5", "0x1.3d81bba39aa17p-6"),
+    ("super", 0.0, "euler"): ("0x1.303ff0e8bb180p-5", "0x1.41a962c1fbd32p-6"),
+    ("super", 5.0, "ssprk2"): ("0x1.2784388e45d39p-5", "0x1.3cf9d2386cb15p-6"),
+    ("super", 5.0, "euler"): ("0x1.2ff604002ed5fp-5", "0x1.4136bd92bf1c5p-6"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(EXACT_MMS_ERRORS), ids=lambda k: f"{k[0]}-f{k[1]:g}-{k[2]}")
+def test_exact_mms_errors(key):
+    kind, f, scheme = key
+    p = sw.validate_params(*REGIME_CASES[kind], f)
+    grids = sw.refinement_ladder(sw.Grid(1.0, 1.0, 9, 9), 2)
+    rep = sw.mms_convergence(p, grids, t_end=0.05, scheme=scheme)
+    assert tuple(e.hex() for e in rep.errors) == EXACT_MMS_ERRORS[key]
+
+
+# --- linearity ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("f", [0.0, 3.0])
+@pytest.mark.parametrize("kind", sorted(REGIME_CASES))
+def test_superposition_under_homogeneous_data(kind, f):
+    """With zero forcing and zero boundary data the discrete evolution is
+    linear: run(a U + b V) = a run(U) + b run(V) at every snapshot, to
+    round-off.  a + b != 1, so an affine term anywhere in the enforcement or
+    the stepper shows up as a defect."""
+    p = sw.validate_params(*REGIME_CASES[kind], f)
+    grid = sw.Grid(1.0, 1.3, 21, 17)
+    U, V = sw.band_limited_fields(sw.SplitMix64(41), grid.nx, grid.ny, n_fields=6).reshape(
+        2, 3, grid.nx, grid.ny)
+    a, b = 0.7, -1.9
+    ru, rv, rw = (_run(p, grid, W, snapshot_cadence=4) for W in (U, V, a * U + b * V))
+    assert len(rw.snapshots) == len(ru.snapshots) == len(rv.snapshots) > 2
+    for (t, su), (_, sv), (_, sw_) in zip(ru.snapshots, rv.snapshots, rw.snapshots):
+        want = a * su.stack() + b * sv.stack()
+        assert np.max(np.abs(sw_.stack() - want)) <= 1e-13 * np.max(np.abs(want)), t
