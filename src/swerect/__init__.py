@@ -1,13 +1,17 @@
 """Linearized rotating shallow water on a rectangle: regimes, boundary
 conditions, energy-stable evolution, and the first-order elliptic subsystem.
 
-The public surface is re-exported here; submodules group it as
+The library computes on (3, nx, ny) stacks of (u, v, phi); StateField is
+the view of one state that runs take and return, the CSV files hold and
+the energy quadrature reads.  The public surface is re-exported here;
+submodules group it as
 
     regime    -- parameter validation, regime classification, kappa scales
     algebra   -- symmetrizer, characteristic/elliptic transforms, diagnostics
     boundary  -- admissible boundary-row catalogs (forward and adjoint),
-                 trace data, discrete enforcement, lifting
-    operator  -- discrete transport operator, energy, boundary quadratic forms
+                 trace data, discrete enforcement
+    operator  -- discrete transport operator, lifting, energy, boundary
+                 quadratic forms
     elliptic  -- the first-order system T/T*: solves, duality, a-priori bounds
     evolve    -- SSP-RK2 time stepping, contraction and convergence checks
     config    -- strict sectioned key=value run configurations
@@ -34,13 +38,10 @@ from .boundary import (
     BoundaryData,
     BoundarySpec,
     IncomingCountReport,
-    LiftedProblem,
     Side,
     adjoint_bc_catalog,
-    apply_bc,
     bc_catalog,
     incoming_count_check,
-    lift_nonhomogeneous,
 )
 from .config import ConfigDocument, build_run_config, load_config, parse_config
 from .elliptic import (
@@ -64,7 +65,6 @@ from .elliptic import (
 )
 from .errors import (
     BcViolation,
-    CflViolation,
     DegenerateCase,
     InvalidValue,
     IoError,
@@ -93,7 +93,6 @@ from .evolve import (
     mms_convergence,
     refinement_ladder,
     run,
-    step,
 )
 from .fields import EnergyLog, Grid, StateField, inner_product, l2_norm
 from .io_csv import (
@@ -105,16 +104,15 @@ from .io_csv import (
 from .manufactured import DEFAULT_SOLUTION, ManufacturedSolution
 from .operator import (
     DiscreteOperator,
+    LiftedProblem,
     ProbeReport,
-    apply_A,
-    apply_adjoint,
     apply_B,
     band_limited_fields,
     boundary_quadratic_forms,
     energy_value,
     flux_split,
+    lift_nonhomogeneous,
     positivity_probe,
-    weighted_inner,
 )
 from .regime import (
     TAU_GEN,

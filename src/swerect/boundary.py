@@ -1,4 +1,4 @@
-"""Boundary-condition catalogs, discrete enforcement, and lifting.
+"""Boundary-condition catalogs and discrete enforcement.
 
 Each regime admits a specific set of constraint rows c with c . (u, v, phi) =
 data on each side of the rectangle; the row count per side equals the number
@@ -24,7 +24,7 @@ import numpy as np
 
 from .algebra import Transform, elliptic_transform, hyperbolic_transform
 from .errors import RegimeMismatch, ShapeMismatch, SingularConstraintSystem
-from .fields import Grid, StateField
+from .fields import Grid
 from .regime import PhysicalConstants, Regime, classify
 
 
@@ -274,9 +274,6 @@ class BcEnforcer:
 
     def __init__(self, spec: BoundarySpec, transform: Transform, grid: Grid,
                  include_free_sides: bool = False):
-        self.spec = spec
-        self.grid = grid
-        self.include_free_sides = include_free_sides
         pinv = transform.Pinv
         nx, ny = grid.nx, grid.ny
         c, ix, iy = slice(None), slice(1, nx - 1), slice(1, ny - 1)
@@ -335,56 +332,3 @@ class BcEnforcer:
             out[node] = term + G_free @ (2.0 * W[near] - W[far])
         return out
 
-
-def apply_bc(state: StateField, spec: BoundarySpec, data: BoundaryData,
-             transform: Transform, t: float = 0.0) -> StateField:
-    """Projection form of the boundary conditions on a single field.
-
-    Constraint rows hold exactly (to round-off) at every boundary node after
-    the call; unconstrained combinations, including whole sides without rows,
-    are filled by first-order extrapolation from the interior.
-    """
-    nx, ny = state.u.shape
-    # enforcement is purely nodal; physical lengths are irrelevant here
-    enforcer = BcEnforcer(spec, transform, Grid(1.0, 1.0, nx, ny), include_free_sides=True)
-    out = enforcer.apply(state.stack(), data, t)
-    return StateField.from_stack(out)
-
-
-# --- lifting ----------------------------------------------------------------
-
-
-@dataclass
-class LiftedProblem:
-    """Homogeneous-BC reformulation of a non-homogeneous problem.
-
-    Solve the homogeneous problem with forcing() and initial state
-    (original initial minus shift(0)); then solution = homogeneous + shift(t).
-    """
-
-    forcing: Callable[[float], np.ndarray]
-    shift: Callable[[float], StateField]
-
-
-def lift_nonhomogeneous(ug, dug_dt, forcing, p: PhysicalConstants, grid: Grid) -> LiftedProblem:
-    """Fold boundary data carried by a lifting field ug into the forcing.
-
-    ug(t) and dug_dt(t) return StateFields satisfying the non-homogeneous
-    boundary data; forcing(t) returns a (3, nx, ny) stack (or None for zero).
-    The lifted forcing is F - d(ug)/dt - A_h ug - B ug, so the remainder
-    solves the same system with homogeneous boundary data.
-    """
-    from .operator import DiscreteOperator, apply_B  # local import; operator imports this module
-    op = DiscreteOperator(p, grid)
-
-    def lifted(t: float) -> np.ndarray:
-        base = forcing(t) if forcing is not None else None
-        g = ug(t)
-        out = -dug_dt(t).stack()
-        out -= op.apply_stack(g.stack())
-        out -= apply_B(g, p).stack()
-        if base is not None:
-            out += np.asarray(base)
-        return out
-
-    return LiftedProblem(forcing=lifted, shift=ug)

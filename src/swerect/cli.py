@@ -33,9 +33,11 @@ from .errors import (
     UnknownKey,
 )
 from .evolve import mms_convergence, refinement_ladder, run
+from .fields import StateField
 from .io_csv import write_energy_csv, write_field_csv
 from .operator import positivity_probe
 from .regime import classify, kappa, validate_params
+from .rng import check_seed
 
 _USAGE_ERRORS = (
     ParseError,
@@ -94,8 +96,7 @@ def _cmd_verify_algebra(args) -> int:
 
 
 def _cmd_probe_positivity(args) -> int:
-    if not 0 <= args.seed < 2**64:
-        raise InvalidValue(f"--seed must be in [0, 2^64), got {args.seed}")
+    check_seed(args.seed, "--seed")
     doc = load_config(args.config)
     p = doc.constants()
     regime = classify(p)
@@ -130,8 +131,6 @@ def _cmd_solve_elliptic(args) -> int:
     if args.out is not None:
         outdir = os.path.join(args.out, doc.output_dir)
         os.makedirs(outdir, exist_ok=True)
-        from .fields import StateField
-
         as_state = StateField(theta.theta1, theta.theta2, np.zeros_like(theta.theta1))
         write_field_csv(grid.x, grid.y, as_state, os.path.join(outdir, "theta.csv"),
                         precision=doc.precision)

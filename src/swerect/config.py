@@ -16,12 +16,19 @@ Everything else has a documented default.
 
 from __future__ import annotations
 
+import os.path
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from .boundary import BoundaryData, bc_catalog
 from .errors import InvalidValue, IoError, MissingKey, ParseError, UnknownKey
-from .fields import Grid
-from .regime import PhysicalConstants, validate_params
+from .evolve import RunConfig
+from .fields import Grid, StateField
+from .io_csv import read_field_csv
+from .manufactured import DEFAULT_SOLUTION
+from .operator import band_limited_fields
+from .regime import PhysicalConstants, classify, validate_params
+from .rng import SplitMix64, check_seed
 
 # key -> (type tag, required, default); types: f float, i int, s string
 _SCHEMA: Dict[str, Dict[str, Tuple[str, bool, object]]] = {
@@ -196,8 +203,7 @@ def _validate_semantics(doc: ConfigDocument) -> None:
         raise InvalidValue(f"run.t_end must be positive, got {doc.t_end}")
     if not (0.0 < doc.cfl <= 0.9):
         raise InvalidValue(f"run.cfl must be in (0, 0.9], got {doc.cfl}")
-    if not 0 <= doc.seed < 2**64:
-        raise InvalidValue(f"run.seed must be in [0, 2^64), got {doc.seed}")
+    check_seed(doc.seed, "run.seed")
     if doc.cadence < 0:
         raise InvalidValue(f"output.cadence must be nonnegative, got {doc.cadence}")
     if not (1 <= doc.precision <= 17):
@@ -220,8 +226,6 @@ def load_config(path) -> ConfigDocument:
 
 
 def _resolve(doc: ConfigDocument, name: str, base_dir) -> str:
-    import os.path
-
     if os.path.isabs(name):
         return name
     if base_dir is None:
@@ -230,8 +234,6 @@ def _resolve(doc: ConfigDocument, name: str, base_dir) -> str:
 
 
 def _field_on_grid(path, grid: Grid):
-    from .io_csv import read_field_csv
-
     x, y, state = read_field_csv(path)
     if (x.size, y.size) != (grid.nx, grid.ny):
         raise InvalidValue(
@@ -240,19 +242,12 @@ def _field_on_grid(path, grid: Grid):
     return state
 
 
-def build_run_config(doc: ConfigDocument, base_dir=None):
+def build_run_config(doc: ConfigDocument, base_dir=None) -> RunConfig:
     """Assemble an executable run description from a parsed document.
 
     File-backed forcing and boundary data are read once and held constant in
     time; relative paths resolve against the config file's directory.
     """
-    from .boundary import BoundaryData, bc_catalog
-    from .evolve import RunConfig
-    from .manufactured import DEFAULT_SOLUTION
-    from .operator import band_limited_fields
-    from .regime import classify
-    from .rng import SplitMix64
-
     p = doc.constants()
     grid = doc.make_grid()
     regime = classify(p)
@@ -264,10 +259,10 @@ def build_run_config(doc: ConfigDocument, base_dir=None):
     elif doc.forcing_kind == "file":
         stack = _field_on_grid(_resolve(doc, doc.forcing_file, base_dir), grid).stack()
         forcing = lambda t, _s=stack: _s  # noqa: E731 - constant-in-time source
-        initial = _seeded_initial(doc, grid, band_limited_fields, SplitMix64)
+        initial = _seeded_initial(doc, grid)
     else:
         forcing = None
-        initial = _seeded_initial(doc, grid, band_limited_fields, SplitMix64)
+        initial = _seeded_initial(doc, grid)
 
     if doc.boundary_kind == "manufactured":
         data = DEFAULT_SOLUTION.boundary_data_on_grid(spec, grid)
@@ -292,9 +287,7 @@ def build_run_config(doc: ConfigDocument, base_dir=None):
     )
 
 
-def _seeded_initial(doc: ConfigDocument, grid: Grid, band_limited_fields, SplitMix64):
-    from .fields import StateField
-
+def _seeded_initial(doc: ConfigDocument, grid: Grid) -> StateField:
     rng = SplitMix64(doc.seed)
     u, v, phi = band_limited_fields(rng, grid.nx, grid.ny, n_fields=3)
     return StateField(u, v, phi)

@@ -23,8 +23,7 @@ second-order reformulation is used -- the first-order form is what the
 positivity and duality identities are stated for.
 
 SciPy is imported by the first assembly or solve, not with the package:
-nothing outside the elliptic solvers needs it.  ``elliptic.sp`` and
-``elliptic.spla`` still name ``scipy.sparse`` and ``scipy.sparse.linalg``.
+nothing outside the elliptic solvers needs it.
 """
 
 from __future__ import annotations
@@ -45,17 +44,6 @@ from .errors import (
 from .fields import Grid, integrate
 from .regime import PhysicalConstants, Regime, classify
 from .algebra import elliptic_transform
-
-
-def __getattr__(name: str):
-    # module-level sp/spla without an eager SciPy import (PEP 562)
-    if name == "sp":
-        import scipy.sparse as sp
-        return sp
-    if name == "spla":
-        import scipy.sparse.linalg as spla
-        return spla
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -127,9 +115,6 @@ class ThetaField:
     @classmethod
     def zeros(cls, grid: Grid) -> "ThetaField":
         return cls(np.zeros((grid.nx, grid.ny)), np.zeros((grid.nx, grid.ny)))
-
-    def copy(self) -> "ThetaField":
-        return ThetaField(self.theta1.copy(), self.theta2.copy())
 
 
 def theta_inner(A: ThetaField, B: ThetaField, grid: Grid) -> float:

@@ -62,10 +62,6 @@ class BcViolation(SweRectError):
     """A field claimed to satisfy boundary conditions does not (nodally)."""
 
 
-class CflViolation(SweRectError):
-    """Requested time step exceeds the stable CFL limit."""
-
-
 class ParseError(SweRectError):
     """Config file syntax error; carries 1-based line and column."""
 

@@ -16,9 +16,9 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .boundary import BcEnforcer, BoundaryData, BoundarySpec, bc_catalog
+from .boundary import BcEnforcer, BoundaryData, bc_catalog
 from .algebra import transform_for
-from .errors import CflViolation, InvalidValue, NonFinite
+from .errors import InvalidValue, NonFinite
 from .fields import EnergyLog, Grid, StateField
 from .manufactured import ManufacturedSolution
 from .operator import DiscreteOperator, energy_value
@@ -68,11 +68,10 @@ class _Stepper:
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.regime = classify(cfg.p)
-        self.spec: BoundarySpec = bc_catalog(self.regime, cfg.p)
         # rows-only enforcement: outflow sides evolve under the one-sided
         # stencils, which is what keeps the discrete energy estimate
-        self.enforcer = BcEnforcer(self.spec, transform_for(cfg.p), cfg.grid,
-                                   include_free_sides=False)
+        self.enforcer = BcEnforcer(bc_catalog(self.regime, cfg.p), transform_for(cfg.p),
+                                   cfg.grid, include_free_sides=False)
         self.op = DiscreteOperator(cfg.p, cfg.grid)
         self.f = cfg.p.f
         shape = (3, cfg.grid.nx, cfg.grid.ny)
@@ -97,6 +96,8 @@ class _Stepper:
         return R
 
     def advance(self, W: np.ndarray, dt: float, t: float) -> np.ndarray:
+        """One step from t to t + dt; W must already satisfy the catalog
+        (run() enforces the initial state before its first step)."""
         # each in-place sequence rounds exactly like W + dt*K1 and
         # 0.5*(W + W1 + dt*K2)
         K = self.rhs(W, t, self._k)
@@ -112,16 +113,6 @@ class _Stepper:
         W1 += K2
         W1 *= 0.5
         return self.enforce(W1, t + dt)
-
-
-def step(state: StateField, dt: float, t: float, cfg: RunConfig) -> StateField:
-    """Single step from t to t+dt; state must already satisfy the catalog
-    (run() enforces the initial state before its first step)."""
-    limit = cfl_dt(cfg.p, cfg.grid, cfg.cfl)
-    if dt > limit * (1.0 + 1e-9):
-        raise CflViolation(f"dt = {dt} exceeds cfl limit {limit}")
-    out = _Stepper(cfg).advance(state.stack(), dt, t)
-    return StateField.from_stack(out)
 
 
 @dataclass

@@ -3,7 +3,9 @@
 A Grid is a uniform node-centered mesh on [0, L1] x [0, L2] with nx x ny
 nodes (boundary nodes included), so dx = L1/(nx-1).  StateField carries the
 three prognostic fields (u, v, phi) on that mesh, each shaped (nx, ny) with
-index [i, j] at node (x_i, y_j).
+index [i, j] at node (x_i, y_j).  The numerical kernels work on (3, nx, ny)
+stacks; StateField is the view runs take and return and the CSV files and
+the energy quadrature read (StateField(*W) views a stack without copying).
 """
 
 from __future__ import annotations
@@ -73,16 +75,8 @@ class StateField:
         return cls(w[0].copy(), w[1].copy(), w[2].copy())
 
     def stack(self) -> np.ndarray:
-        """(3, nx, ny) view-copy used by the numerical kernels."""
+        """(3, nx, ny) copy used by the numerical kernels."""
         return np.stack([self.u, self.v, self.phi])
-
-    def copy(self) -> "StateField":
-        return StateField(self.u.copy(), self.v.copy(), self.phi.copy())
-
-    def check_finite(self) -> None:
-        for name, a in (("u", self.u), ("v", self.v), ("phi", self.phi)):
-            if not np.all(np.isfinite(a)):
-                raise NonFinite(f"non-finite values in field '{name}'")
 
 
 def inner_product(a: StateField, b: StateField, grid: Grid, g: float, phi0: float) -> float:

@@ -1,9 +1,10 @@
-"""Discrete first-order operator, its adjoint, and energy instrumentation."""
+"""Discrete first-order operator, its adjoint, lifting, and energy
+instrumentation.  States are (3, nx, ny) stacks of (u, v, phi)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -12,19 +13,14 @@ from .boundary import BcEnforcer, BoundaryData, Side, SIDES, adjoint_bc_catalog,
 from .errors import InvalidValue, ShapeMismatch
 from .fields import Grid, StateField, inner_product
 from .regime import PhysicalConstants, Regime
-from .rng import SplitMix64
-
-
-def weighted_inner(U: StateField, V: StateField, grid: Grid, p: PhysicalConstants) -> float:
-    """Trapezoidal quadrature of u*u' + v*v' + (g/phi0) phi*phi' over the grid."""
-    if U.u.shape != V.u.shape or U.u.shape != (grid.nx, grid.ny):
-        raise ShapeMismatch(f"field shapes {U.u.shape}, {V.u.shape} vs grid ({grid.nx}, {grid.ny})")
-    return inner_product(U, V, grid, p.g, p.phi0)
+from .rng import SplitMix64, check_seed
 
 
 def energy_value(U: StateField, grid: Grid, p: PhysicalConstants) -> float:
     """Squared weighted norm ||U||^2; the quantity the evolution contracts."""
-    return weighted_inner(U, U, grid, p)
+    if U.u.shape != (grid.nx, grid.ny):
+        raise ShapeMismatch(f"field shape {U.u.shape} vs grid ({grid.nx}, {grid.ny})")
+    return inner_product(U, U, grid, p.g, p.phi0)
 
 
 def flux_split(E: np.ndarray, S0: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -105,19 +101,48 @@ class DiscreteOperator:
         return self._upwind(V, None, -self.E1m, -self.E1p, -self.E2m, -self.E2p)
 
 
-def apply_A(U: StateField, p: PhysicalConstants, grid: Grid) -> StateField:
-    """A_h U; boundary conditions are the enforcer's business, not this one's."""
-    return StateField.from_stack(DiscreteOperator(p, grid).apply_stack(U.stack()))
+def apply_B(W: np.ndarray, p: PhysicalConstants) -> np.ndarray:
+    """Rotation term (-f v, f u, 0) of a stack; anti-self-adjoint in the
+    weighted inner product, hence exactly energy-neutral."""
+    return np.stack([-p.f * W[1], p.f * W[0], np.zeros_like(W[2])])
 
 
-def apply_adjoint(V: StateField, p: PhysicalConstants, grid: Grid) -> StateField:
-    return StateField.from_stack(DiscreteOperator(p, grid).apply_adjoint_stack(V.stack()))
+# --- lifting ----------------------------------------------------------------
 
 
-def apply_B(U: StateField, p: PhysicalConstants) -> StateField:
-    """Rotation term (-f v, f u, 0); anti-self-adjoint in the weighted inner
-    product, hence exactly energy-neutral."""
-    return StateField(-p.f * U.v, p.f * U.u, np.zeros_like(U.phi))
+@dataclass
+class LiftedProblem:
+    """Homogeneous-BC reformulation of a non-homogeneous problem.
+
+    Solve the homogeneous problem with forcing() and initial state
+    (original initial minus shift(0)); then solution = homogeneous + shift(t).
+    """
+
+    forcing: Callable[[float], np.ndarray]
+    shift: Callable[[float], np.ndarray]
+
+
+def lift_nonhomogeneous(ug, dug_dt, forcing, p: PhysicalConstants, grid: Grid) -> LiftedProblem:
+    """Fold boundary data carried by a lifting field ug into the forcing.
+
+    ug(t) and dug_dt(t) return (3, nx, ny) stacks satisfying the
+    non-homogeneous boundary data; forcing(t) returns a stack (or None for
+    zero).  The lifted forcing is F - d(ug)/dt - A_h ug - B ug, so the
+    remainder solves the same system with homogeneous boundary data.
+    """
+    op = DiscreteOperator(p, grid)
+
+    def lifted(t: float) -> np.ndarray:
+        base = forcing(t) if forcing is not None else None
+        g = ug(t)
+        out = -dug_dt(t)
+        out -= op.apply_stack(g)
+        out -= apply_B(g, p)
+        if base is not None:
+            out += base
+        return out
+
+    return LiftedProblem(forcing=lifted, shift=ug)
 
 
 # --- probes and boundary forms ----------------------------------------------
@@ -162,6 +187,7 @@ def positivity_probe(p: PhysicalConstants, regime: Regime, grid: Grid,
     """
     if n_samples < 1:
         raise InvalidValue(f"positivity probe needs at least one sample, got {n_samples}")
+    check_seed(seed, "seed")
     spec = bc_catalog(regime, p)
     enforcer = BcEnforcer(spec, transform_for(p), grid, include_free_sides=True)
     op = DiscreteOperator(p, grid)
@@ -172,12 +198,11 @@ def positivity_probe(p: PhysicalConstants, regime: Regime, grid: Grid,
     qmin = np.inf
     for _ in range(n_samples):
         W = enforcer.apply(band_limited_fields(rng, grid.nx, grid.ny), data)
-        U = StateField.from_stack(W)
-        denom = weighted_inner(U, U, grid, p)
+        U = StateField(*W)
+        denom = inner_product(U, U, grid, p.g, p.phi0)
         if denom <= 1e-28:  # zero fields carry no information
             continue
-        AU = StateField.from_stack(op.apply_stack(W))
-        q = weighted_inner(AU, U, grid, p) / denom
+        q = inner_product(StateField(*op.apply_stack(W)), U, grid, p.g, p.phi0) / denom
         qmin = min(qmin, q)
     return ProbeReport(float(qmin), threshold, n_samples)
 

@@ -20,10 +20,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidValue
+
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _D53 = 2.0**-53
+
+
+def check_seed(seed: int, name: str) -> None:
+    """Reject a seed outside [0, 2^64); SplitMix64 itself would mask it."""
+    if not 0 <= seed < 2**64:
+        raise InvalidValue(f"{name} must be in [0, 2^64), got {seed}")
 
 
 class SplitMix64:

@@ -4,7 +4,6 @@ import pytest
 import swerect as sw
 from swerect.boundary import Side
 from swerect.errors import ShapeMismatch
-from swerect.fields import StateField
 from swerect.manufactured import DEFAULT_SOLUTION
 from swerect.rng import SplitMix64
 
@@ -109,19 +108,22 @@ def test_compatible_fields_annihilate_rows():
         assert boundary_row_residual(V, sw.adjoint_bc_catalog(regime, p), grid) < 1e-12
 
 
+def _projector(p, spec, grid):
+    """Enforcement of every side, free sides by extrapolation."""
+    return sw.BcEnforcer(spec, sw.transform_for(p), grid, include_free_sides=True)
+
+
 def test_apply_bc_idempotent():
     rng = SplitMix64(7)
+    grid = sw.Grid(1.0, 1.0, 20, 24)
     for kind in REGIME_CASES:
         p = params(kind)
         regime = sw.classify(p)
-        spec = sw.bc_catalog(regime, p)
-        u, v, phi = sw.band_limited_fields(rng, 20, 24)
-        state = StateField(u, v, phi)
+        enforcer = _projector(p, sw.bc_catalog(regime, p), grid)
         data = sw.BoundaryData.homogeneous()
-        t = sw.transform_for(p)
-        once = sw.apply_bc(state, spec, data, t)
-        twice = sw.apply_bc(once, spec, data, t)
-        assert np.array_equal(once.stack(), twice.stack())
+        once = enforcer.apply(sw.band_limited_fields(rng, 20, 24), data)
+        twice = enforcer.apply(once, data)
+        assert np.array_equal(once, twice)
 
 
 def test_apply_bc_reproduces_sampled_data():
@@ -134,10 +136,9 @@ def test_apply_bc_reproduces_sampled_data():
         spec = sw.bc_catalog(regime, p)
         data = sw.BoundaryData.from_state_samples(spec, grid, DEFAULT_SOLUTION.state)
         rng = SplitMix64(19)
-        u, v, phi = sw.band_limited_fields(rng, grid.nx, grid.ny)
-        state = sw.apply_bc(StateField(u, v, phi), spec, data, sw.transform_for(p), t=0.3)
+        W_ = _projector(p, spec, grid).apply(sw.band_limited_fields(rng, grid.nx, grid.ny),
+                                             data, 0.3)
         ref = DEFAULT_SOLUTION.state_field(grid, 0.3).stack()
-        W_ = state.stack()
         sel = {W: W_[:, 0, :], E: W_[:, -1, :], S: W_[:, :, 0], N: W_[:, :, -1]}
         ref_sel = {W: ref[:, 0, :], E: ref[:, -1, :], S: ref[:, :, 0], N: ref[:, :, -1]}
         for side, rows in spec.rows.items():
@@ -155,10 +156,9 @@ def test_apply_bc_interior_untouched():
     p = params("fhs")
     spec = sw.bc_catalog(sw.classify(p), p)
     rng = SplitMix64(4)
-    u, v, phi = sw.band_limited_fields(rng, 12, 12)
-    state = StateField(u, v, phi)
-    out = sw.apply_bc(state, spec, sw.BoundaryData.homogeneous(), sw.transform_for(p))
-    assert np.array_equal(out.stack()[:, 1:-1, 1:-1], state.stack()[:, 1:-1, 1:-1])
+    W_ = sw.band_limited_fields(rng, 12, 12)
+    out = _projector(p, spec, grid).apply(W_, sw.BoundaryData.homogeneous())
+    assert np.array_equal(out[:, 1:-1, 1:-1], W_[:, 1:-1, 1:-1])
 
 
 def test_bad_sampler_shape_raises():
@@ -166,9 +166,9 @@ def test_bad_sampler_shape_raises():
     spec = sw.bc_catalog(sw.classify(p), p)
     data = sw.BoundaryData({W: lambda t: np.zeros((3, 5))})  # W has 2 rows
     rng = SplitMix64(4)
-    u, v, phi = sw.band_limited_fields(rng, 10, 10)
+    W_ = sw.band_limited_fields(rng, 10, 10)
     with pytest.raises(ShapeMismatch):
-        sw.apply_bc(StateField(u, v, phi), spec, data, sw.transform_for(p))
+        _projector(p, spec, sw.Grid(1.0, 1.0, 10, 10)).apply(W_, data)
 
 
 def test_lifted_forcing_consistency():
@@ -181,10 +181,10 @@ def test_lifted_forcing_consistency():
         X, Y = grid.meshgrid()
 
         def ug(t, X=X, Y=Y):
-            return StateField.from_stack(DEFAULT_SOLUTION.state(X, Y, t))
+            return DEFAULT_SOLUTION.state(X, Y, t)
 
         def dug(t, X=X, Y=Y):
-            return StateField.from_stack(DEFAULT_SOLUTION.dt(X, Y, t))
+            return DEFAULT_SOLUTION.dt(X, Y, t)
 
         lifted = sw.lift_nonhomogeneous(ug, dug, DEFAULT_SOLUTION.forcing_on_grid(p, grid), p, grid)
         r = lifted.forcing(0.37)

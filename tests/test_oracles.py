@@ -327,3 +327,41 @@ def test_superposition_under_homogeneous_data(kind, f):
     for (t, su), (_, sv), (_, sw_) in zip(ru.snapshots, rv.snapshots, rw.snapshots):
         want = a * su.stack() + b * sv.stack()
         assert np.max(np.abs(sw_.stack() - want)) <= 1e-13 * np.max(np.abs(want)), t
+
+
+# --- probe and lift goldens -----------------------------------------------------
+
+# float.hex of positivity_probe's min_quotient on Grid(1, 1.5, 17, 23), six
+# samples from seed 11, and the sha256 of the lifted forcing at t = 0.37 with
+# the manufactured solution as lifting field on 17x17 (fhs), recorded before
+# the probe and the lift moved onto (3, nx, ny) stacks
+EXACT_PROBE_QUOTIENTS = {
+    "fhs": "0x1.93a4225057d05p+4",
+    "mix1": "0x1.ca1b94a9ff453p+4",
+    "mix2": "0x1.e363e0fd693ddp+4",
+    "msub": "0x1.56da0d09b2288p+4",
+    "super": "0x1.0af227e0cea46p+5",
+}
+EXACT_LIFTED_FORCING = "40cfc96ce63cc597e573027a741ea36d430a192a69f220352da772e57810cc33"
+
+
+@pytest.mark.parametrize("kind", sorted(EXACT_PROBE_QUOTIENTS))
+def test_exact_probe_quotients(kind):
+    p = sw.validate_params(*REGIME_CASES[kind])
+    rep = sw.positivity_probe(p, sw.classify(p), sw.Grid(1.0, 1.5, 17, 23), 6, 11)
+    assert rep.min_quotient.hex() == EXACT_PROBE_QUOTIENTS[kind]
+
+
+def test_exact_lifted_forcing():
+    p = sw.validate_params(*REGIME_CASES["fhs"])
+    grid = sw.Grid(1.0, 1.0, 17, 17)
+    x, y = grid.x[:, None], grid.y[None, :]
+
+    def ug(t):
+        return DEFAULT_SOLUTION.state(x, y, t)
+
+    def dug_dt(t):
+        return DEFAULT_SOLUTION.dt(x, y, t)
+
+    lifted = sw.lift_nonhomogeneous(ug, dug_dt, DEFAULT_SOLUTION.forcing_on_grid(p, grid), p, grid)
+    assert _digest(lifted.forcing(0.37)) == EXACT_LIFTED_FORCING
