@@ -46,7 +46,6 @@ class BoundarySpec:
     """Constraint rows per side; rows[s] has shape (k_s, 3), possibly k_s = 0."""
 
     regime: Regime
-    adjoint: bool
     rows: Dict[Side, np.ndarray]
 
     def counts(self) -> Tuple[int, int, int, int]:
@@ -86,7 +85,7 @@ def bc_catalog(regime: Regime, p: PhysicalConstants) -> BoundarySpec:
     if classify(p) is not regime:
         raise RegimeMismatch(f"constants classify as {classify(p)}, not {regime}")
     if regime is not Regime.MIXED_SUBCRITICAL:
-        return BoundarySpec(regime, False, _entering_rows(p, 1.0))
+        return BoundarySpec(regime, _entering_rows(p, 1.0))
     u0, v0, g = p.u0, p.v0, p.g
     ws = _rows((v0, -u0, 0.0), (u0, v0, g))
     side_rows = {
@@ -97,7 +96,7 @@ def bc_catalog(regime: Regime, p: PhysicalConstants) -> BoundarySpec:
         Side.EAST: _rows((0.0, 0.0, 1.0)),
         Side.NORTH: _rows((0.0, 0.0, 1.0)),
     }
-    return BoundarySpec(regime, False, side_rows)
+    return BoundarySpec(regime, side_rows)
 
 
 def adjoint_bc_catalog(regime: Regime, p: PhysicalConstants) -> BoundarySpec:
@@ -111,7 +110,7 @@ def adjoint_bc_catalog(regime: Regime, p: PhysicalConstants) -> BoundarySpec:
     if classify(p) is not regime:
         raise RegimeMismatch(f"constants classify as {classify(p)}, not {regime}")
     if regime is not Regime.MIXED_SUBCRITICAL:
-        return BoundarySpec(regime, True, _entering_rows(p, -1.0))
+        return BoundarySpec(regime, _entering_rows(p, -1.0))
     u0, v0, g = p.u0, p.v0, p.g
     k1 = elliptic_transform(p).kappa1
     side_rows = {
@@ -120,7 +119,7 @@ def adjoint_bc_catalog(regime: Regime, p: PhysicalConstants) -> BoundarySpec:
         Side.SOUTH: _rows((g * u0 * v0, -g * u0**2, v0 * k1**2)),
         Side.NORTH: _rows((v0**2, -v0 * u0, -g * u0), (u0, v0, g)),
     }
-    return BoundarySpec(regime, True, side_rows)
+    return BoundarySpec(regime, side_rows)
 
 
 @dataclass

@@ -136,7 +136,9 @@ def run(cfg: RunConfig) -> RunResult:
     n_steps = max(1, math.ceil(cfg.t_end / dt_max - 1e-12))
     dt = cfg.t_end / n_steps
 
-    W = stepper.enforce(cfg.initial.stack(), 0.0)
+    # stack() copies cfg.initial, so the projection can run in place on it
+    W = cfg.initial.stack()
+    stepper.enforcer.apply(W, cfg.boundary_data, 0.0, out=W)
     log = EnergyLog()
     snapshots: List[Tuple[float, StateField]] = []
     log.append(0.0, energy_value(StateField(*W), cfg.grid, cfg.p))

@@ -63,11 +63,19 @@ class DiscreteOperator:
         self.E1p, self.E1m = flux_split(m.E1, m.S0)
         self.E2p, self.E2m = flux_split(m.E2, m.S0)
         nx, ny = grid.nx, grid.ny
+        n = nx * ny
         # private scratch, reused by every apply (so one operator must not
-        # be applied from two threads at once): the padded differences per
-        # axis and one einsum term
+        # be applied from two threads at once): the padded x differences,
+        # the flat y differences q[:, k] = (w[k] - w[k-1]) / dy of the
+        # flattened stack w, and one einsum term.  Viewed as (3, nx, ny),
+        # q[:, :n] holds the backward y differences and q[:, 1:] the
+        # forward ones; the cell between two rows is a row-crossing value
+        # that serves as the backward pad of one row, then as the forward
+        # pad of the row before it
         self._px = np.empty((3, nx + 1, ny))
-        self._py = np.empty((3, nx, ny + 1))
+        self._q = np.empty((3, n + 1))
+        self._qb = self._q[:, :n].reshape(3, nx, ny)
+        self._qf = self._q[:, 1:].reshape(3, nx, ny)
         self._term = np.empty((3, nx, ny))
 
     def _upwind(self, W: np.ndarray, out: Optional[np.ndarray],
@@ -75,21 +83,37 @@ class DiscreteOperator:
         shape = self._term.shape
         if W.shape != shape:
             raise ShapeMismatch(f"stack shape {W.shape} vs {shape}")
-        # padded differences: P[k] = (W[k] - W[k-1]) / h inside, the end
+        # padded x differences: P[k] = (W[k] - W[k-1]) / dx inside, the end
         # differences repeated into the pad cells, so the backward and
         # forward one-sided differences are the views P[:-1] and P[1:]
-        px, py = self._px, self._py
+        px, q, qb, qf, term = self._px, self._q, self._qb, self._qf, self._term
         np.subtract(W[:, 1:], W[:, :-1], out=px[:, 1:-1])
         px[:, 1:-1] /= self.grid.dx
         px[:, 0], px[:, -1] = px[:, 1], px[:, -2]
-        np.subtract(W[:, :, 1:], W[:, :, :-1], out=py[:, :, 1:-1])
-        py[:, :, 1:-1] /= self.grid.dy
-        py[:, :, 0], py[:, :, -1] = py[:, :, 1], py[:, :, -2]
+        # one contiguous y difference over the flattened stack.  Its
+        # row-crossing values are overwritten by the pads before any read,
+        # but they can overflow where no real difference does; any
+        # floating-point flag therefore recomputes only the real
+        # differences, under the caller's error state, so results,
+        # warnings and exceptions are those of the per-row difference
+        try:
+            with np.errstate(all="raise"):
+                Wf = W.reshape(3, -1)
+                np.subtract(Wf[:, 1:], Wf[:, :-1], out=q[:, 1:-1])
+                q[:, 1:-1] /= self.grid.dy
+        except FloatingPointError:
+            np.subtract(W[:, :, 1:], W[:, :, :-1], out=qf[:, :, :-1])
+            qf[:, :, :-1] /= self.grid.dy
         if out is None:
             out = np.empty(shape)
         np.einsum(_MUL, Exp, px[:, :-1], out=out)
-        for M, D in ((Exm, px[:, 1:]), (Eyp, py[:, :, :-1]), (Eym, py[:, :, 1:])):
-            out += np.einsum(_MUL, M, D, out=self._term)
+        out += np.einsum(_MUL, Exm, px[:, 1:], out=term)
+        # the backward pads, read by the Eyp term, then the forward pads in
+        # the same cells, read by the Eym term
+        qb[:, :, 0] = qb[:, :, 1]
+        out += np.einsum(_MUL, Eyp, qb, out=term)
+        qf[:, :, -1] = qf[:, :, -2]
+        out += np.einsum(_MUL, Eym, qf, out=term)
         return out
 
     def apply_stack(self, W: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -212,11 +236,7 @@ class SideForm:
     """Outward-flux quadratic form of one side, restricted to the catalog null space."""
 
     side: Side
-    full: np.ndarray
-    null_basis: np.ndarray      # orthonormal columns spanning the constraint null space
-    restricted: np.ndarray      # null_basis^T (full/scale) null_basis
     eigenvalues: np.ndarray     # of the restricted, unit-max-norm-scaled form
-    scale: float
 
 
 _EPS = np.finfo(float).eps
@@ -257,9 +277,7 @@ def boundary_quadratic_forms(p: PhysicalConstants, regime: Regime,
     for side in SIDES:
         F = 0.5 * (forms[side] + forms[side].T)
         basis = _null_basis(spec.rows[side])
-        scale = float(np.abs(F).max())
-        R = basis.T @ (F / scale) @ basis
+        R = basis.T @ (F / float(np.abs(F).max())) @ basis
         R = 0.5 * (R + R.T)
-        eigs = np.linalg.eigvalsh(R) if R.size else np.empty(0)
-        out[side] = SideForm(side, F, basis, R, eigs, scale)
+        out[side] = SideForm(side, np.linalg.eigvalsh(R) if R.size else np.empty(0))
     return out

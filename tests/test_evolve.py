@@ -62,6 +62,23 @@ def test_run_lands_on_t_end():
     assert res.log.times[-1] == pytest.approx(t_end, rel=1e-12)
 
 
+@pytest.mark.parametrize("kind", sorted(REGIME_CASES))
+def test_run_leaves_the_initial_state_untouched(kind):
+    # run() projects its own copy of the initial state in place
+    p = params(kind)
+    grid = sw.Grid(1.0, 1.0, 12, 10)
+    initial = seeded_state(grid, seed=29)
+    kept = [a.copy() for a in (initial.u, initial.v, initial.phi)]
+    res = sw.run(sw.RunConfig(p=p, grid=grid, t_end=0.02, initial=initial,
+                              snapshot_cadence=1))
+    for a, b in zip((initial.u, initial.v, initial.phi), kept):
+        assert a.tobytes() == b.tobytes()
+    first = res.snapshots[0][1]
+    assert not any(np.shares_memory(a, b) for a in (initial.u, initial.v, initial.phi)
+                   for b in (first.u, first.v, first.phi))
+    assert not np.array_equal(first.stack(), initial.stack())  # the projection did write
+
+
 def test_snapshot_cadence():
     p = params("super")
     grid = sw.Grid(1.0, 1.0, 16, 16)

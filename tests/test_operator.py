@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,10 +79,16 @@ KERNEL_GRIDS = {
 }
 
 
+def _assert_same_bytes(got, want):
+    # byte equality: unlike array_equal it tells -0.0 from +0.0 and NaN payloads apart
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 def _assert_kernel_matches_reference(p, grid, W):
     op = DiscreteOperator(p, grid)
-    assert np.array_equal(op.apply_stack(W), reference_apply_stack(op, W))
-    assert np.array_equal(op.apply_adjoint_stack(W), reference_apply_adjoint_stack(op, W))
+    _assert_same_bytes(op.apply_stack(W), reference_apply_stack(op, W))
+    _assert_same_bytes(op.apply_adjoint_stack(W), reference_apply_adjoint_stack(op, W))
 
 
 @pytest.mark.parametrize("grid_name", sorted(KERNEL_GRIDS))
@@ -89,6 +97,93 @@ def test_kernel_matches_reference(kind, grid_name):
     grid = KERNEL_GRIDS[grid_name]
     W = sw.band_limited_fields(SplitMix64(13), grid.nx, grid.ny)
     _assert_kernel_matches_reference(params(kind), grid, W)
+
+
+THIN_GRIDS = {
+    "4x23": sw.Grid(1.0, 2.0, 4, 23),
+    "23x4": sw.Grid(2.0, 1.0, 23, 4),
+}
+
+
+@pytest.mark.parametrize("grid_name", sorted(THIN_GRIDS))
+@pytest.mark.parametrize("kind", sorted(REGIME_CASES))
+def test_kernel_matches_reference_on_thin_grids(kind, grid_name):
+    grid = THIN_GRIDS[grid_name]
+    W = sw.band_limited_fields(SplitMix64(17), grid.nx, grid.ny)
+    _assert_kernel_matches_reference(params(kind), grid, W)
+
+
+@pytest.mark.parametrize("layout", ["fortran", "sliced", "reversed"])
+@pytest.mark.parametrize("kind", sorted(REGIME_CASES))
+def test_kernel_matches_reference_on_non_contiguous_stacks(kind, layout):
+    grid = KERNEL_GRIDS["5x9"]
+    nx, ny = grid.nx, grid.ny
+    rng = SplitMix64(19)
+    if layout == "fortran":
+        W = np.asfortranarray(sw.band_limited_fields(rng, nx, ny))
+    elif layout == "sliced":
+        W = sw.band_limited_fields(rng, 2 * nx, ny + 3)[:, ::2, 2:2 + ny]
+    else:
+        W = sw.band_limited_fields(rng, nx, ny)[:, ::-1, ::-1]
+    assert not W.flags.c_contiguous
+    _assert_kernel_matches_reference(params(kind), grid, W)
+
+
+@pytest.mark.parametrize("kind", sorted(REGIME_CASES))
+def test_kernel_out_path_matches_reference(kind):
+    grid = KERNEL_GRIDS["65x33"]
+    op = DiscreteOperator(params(kind), grid)
+    W = sw.band_limited_fields(SplitMix64(23), grid.nx, grid.ny)
+    want = reference_apply_stack(op, W)
+    out = np.full_like(W, np.nan)
+    assert op.apply_stack(W, out=out) is out
+    _assert_same_bytes(out, want)
+    # every difference is taken before out is written, so out may be W itself
+    V = W.copy()
+    assert op.apply_stack(V, out=V) is V
+    _assert_same_bytes(V, want)
+
+
+# Warning parity with the per-row y difference.  On a 6x5 grid over
+# [0, 10]^2, with the first y column at +1e308 and the last at -1e308, no
+# real difference overflows, while W[i+1, 0] - W[i, ny-1] would.
+
+
+def _row_crossing_extreme():
+    W = np.zeros((3, 6, 5))
+    W[:, :, 0], W[:, :, -1] = 1e308, -1e308
+    return W
+
+
+@pytest.mark.parametrize("kind", sorted(REGIME_CASES))
+def test_kernel_ignores_overflow_between_rows(kind):
+    op = DiscreteOperator(params(kind), sw.Grid(10.0, 10.0, 6, 5))
+    W = _row_crossing_extreme()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = op.apply_stack(W), op.apply_adjoint_stack(W)
+        with np.errstate(all="raise"):
+            raised = op.apply_stack(W), op.apply_adjoint_stack(W)
+    want = reference_apply_stack(op, W), reference_apply_adjoint_stack(op, W)
+    for a, b, c in zip(got, raised, want):
+        _assert_same_bytes(a, c)
+        _assert_same_bytes(b, c)
+
+
+def test_kernel_warns_on_a_real_y_overflow():
+    op = DiscreteOperator(params("fhs"), sw.Grid(10.0, 10.0, 6, 5))
+    W = np.zeros((3, 6, 5))
+    W[:, :, 2], W[:, :, 3] = 1e308, -1e308
+    for apply, reference in ((op.apply_stack, reference_apply_stack),
+                             (op.apply_adjoint_stack, reference_apply_adjoint_stack)):
+        with pytest.warns(RuntimeWarning, match="overflow encountered in subtract") as rec:
+            got = apply(W)
+        assert [str(w.message) for w in rec] == ["overflow encountered in subtract"]
+        with np.errstate(over="ignore"):
+            want = reference(op, W)
+        _assert_same_bytes(got, want)
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError, match="subtract"):
+            apply(W)
 
 
 @settings(max_examples=60, deadline=None)
