@@ -121,7 +121,6 @@ from .regime import (
     Regime,
     classify,
     delta,
-    from_primitive_mode,
     kappa,
     kappa0,
     kappa1,

@@ -13,8 +13,8 @@ similarity-diagonalizes E2^{-1} E1.  When Delta < 0 the first two modes stay
 coupled through indefinite symmetric 2x2 blocks (an elliptic pair) while the
 third mode remains a pure transport.
 
-Everything here is closed-form; numeric matrix products appear only inside
-verify_diagonalization, which exists to check the closed forms.
+Everything here is closed-form except independent_rows' rank tests; numeric
+matrix products appear only in verify_diagonalization, which checks the closed forms.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -67,7 +67,8 @@ def coefficient_matrices(p: PhysicalConstants) -> CoefficientMatrices:
 
 def _inv3(m: np.ndarray) -> np.ndarray:
     """3x3 inverse by adjugate; the transforms are small and well conditioned
-    away from regime boundaries, so the closed form beats a factorization."""
+    away from regime boundaries.  Not faster than a factorization (10.8 us
+    against 9.1 us for np.linalg.inv), but it raises SingularSystem itself."""
     adj = np.empty((3, 3))
     adj[0, 0] = m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1]
     adj[0, 1] = m[0, 2] * m[2, 1] - m[0, 1] * m[2, 2]
@@ -168,6 +169,21 @@ def transform_for(p: PhysicalConstants) -> Transform:
     if classify(p) is Regime.MIXED_SUBCRITICAL:
         return elliptic_transform(p)
     return hyperbolic_transform(p)
+
+
+def independent_rows(rows: np.ndarray, start: Optional[np.ndarray] = None) -> List[int]:
+    """Indices of the rows that, in order, raise the rank of the stack so far:
+    start (full row rank; none by default) over the rows kept before them."""
+    stack = np.zeros((0, rows.shape[1])) if start is None else start
+    kept: List[int] = []
+    for i in range(rows.shape[0]):
+        if stack.shape[0] == rows.shape[1]:
+            break  # square: no further row can raise the rank
+        trial = np.vstack([stack, rows[i]])
+        if np.linalg.matrix_rank(trial) > stack.shape[0]:
+            kept.append(i)
+            stack = trial
+    return kept
 
 
 def to_characteristic(U: np.ndarray, t: Transform) -> np.ndarray:

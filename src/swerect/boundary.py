@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .algebra import Transform, elliptic_transform, hyperbolic_transform
+from .algebra import Transform, elliptic_transform, hyperbolic_transform, independent_rows
 from .errors import RegimeMismatch, ShapeMismatch, SingularConstraintSystem
 from .fields import Grid
 from .regime import PhysicalConstants, Regime, classify
@@ -33,6 +33,8 @@ class Side(enum.Enum):
     EAST = "E"    # x = L1
     SOUTH = "S"   # y = 0
     NORTH = "N"   # y = L2
+
+    __hash__ = object.__hash__  # singletons compared by identity: hash in C
 
     def __str__(self):
         return self.name.capitalize()
@@ -215,28 +217,13 @@ def constrained_sides(spec: BoundarySpec, grid: Grid):
 
 
 def _independent_then_complete(rows: np.ndarray, pinv: np.ndarray):
-    """Greedily keep independent rows, then append transform rows to rank 3.
-
-    Returns (keep_idx, n_kept, M) with M the (3, 3) solve matrix whose first
-    n_kept rows are the kept constraints and the rest free combinations.
-    """
-    kept: List[int] = []
-    cur = np.zeros((0, 3))
-    for i in range(rows.shape[0]):
-        trial = np.vstack([cur, rows[i]])
-        if np.linalg.matrix_rank(trial) > cur.shape[0]:
-            kept.append(i)
-            cur = trial
-    n_kept = cur.shape[0]
-    for r in pinv:
-        if cur.shape[0] == 3:
-            break
-        trial = np.vstack([cur, r])
-        if np.linalg.matrix_rank(trial) > cur.shape[0]:
-            cur = trial
-    if cur.shape[0] != 3:
+    """(keep_idx, M): the indices of the independent rows, and the (3, 3)
+    solve matrix of those rows completed to rank 3 by transform rows."""
+    keep = independent_rows(rows)
+    M = np.vstack([rows[keep], pinv[independent_rows(pinv, start=rows[keep])]])
+    if M.shape[0] != 3:
         raise SingularConstraintSystem("constraint rows cannot be completed to rank 3")
-    return kept, n_kept, cur
+    return keep, M
 
 
 @dataclass
@@ -250,7 +237,8 @@ def _make_plan(rows: np.ndarray, pinv: np.ndarray, include_free_sides: bool) -> 
     if rows.shape[0] == 0:
         # pure extrapolation (identity on the extrapolated state), or untouched
         return _Plan(np.zeros((3, 0)), np.eye(3), []) if include_free_sides else None
-    keep, n_kept, M = _independent_then_complete(rows, pinv)
+    keep, M = _independent_then_complete(rows, pinv)
+    n_kept = len(keep)
     Minv = np.linalg.inv(M)
     G_free = np.zeros((3, 3)) if n_kept == 3 else Minv[:, n_kept:] @ M[n_kept:]
     return _Plan(Minv[:, :n_kept], G_free, keep)

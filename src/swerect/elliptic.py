@@ -43,7 +43,7 @@ from .errors import (
 )
 from .fields import Grid, integrate
 from .regime import PhysicalConstants, Regime, classify
-from .algebra import elliptic_transform
+from .algebra import elliptic_transform, independent_rows
 
 
 @dataclass(frozen=True)
@@ -132,13 +132,16 @@ def _grads(f: np.ndarray, grid: Grid) -> Tuple[np.ndarray, np.ndarray]:
     )
 
 
+def _T_rows(c: EllipticCoeffs, t1x, t1y, t2x, t2y) -> Tuple[np.ndarray, np.ndarray]:
+    """The two rows of T Theta = T1 Theta_x + T2 Theta_y from the partials."""
+    return (c.alpha1 * t1x + c.beta1 * t2x + c.alpha2 * t1y + c.beta2 * t2y,
+            c.beta1 * t1x - c.alpha1 * t2x + c.beta2 * t1y - c.alpha2 * t2y)
+
+
 def apply_T(theta: ThetaField, c: EllipticCoeffs, grid: Grid, sign: float = 1.0) -> ThetaField:
     """T Theta (or -T Theta = T* Theta with sign=-1); centered differences
     inside, one-sided first-order at the boundary nodes."""
-    t1x, t1y = _grads(theta.theta1, grid)
-    t2x, t2y = _grads(theta.theta2, grid)
-    r1 = c.alpha1 * t1x + c.beta1 * t2x + c.alpha2 * t1y + c.beta2 * t2y
-    r2 = c.beta1 * t1x - c.alpha1 * t2x + c.beta2 * t1y - c.alpha2 * t2y
+    r1, r2 = _T_rows(c, *_grads(theta.theta1, grid), *_grads(theta.theta2, grid))
     return ThetaField(sign * r1, sign * r2)
 
 
@@ -194,14 +197,6 @@ class AprioriReport:
     @property
     def passed(self) -> bool:
         return self.lower_ok and self.upper_ok
-
-    @property
-    def lower_margin(self) -> float:
-        return self.T_norm - (self.grad_norm / self.c1 - self.slack)
-
-    @property
-    def upper_margin(self) -> float:
-        return (self.c2 * self.grad_norm + self.slack) - self.T_norm
 
 
 def apriori_check(theta: ThetaField, c: EllipticCoeffs, grid: Grid) -> AprioriReport:
@@ -296,11 +291,7 @@ def _assemble(F: ThetaField, c: EllipticCoeffs, grid: Grid, bc_rows: dict, sign:
             n = node[xs, ys].ravel()
             sides = [s for s in (xside, yside) if s is not None]
             C = np.array([bc_rows[s] for s in sides]).reshape(-1, 2)
-            keep = []
-            for k in range(C.shape[0]):
-                if np.linalg.matrix_rank(C[keep + [k]]) > len(keep):
-                    keep.append(k)
-            C = C[keep]
+            C = C[independent_rows(C)]
             for k, crow in enumerate(C):
                 rows.append(np.repeat(2 * n + k, 2))
                 cols.append(np.stack([n, N + n], axis=1).ravel())
@@ -364,23 +355,6 @@ def solve_T_star(Psi: ThetaField, c: EllipticCoeffs, grid: Grid) -> ThetaField:
     return _assemble_and_solve(Psi, c, grid, _adjoint_bc(c), sign=-1.0)
 
 
-# --- transformed coordinates (verification helpers) --------------------------
-
-
-def to_transformed(x: np.ndarray, y: np.ndarray, c: EllipticCoeffs):
-    """Skew coordinates (x', y') = (beta2 x - beta1 y, alpha2 x - alpha1 y) in
-    which the first-order pair becomes a pure Cauchy-Riemann-type system on a
-    parallelogram; exposed for cross-checks only."""
-    return c.beta2 * x - c.beta1 * y, c.alpha2 * x - c.alpha1 * y
-
-
-def from_transformed(xp: np.ndarray, yp: np.ndarray, c: EllipticCoeffs):
-    det = c.det  # determinant of [[beta2, -beta1], [alpha2, -alpha1]]
-    x = (-c.alpha1 * xp + c.beta1 * yp) / det
-    y = (-c.alpha2 * xp + c.beta2 * yp) / det
-    return x, y
-
-
 # --- manufactured solutions for the two solvers ------------------------------
 
 
@@ -401,9 +375,7 @@ def manufactured_solution_T(c: EllipticCoeffs, grid: Grid) -> Tuple[ThetaField, 
     t1y = b * np.sin(a * X) * np.cos(b * Y)
     t2x = -gg * np.cos(gg * (grid.l1 - X)) * np.sin(d * (grid.l2 - Y))
     t2y = -d * np.sin(gg * (grid.l1 - X)) * np.cos(d * (grid.l2 - Y))
-    F1 = c.alpha1 * t1x + c.beta1 * t2x + c.alpha2 * t1y + c.beta2 * t2y
-    F2 = c.beta1 * t1x - c.alpha1 * t2x + c.beta2 * t1y - c.alpha2 * t2y
-    return ThetaField(t1, t2), ThetaField(F1, F2)
+    return ThetaField(t1, t2), ThetaField(*_T_rows(c, t1x, t1y, t2x, t2y))
 
 
 def manufactured_solution_T_star(c: EllipticCoeffs, grid: Grid) -> Tuple[ThetaField, ThetaField]:

@@ -58,11 +58,10 @@ class _Stepper:
     """Bound operator + enforcer for one run; reused across steps/stages.
 
     The stage arithmetic runs in place on two buffers the stepper owns; the
-    state it returns is always the enforcer's fresh output, so callers may
-    keep it across steps.  The forcing, like the boundary data in the
-    enforcer, is evaluated once per distinct stage time: stage 2 of a step
-    and stage 1 of the next ask for the same t whenever k*dt rounds like
-    (k-1)*dt + dt.
+    state it returns is always a fresh array, so callers may keep it across
+    steps.  The forcing, like the boundary data in the enforcer, is
+    evaluated once per distinct stage time: stage 2 of a step and stage 1 of
+    the next ask for the same t whenever k*dt rounds like (k-1)*dt + dt.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -111,8 +110,8 @@ class _Stepper:
         K2 *= dt
         W1 += W
         W1 += K2
-        W1 *= 0.5
-        return self.enforce(W1, t + dt)
+        W2 = np.multiply(W1, 0.5)  # the fresh result, projected in place
+        return self.enforcer.apply(W2, self.cfg.boundary_data, t + dt, out=W2)
 
 
 @dataclass

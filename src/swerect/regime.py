@@ -132,22 +132,3 @@ def kappa(p: PhysicalConstants) -> KappaValue:
         return KappaValue(kappa0(p), False)
     return KappaValue(kappa1(p), True)
 
-
-def from_primitive_mode(U0, V0, Nsq, lam, f: float = 0.0):
-    """Map a stratified single-mode base state onto shallow water constants.
-
-    The vertical-mode reduction with buoyancy frequency squared Nsq and
-    separation constant lam > 0 produces the same first-order operator as the
-    shallow water system after substituting g' = 1/lam, phi0' = Nsq/lam and
-    identifying the mode's pressure-like variable psi with -phi.
-
-    Returns (PhysicalConstants, field_signs) where field_signs maps field name
-    to the sign to apply to the primitive-mode variable (u, v, psi) to obtain
-    the shallow-water variable of the same slot.
-    """
-    for name, val in (("U0", U0), ("V0", V0), ("Nsq", Nsq), ("lambda", lam)):
-        if not (val > 0):
-            raise NonPositiveParameter(f"{name} must be > 0, got {val}")
-    p = validate_params(U0, V0, Nsq / lam, 1.0 / lam, f)
-    field_signs = {"u": 1.0, "v": 1.0, "phi": -1.0}
-    return p, field_signs

@@ -9,7 +9,7 @@ import numpy as np
 
 import swerect as sw
 from swerect.boundary import Side
-from swerect.errors import InvalidValue, IoError
+from swerect.errors import InvalidValue, IoError, SingularConstraintSystem
 from swerect.fields import StateField
 from swerect.rng import SplitMix64
 
@@ -188,6 +188,34 @@ def boundary_flat_theta(grid, scale=400.0):
     s = scale / (l1**5 * l2**5)
     psi = s * X**2 * (l1 - X) ** 3 * Y**2 * (l2 - Y) ** 3
     return ThetaField(psi.copy(), psi.copy())
+
+
+def reference_independent_then_complete(rows, pinv):
+    """The enforcement row rule as written before the enforcement plans and
+    the elliptic assembly shared `algebra.independent_rows`:
+    `boundary._independent_then_complete` must keep the same rows and build
+    the same (3, 3) matrix, bit for bit.
+
+    Returns (keep_idx, n_kept, M) with M the (3, 3) solve matrix whose first
+    n_kept rows are the kept constraints and the rest free combinations.
+    """
+    kept = []
+    cur = np.zeros((0, 3))
+    for i in range(rows.shape[0]):
+        trial = np.vstack([cur, rows[i]])
+        if np.linalg.matrix_rank(trial) > cur.shape[0]:
+            kept.append(i)
+            cur = trial
+    n_kept = cur.shape[0]
+    for r in pinv:
+        if cur.shape[0] == 3:
+            break
+        trial = np.vstack([cur, r])
+        if np.linalg.matrix_rank(trial) > cur.shape[0]:
+            cur = trial
+    if cur.shape[0] != 3:
+        raise SingularConstraintSystem("constraint rows cannot be completed to rank 3")
+    return kept, n_kept, cur
 
 
 def _reference_stencil(i, n, d):

@@ -1,8 +1,11 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 import swerect as sw
-from swerect.boundary import Side
+from swerect.boundary import SIDES, Side, _independent_then_complete
 from swerect.errors import ShapeMismatch
 from swerect.manufactured import DEFAULT_SOLUTION
 from swerect.rng import SplitMix64
@@ -13,6 +16,7 @@ from helpers import (
     compatible_pair,
     draw_params,
     params,
+    reference_independent_then_complete,
 )
 
 W, E, S, N = Side.WEST, Side.EAST, Side.SOUTH, Side.NORTH
@@ -218,3 +222,35 @@ def test_enforcer_in_place_matches_copy(kind, include_free_sides):
                 assert np.array_equal(reused.apply(W, data, t), want)
                 assert reused.apply(W, data, t, out=W) is W
                 assert np.array_equal(W, want)
+
+
+def test_side_members_hash_and_copy_as_themselves():
+    table = {side: str(side) for side in SIDES}
+    assert [table[side] for side in (W, E, S, N)] == ["West", "East", "South", "North"]
+    assert {W, E, S, N, W} == set(SIDES) and S in set(SIDES)
+    assert Side("W") is Side.WEST and Side["NORTH"] is N
+    for side in SIDES:
+        assert pickle.loads(pickle.dumps(side)) is side
+        assert copy.deepcopy(side) is side and copy.copy(side) is side
+    assert copy.deepcopy(table) == table
+
+
+@pytest.mark.parametrize("kind", sorted(REGIME_CASES))
+def test_row_rule_matches_reference_on_draws(kind):
+    """Every edge and corner row stack of both catalogs keeps the same rows
+    and builds the same solve matrix as the reference rule, bit for bit
+    (corners stack the x side's rows over the y side's, as BcEnforcer does;
+    in MixedSubcritical the forward SW corner repeats a row pair)."""
+    rng = SplitMix64(71)
+    for _ in range(200):
+        p = draw_params(kind, rng)
+        pinv = sw.transform_for(p).Pinv
+        for catalog in (sw.bc_catalog, sw.adjoint_bc_catalog):
+            rows = catalog(sw.classify(p), p).rows
+            stacks = [rows[s] for s in SIDES]
+            stacks += [np.vstack([rows[sx], rows[sy]]) for sx in (W, E) for sy in (S, N)]
+            for C in stacks:
+                want_keep, n_kept, want_M = reference_independent_then_complete(C, pinv)
+                keep, M = _independent_then_complete(C, pinv)
+                assert keep == want_keep and len(keep) == n_kept
+                assert np.array_equal(M, want_M)

@@ -170,17 +170,6 @@ def test_neumann_crosscheck_second_order_on_flat_data():
     assert resids[1] < 0.5 * resids[0] and resids[2] < 0.5 * resids[1]
 
 
-def test_transform_round_trip():
-    from swerect.elliptic import from_transformed, to_transformed
-
-    grid = sw.Grid(1.0, 1.0, 9, 9)
-    X, Y = grid.meshgrid()
-    xp, yp = to_transformed(X, Y, C_SWE)
-    xb, yb = from_transformed(xp, yp, C_SWE)
-    assert np.max(np.abs(xb - X)) < 1e-12
-    assert np.max(np.abs(yb - Y)) < 1e-12
-
-
 # --- vectorized assembly against the per-node reference loop ----------------
 
 # (1, 1, 1, -1) has a1*a2 + b1*b2 = 0: the adjoint East and South rows are

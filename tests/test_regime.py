@@ -82,23 +82,6 @@ def test_classification_matches_inequalities_on_draws():
             assert str(sw.classify(p)) == want
 
 
-def test_from_primitive_mode_agrees_with_direct_classification():
-    rng = SplitMix64(99)
-    for _ in range(100):
-        U0 = 0.5 + 3.0 * rng.next_double()
-        V0 = 0.5 + 3.0 * rng.next_double()
-        Nsq = 1.0 + 20.0 * rng.next_double()
-        lam = 0.5 + 2.0 * rng.next_double()
-        try:
-            p, signs = sw.from_primitive_mode(U0, V0, Nsq, lam)
-        except DegenerateCase:
-            continue
-        direct = sw.validate_params(U0, V0, Nsq / lam, 1.0 / lam)
-        assert sw.classify(p) == sw.classify(direct)
-        assert p.g * p.phi0 == pytest.approx(Nsq / lam**2, rel=1e-14)
-        assert signs == {"u": 1.0, "v": 1.0, "phi": -1.0}
-
-
 def test_sound_speed():
     p = sw.validate_params(1.0, 1.0, 2.0, 8.0)
     assert p.sound_speed == pytest.approx(4.0, rel=1e-15)
