@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -29,6 +29,13 @@ from .regime import PhysicalConstants, Regime, classify
 
 
 class Side(enum.Enum):
+    """A side of the rectangle and where it sits in an (..., nx, ny) array.
+
+    axis: the grid axis the side cuts (0 for West/East, 1 for South/North);
+    end: the index of its node line along that axis (0 or -1);
+    outward: the sign of its outward normal along that axis (-1 or +1).
+    """
+
     WEST = "W"    # x = 0
     EAST = "E"    # x = L1
     SOUTH = "S"   # y = 0
@@ -36,11 +43,36 @@ class Side(enum.Enum):
 
     __hash__ = object.__hash__  # singletons compared by identity: hash in C
 
+    def __init__(self, code: str):
+        self.axis = int(code in "SN")
+        self.outward = 1 if code in "EN" else -1
+        self.end = -1 if self.outward > 0 else 0
+
     def __str__(self):
         return self.name.capitalize()
 
+    def line(self, a: np.ndarray, k: int = 0) -> np.ndarray:
+        """View of the k-th node line in from this side of an (..., nx, ny)
+        array: a[..., k, :] for West, a[..., -1 - k] for North."""
+        i = self.end - self.outward * k
+        return a[..., i, :] if self.axis == 0 else a[..., i]
+
 
 SIDES = (Side.WEST, Side.EAST, Side.SOUTH, Side.NORTH)
+
+# the nine node classes: the interior, the four edges without their end
+# nodes, then the four corners as (x side, y side)
+_NODE_CLASSES = ((),) + tuple((s,) for s in SIDES) + tuple(
+    (sx, sy) for sx in SIDES[:2] for sy in SIDES[2:])
+
+
+def node_line(sides: Tuple[Side, ...], k: int = 0):
+    """Index of one node class's nodes into an (..., nx, ny) array, moved k
+    steps inward (diagonally at a corner); the interior takes k = 0."""
+    idx = [slice(1, -1), slice(1, -1)]
+    for side in sides:
+        idx[side.axis] = side.end - side.outward * k
+    return (Ellipsis, *idx)
 
 
 @dataclass(frozen=True)
@@ -61,19 +93,19 @@ def _rows(*rs) -> np.ndarray:
 def _entering_rows(p: PhysicalConstants, s: float) -> Dict[Side, np.ndarray]:
     """Rows of Pinv whose characteristic enters through each side.
 
-    With orientation s (+1 forward, -1 adjoint) West takes the rows with
-    s*a > 0, East s*a < 0, South s*b > 0 and North s*b < 0.  A side that
-    takes all three rows keeps the identity, so its data are plain
-    Dirichlet values of (u, v, phi).
+    With orientation s (+1 forward, -1 adjoint) a side takes the rows whose
+    speed along its outward normal, s*a on West/East and s*b on
+    South/North, is negative: West s*a > 0, East s*a < 0, South s*b > 0
+    and North s*b < 0.  A side that takes all three rows keeps the
+    identity, so its data are plain Dirichlet values of (u, v, phi).
     """
     t = hyperbolic_transform(p)
-    entering = {
-        Side.WEST: s * t.a > 0,
-        Side.EAST: s * t.a < 0,
-        Side.SOUTH: s * t.b > 0,
-        Side.NORTH: s * t.b < 0,
-    }
-    return {side: np.eye(3) if m.all() else t.Pinv[m] for side, m in entering.items()}
+    speeds = (t.a, t.b)
+    out = {}
+    for side in SIDES:
+        m = side.outward * s * speeds[side.axis] < 0
+        out[side] = np.eye(3) if m.all() else t.Pinv[m]
+    return out
 
 
 def bc_catalog(regime: Regime, p: PhysicalConstants) -> BoundarySpec:
@@ -203,14 +235,9 @@ def constrained_sides(spec: BoundarySpec, grid: Grid):
     """(side, rows, (x, y)) for each side of spec with at least one row, in
     SIDES order; x and y are the paired coordinates of the side's nodes,
     corners included, in the order BoundaryData samplers return them."""
-    xs, ys = grid.x, grid.y
-    nodes = {
-        Side.WEST: (np.zeros(grid.ny), ys),
-        Side.EAST: (np.full(grid.ny, grid.l1), ys),
-        Side.SOUTH: (xs, np.zeros(grid.nx)),
-        Side.NORTH: (xs, np.full(grid.nx, grid.l2)),
-    }
-    return [(side, spec.rows[side], nodes[side]) for side in SIDES if spec.rows[side].shape[0]]
+    xy = np.broadcast_arrays(grid.x[:, None], grid.y[None, :])
+    return [(side, spec.rows[side], tuple(np.array(side.line(c)) for c in xy))
+            for side in SIDES if spec.rows[side].shape[0]]
 
 
 # --- discrete enforcement ---------------------------------------------------
@@ -230,18 +257,19 @@ def _independent_then_complete(rows: np.ndarray, pinv: np.ndarray):
 class _Plan:
     G_data: np.ndarray   # (3, n_kept)
     G_free: np.ndarray   # (3, 3) acting on the extrapolated state; zero rows when n_kept = 3
-    keep_idx: List[int]  # into the rows; at a corner, x side rows stacked over y side rows
+    keep_idx: np.ndarray  # into the rows; at a corner, x side rows stacked over y side rows
 
 
 def _make_plan(rows: np.ndarray, pinv: np.ndarray, include_free_sides: bool) -> Optional[_Plan]:
     if rows.shape[0] == 0:
         # pure extrapolation (identity on the extrapolated state), or untouched
-        return _Plan(np.zeros((3, 0)), np.eye(3), []) if include_free_sides else None
+        return (_Plan(np.zeros((3, 0)), np.eye(3), np.empty(0, np.intp))
+                if include_free_sides else None)
     keep, M = _independent_then_complete(rows, pinv)
     n_kept = len(keep)
     Minv = np.linalg.inv(M)
     G_free = np.zeros((3, 3)) if n_kept == 3 else Minv[:, n_kept:] @ M[n_kept:]
-    return _Plan(Minv[:, :n_kept], G_free, keep)
+    return _Plan(Minv[:, :n_kept], G_free, np.array(keep, np.intp))
 
 
 class BcEnforcer:
@@ -261,47 +289,29 @@ class BcEnforcer:
 
     def __init__(self, spec: BoundarySpec, transform: Transform, grid: Grid,
                  include_free_sides: bool = False):
-        pinv = transform.Pinv
-        nx, ny = grid.nx, grid.ny
-        c, ix, iy = slice(None), slice(1, nx - 1), slice(1, ny - 1)
-        # sides are numbered in SIDES order (W, E, S, N); (k, n) of their data
-        self._shapes = tuple((spec.rows[s].shape[0], ny if i < 2 else nx)
-                             for i, s in enumerate(SIDES))
-        # projection targets (G_free, boundary nodes, nearest and next
-        # interior nodes): the edges without their end nodes, then the
-        # corners with their diagonal neighbours
+        # (k, n) of each side's data, in SIDES order
+        self._shapes = tuple((spec.rows[s].shape[0], (grid.nx, grid.ny)[1 - s.axis])
+                             for s in SIDES)
+        # one target per projected node class (edges, then corners): its
+        # plan, where its nodes sit in each side's data, and the nodes with
+        # their next two inward lines.  A side's data run along the other
+        # axis, so at a corner the node is at the other side's end of it
         targets = []
-        self._edges = []    # (side, plan)
-        for side, node, near, far in (
-            (0, (c, 0, iy), (c, 1, iy), (c, 2, iy)),
-            (1, (c, nx - 1, iy), (c, nx - 2, iy), (c, nx - 3, iy)),
-            (2, (c, ix, 0), (c, ix, 1), (c, ix, 2)),
-            (3, (c, ix, ny - 1), (c, ix, ny - 2), (c, ix, ny - 3)),
-        ):
-            plan = _make_plan(spec.rows[SIDES[side]], pinv, include_free_sides)
+        for sides in _NODE_CLASSES[1:]:
+            rows = np.vstack([spec.rows[s] for s in sides])
+            plan = _make_plan(rows, transform.Pinv, include_free_sides)
             if plan is not None:
-                self._edges.append((side, plan))
-                targets.append((plan.G_free, node, near, far))
-        self._corners = []  # (x side, y side, i, j, plan) for the node (i, j)
-        for sx, i, i1, i2 in ((0, 0, 1, 2), (1, nx - 1, nx - 2, nx - 3)):
-            for sy, j, j1, j2 in ((2, 0, 1, 2), (3, ny - 1, ny - 2, ny - 3)):
-                rows = np.vstack([spec.rows[SIDES[sx]], spec.rows[SIDES[sy]]])
-                plan = _make_plan(rows, pinv, include_free_sides)
-                if plan is not None:
-                    self._corners.append((sx, sy, i, j, plan))
-                    targets.append((plan.G_free, (c, i, j), (c, i1, j1), (c, i2, j2)))
+                node, near, far = (node_line(sides, k) for k in range(3))
+                along = tuple((s, node[2 - s.axis]) for s in sides)
+                targets.append((plan, along, node, near, far))
         self._targets = tuple(targets)
         self._t = self._data = self._data_terms = None
 
     def _sample(self, data: BoundaryData, t: float):
         """G_data times the kept data of every target at time t."""
-        samples = [data.sample(side, t, k, n) for side, (k, n) in zip(SIDES, self._shapes)]
-        terms = [plan.G_data @ samples[side][plan.keep_idx, 1:-1] for side, plan in self._edges]
-        for sx, sy, i, j, plan in self._corners:
-            # the corner is node j along its x side and node i along its y side
-            stacked = np.concatenate([samples[sx][:, j], samples[sy][:, i]])
-            terms.append(plan.G_data @ stacked[plan.keep_idx])
-        return terms
+        samples = {s: data.sample(s, t, k, n) for s, (k, n) in zip(SIDES, self._shapes)}
+        return [plan.G_data @ np.concatenate([samples[s][:, i] for s, i in along])[plan.keep_idx]
+                for plan, along, _, _, _ in self._targets]
 
     def apply(self, W: np.ndarray, data: BoundaryData, t: float = 0.0, *,
               out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -315,7 +325,6 @@ class BcEnforcer:
         if t != self._t or data is not self._data:
             self._data_terms = self._sample(data, t)
             self._t, self._data = t, data
-        for (G_free, node, near, far), term in zip(self._targets, self._data_terms):
-            out[node] = term + G_free @ (2.0 * W[near] - W[far])
+        for (plan, _, node, near, far), term in zip(self._targets, self._data_terms):
+            out[node] = term + plan.G_free @ (2.0 * W[near] - W[far])
         return out
-

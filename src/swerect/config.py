@@ -268,15 +268,10 @@ def build_run_config(doc: ConfigDocument, base_dir=None) -> RunConfig:
         data = DEFAULT_SOLUTION.boundary_data_on_grid(spec, grid)
     elif doc.boundary_kind == "file":
         trace = _field_on_grid(_resolve(doc, doc.boundary_file, base_dir), grid).stack()
-        lines = {"W": trace[:, 0, :], "E": trace[:, -1, :],
-                 "S": trace[:, :, 0], "N": trace[:, :, -1]}
-        samplers = {}
-        for side, rows in spec.rows.items():
-            if rows.shape[0]:
-                samplers[side] = (
-                    lambda t, _g=rows @ lines[side.value]: _g
-                )
-        data = BoundaryData(samplers=samplers)
+        data = BoundaryData(samplers={
+            side: lambda t, _g=rows @ side.line(trace): _g
+            for side, rows in spec.rows.items() if rows.shape[0]
+        })
     else:
         data = BoundaryData.homogeneous()
 

@@ -41,6 +41,7 @@ from .errors import (
     SingularSystem,
     ViolatesCondition,
 )
+from .boundary import _NODE_CLASSES, SIDES, Side, node_line
 from .fields import Grid, integrate
 from .regime import PhysicalConstants, Regime, classify
 from .algebra import elliptic_transform, independent_rows
@@ -152,12 +153,9 @@ def apply_T_star(theta: ThetaField, c: EllipticCoeffs, grid: Grid) -> ThetaField
 def _check_in_V(theta: ThetaField) -> None:
     scale = max(np.max(np.abs(theta.theta1)), np.max(np.abs(theta.theta2)), 1e-300)
     tol = 1e-10 * scale
-    t1, t2 = theta.theta1, theta.theta2
-    bad = (
-        np.max(np.abs(t1[0, :])) > tol or np.max(np.abs(t1[:, 0])) > tol
-        or np.max(np.abs(t2[-1, :])) > tol or np.max(np.abs(t2[:, -1])) > tol
-    )
-    if bad:
+    # V is the forward problem's domain: each of its unit rows pins one component
+    pair = (theta.theta1, theta.theta2)
+    if any(np.max(np.abs(side.line(pair[r.argmax()]))) > tol for side, r in _FORWARD_BC.items()):
         raise BcViolation("field is not in discrete V: theta1|W,S and theta2|E,N must vanish")
 
 
@@ -232,36 +230,30 @@ def apriori_check(theta: ThetaField, c: EllipticCoeffs, grid: Grid) -> AprioriRe
 
 # boundary rows for the forward problem: theta1 pinned on W and S, theta2 on E and N
 _FORWARD_BC = {
-    "W": np.array([1.0, 0.0]),
-    "S": np.array([1.0, 0.0]),
-    "E": np.array([0.0, 1.0]),
-    "N": np.array([0.0, 1.0]),
+    Side.WEST: np.array([1.0, 0.0]),
+    Side.SOUTH: np.array([1.0, 0.0]),
+    Side.EAST: np.array([0.0, 1.0]),
+    Side.NORTH: np.array([0.0, 1.0]),
 }
 
 
 def _adjoint_bc(c: EllipticCoeffs):
     return {
-        "W": np.array([c.beta1, -c.alpha1]),
-        "E": np.array([c.alpha1, c.beta1]),
-        "S": np.array([c.beta2, -c.alpha2]),
-        "N": np.array([c.alpha2, c.beta2]),
+        Side.WEST: np.array([c.beta1, -c.alpha1]),
+        Side.EAST: np.array([c.alpha1, c.beta1]),
+        Side.SOUTH: np.array([c.beta2, -c.alpha2]),
+        Side.NORTH: np.array([c.alpha2, c.beta2]),
     }
 
 
-def _stencil(i: int, n: int, d: float):
-    if i == 0:
+def _stencil(side, d: float):
+    """(offset, weight) pairs of the first difference along one axis:
+    one-sided inward at a side, centred inside (side None)."""
+    if side is None:
+        return ((-1, -0.5 / d), (1, 0.5 / d))
+    if side.end == 0:
         return ((0, -1.0 / d), (1, 1.0 / d))
-    if i == n - 1:
-        return ((-1, -1.0 / d), (0, 1.0 / d))
-    return ((-1, -0.5 / d), (1, 0.5 / d))
-
-
-def _axis_classes(n: int, d: float, low: str, high: str):
-    """(index slice, side or None, stencil) for the low edge, the inside and
-    the high edge of one axis."""
-    return ((slice(0, 1), low, _stencil(0, n, d)),
-            (slice(1, n - 1), None, _stencil(1, n, d)),
-            (slice(n - 1, n), high, _stencil(n - 1, n, d)))
+    return ((-1, -1.0 / d), (0, 1.0 / d))
 
 
 def _assemble(F: ThetaField, c: EllipticCoeffs, grid: Grid, bc_rows: dict, sign: float):
@@ -286,37 +278,37 @@ def _assemble(F: ThetaField, c: EllipticCoeffs, grid: Grid, bc_rows: dict, sign:
     rows, cols, vals = [], [], []
     rhs = np.zeros(2 * N)
     eq_mask = np.zeros(2 * N, dtype=bool)
-    for xs, xside, xst in _axis_classes(nx, grid.dx, "W", "E"):
-        for ys, yside, yst in _axis_classes(ny, grid.dy, "S", "N"):
-            n = node[xs, ys].ravel()
-            sides = [s for s in (xside, yside) if s is not None]
-            C = np.array([bc_rows[s] for s in sides]).reshape(-1, 2)
-            C = C[independent_rows(C)]
-            for k, crow in enumerate(C):
-                rows.append(np.repeat(2 * n + k, 2))
-                cols.append(np.stack([n, N + n], axis=1).ravel())
-                vals.append(np.tile(crow, n.size))  # homogeneous: rhs stays 0
-            if C.shape[0] == 2:
-                continue
-            if C.shape[0] == 0:
-                free_dirs = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-            else:
-                # retain the residual component orthogonal to the constraint
-                cn = C[0] / np.linalg.norm(C[0])
-                free_dirs = (np.array([-cn[1], cn[0]]),)
-            # neighbour offsets: x stencil, then y; w below follows suit
-            offs = [off * ny for off, _ in xst] + [off for off, _ in yst]
-            for m, e in enumerate(free_dirs):
-                cx = sign * (e @ T1)
-                cy = sign * (e @ T2)
-                w = [v * wt for v, st in ((cx, xst), (cy, yst)) for _, wt in st]
-                r = 2 * n + C.shape[0] + m
-                rows.append(np.repeat(r, 2 * len(offs)))
-                nb = n[:, None] + np.array(offs)
-                cols.append(np.stack([nb, N + nb], axis=2).ravel())
-                vals.append(np.tile(np.ravel(w), n.size))
-                rhs[r] = e[0] * F1[n] + e[1] * F2[n]
-                eq_mask[r] = True
+    for sides in _NODE_CLASSES:
+        n = node[node_line(sides)].ravel()
+        C = np.array([bc_rows[s] for s in sides]).reshape(-1, 2)
+        C = C[independent_rows(C)]
+        for k, crow in enumerate(C):
+            rows.append(np.repeat(2 * n + k, 2))
+            cols.append(np.stack([n, N + n], axis=1).ravel())
+            vals.append(np.tile(crow, n.size))  # homogeneous: rhs stays 0
+        if C.shape[0] == 2:
+            continue
+        if C.shape[0] == 0:
+            free_dirs = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        else:
+            # retain the residual component orthogonal to the constraint
+            cn = C[0] / np.linalg.norm(C[0])
+            free_dirs = (np.array([-cn[1], cn[0]]),)
+        at = {s.axis: s for s in sides}  # the class's side on each axis
+        xst, yst = _stencil(at.get(0), grid.dx), _stencil(at.get(1), grid.dy)
+        # neighbour offsets: x stencil, then y; w below follows suit
+        offs = [off * ny for off, _ in xst] + [off for off, _ in yst]
+        for m, e in enumerate(free_dirs):
+            cx = sign * (e @ T1)
+            cy = sign * (e @ T2)
+            w = [v * wt for v, st in ((cx, xst), (cy, yst)) for _, wt in st]
+            r = 2 * n + C.shape[0] + m
+            rows.append(np.repeat(r, 2 * len(offs)))
+            nb = n[:, None] + np.array(offs)
+            cols.append(np.stack([nb, N + nb], axis=2).ravel())
+            vals.append(np.tile(np.ravel(w), n.size))
+            rhs[r] = e[0] * F1[n] + e[1] * F2[n]
+            eq_mask[r] = True
 
     import scipy.sparse as sp
 
@@ -387,36 +379,32 @@ def manufactured_solution_T_star(c: EllipticCoeffs, grid: Grid) -> Tuple[ThetaFi
     X, Y = grid.meshgrid()
     pi = np.pi
     l1, l2 = grid.l1, grid.l2
-    dirs = {
-        "W": np.array([c.alpha1, c.beta1]),
-        "E": np.array([c.beta1, -c.alpha1]),
-        "S": np.array([c.alpha2, c.beta2]),
-        "N": np.array([c.beta2, -c.alpha2]),
-    }
+    # each side's row r annihilates (r[1], -r[0]); orient it outward
+    dirs = {side: side.outward * np.array([r[1], -r[0]]) for side, r in _adjoint_bc(c).items()}
     g = {
-        "W": np.cos(0.5 * pi * X / l1) * np.sin(pi * Y / l2),
-        "E": np.sin(0.5 * pi * X / l1) * np.sin(pi * Y / l2),
-        "S": np.sin(pi * X / l1) * np.cos(0.5 * pi * Y / l2),
-        "N": np.sin(pi * X / l1) * np.sin(0.5 * pi * Y / l2),
+        Side.WEST: np.cos(0.5 * pi * X / l1) * np.sin(pi * Y / l2),
+        Side.EAST: np.sin(0.5 * pi * X / l1) * np.sin(pi * Y / l2),
+        Side.SOUTH: np.sin(pi * X / l1) * np.cos(0.5 * pi * Y / l2),
+        Side.NORTH: np.sin(pi * X / l1) * np.sin(0.5 * pi * Y / l2),
     }
     gx = {
-        "W": -0.5 * pi / l1 * np.sin(0.5 * pi * X / l1) * np.sin(pi * Y / l2),
-        "E": 0.5 * pi / l1 * np.cos(0.5 * pi * X / l1) * np.sin(pi * Y / l2),
-        "S": pi / l1 * np.cos(pi * X / l1) * np.cos(0.5 * pi * Y / l2),
-        "N": pi / l1 * np.cos(pi * X / l1) * np.sin(0.5 * pi * Y / l2),
+        Side.WEST: -0.5 * pi / l1 * np.sin(0.5 * pi * X / l1) * np.sin(pi * Y / l2),
+        Side.EAST: 0.5 * pi / l1 * np.cos(0.5 * pi * X / l1) * np.sin(pi * Y / l2),
+        Side.SOUTH: pi / l1 * np.cos(pi * X / l1) * np.cos(0.5 * pi * Y / l2),
+        Side.NORTH: pi / l1 * np.cos(pi * X / l1) * np.sin(0.5 * pi * Y / l2),
     }
     gy = {
-        "W": pi / l2 * np.cos(0.5 * pi * X / l1) * np.cos(pi * Y / l2),
-        "E": pi / l2 * np.sin(0.5 * pi * X / l1) * np.cos(pi * Y / l2),
-        "S": -0.5 * pi / l2 * np.sin(pi * X / l1) * np.sin(0.5 * pi * Y / l2),
-        "N": 0.5 * pi / l2 * np.sin(pi * X / l1) * np.cos(0.5 * pi * Y / l2),
+        Side.WEST: pi / l2 * np.cos(0.5 * pi * X / l1) * np.cos(pi * Y / l2),
+        Side.EAST: pi / l2 * np.sin(0.5 * pi * X / l1) * np.cos(pi * Y / l2),
+        Side.SOUTH: -0.5 * pi / l2 * np.sin(pi * X / l1) * np.sin(0.5 * pi * Y / l2),
+        Side.NORTH: 0.5 * pi / l2 * np.sin(pi * X / l1) * np.cos(0.5 * pi * Y / l2),
     }
-    t1 = sum(g[s] * dirs[s][0] for s in dirs)
-    t2 = sum(g[s] * dirs[s][1] for s in dirs)
-    t1x = sum(gx[s] * dirs[s][0] for s in dirs)
-    t2x = sum(gx[s] * dirs[s][1] for s in dirs)
-    t1y = sum(gy[s] * dirs[s][0] for s in dirs)
-    t2y = sum(gy[s] * dirs[s][1] for s in dirs)
+    t1 = sum(g[s] * dirs[s][0] for s in SIDES)
+    t2 = sum(g[s] * dirs[s][1] for s in SIDES)
+    t1x = sum(gx[s] * dirs[s][0] for s in SIDES)
+    t2x = sum(gx[s] * dirs[s][1] for s in SIDES)
+    t1y = sum(gy[s] * dirs[s][0] for s in SIDES)
+    t2y = sum(gy[s] * dirs[s][1] for s in SIDES)
     P1 = -(c.alpha1 * t1x + c.beta1 * t2x) - (c.alpha2 * t1y + c.beta2 * t2y)
     P2 = -(c.beta1 * t1x - c.alpha1 * t2x) - (c.beta2 * t1y - c.alpha2 * t2y)
     return ThetaField(t1, t2), ThetaField(P1, P2)
@@ -445,6 +433,7 @@ def neumann_crosscheck(theta: ThetaField, c: EllipticCoeffs, grid: Grid):
     t1x, t1y = _grads(theta.theta1, grid)
     gscale = max(float(np.max(np.abs(t1x))), float(np.max(np.abs(t1y))), 1e-300)
     a1, a2, b1, b2 = c.alpha1, c.alpha2, c.beta1, c.beta2
-    east = (a1**2 + b1**2) * t1x[-1, :] + (a1 * a2 + b1 * b2) * t1y[-1, :]
-    north = (a1 * a2 + b1 * b2) * t1x[:, -1] + (a2**2 + b2**2) * t1y[:, -1]
+    e, n = Side.EAST, Side.NORTH
+    east = (a1**2 + b1**2) * e.line(t1x) + (a1 * a2 + b1 * b2) * e.line(t1y)
+    north = (a1 * a2 + b1 * b2) * n.line(t1x) + (a2**2 + b2**2) * n.line(t1y)
     return float(np.max(np.abs(east)) / gscale), float(np.max(np.abs(north)) / gscale)

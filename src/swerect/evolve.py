@@ -46,8 +46,8 @@ class RunConfig:
     def __post_init__(self):
         if not (0.0 < self.cfl <= 0.9):
             raise InvalidValue(f"cfl must be in (0, 0.9], got {self.cfl}")
-        if not (self.t_end > 0.0):
-            raise InvalidValue(f"t_end must be positive, got {self.t_end}")
+        if not (0.0 < self.t_end < math.inf):
+            raise InvalidValue(f"t_end must be positive and finite, got {self.t_end}")
         if self.scheme not in ("ssprk2", "euler"):
             raise InvalidValue(f"scheme must be 'ssprk2' or 'euler', got '{self.scheme}'")
         if self.initial.u.shape != (self.grid.nx, self.grid.ny):

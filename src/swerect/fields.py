@@ -28,8 +28,9 @@ class Grid:
     ny: int
 
     def __post_init__(self):
-        if not (self.l1 > 0 and self.l2 > 0):
-            raise InvalidValue(f"domain lengths must be positive, got ({self.l1}, {self.l2})")
+        if not (0 < self.l1 < np.inf and 0 < self.l2 < np.inf):
+            raise InvalidValue(f"domain lengths must be positive and finite, "
+                               f"got ({self.l1}, {self.l2})")
         # 4 nodes minimum: boundary treatment reads two interior neighbors
         if self.nx < 4 or self.ny < 4:
             raise InvalidValue(f"need nx, ny >= 4, got ({self.nx}, {self.ny})")

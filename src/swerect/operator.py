@@ -263,19 +263,13 @@ def boundary_quadratic_forms(p: PhysicalConstants, regime: Regime,
     inequality the catalogs were designed for.
     """
     m = coefficient_matrices(p)
-    fx = 0.5 * (m.S0 @ m.E1)
-    fy = 0.5 * (m.S0 @ m.E2)
+    flux = (0.5 * (m.S0 @ m.E1), 0.5 * (m.S0 @ m.E2))
     orient = -1.0 if adjoint else 1.0
-    forms = {
-        Side.WEST: -orient * fx,
-        Side.EAST: orient * fx,
-        Side.SOUTH: -orient * fy,
-        Side.NORTH: orient * fy,
-    }
     spec = adjoint_bc_catalog(regime, p) if adjoint else bc_catalog(regime, p)
     out = {}
     for side in SIDES:
-        F = 0.5 * (forms[side] + forms[side].T)
+        form = side.outward * orient * flux[side.axis]
+        F = 0.5 * (form + form.T)
         basis = _null_basis(spec.rows[side])
         R = basis.T @ (F / float(np.abs(F).max())) @ basis
         R = 0.5 * (R + R.T)

@@ -247,13 +247,13 @@ def reference_assemble(F, c, grid, bc_rows, sign):
         for j in range(ny):
             sides = []
             if i == 0:
-                sides.append("W")
+                sides.append(Side.WEST)
             if i == nx - 1:
-                sides.append("E")
+                sides.append(Side.EAST)
             if j == 0:
-                sides.append("S")
+                sides.append(Side.SOUTH)
             if j == ny - 1:
-                sides.append("N")
+                sides.append(Side.NORTH)
             C = np.array([bc_rows[s] for s in sides]).reshape(-1, 2)
             keep = []
             for k in range(C.shape[0]):

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 import swerect as sw
-from swerect.boundary import SIDES, Side, _independent_then_complete
+from swerect.boundary import (
+    _NODE_CLASSES,
+    SIDES,
+    Side,
+    _independent_then_complete,
+    constrained_sides,
+    node_line,
+)
 from swerect.errors import ShapeMismatch
 from swerect.manufactured import DEFAULT_SOLUTION
 from swerect.rng import SplitMix64
@@ -254,3 +261,65 @@ def test_row_rule_matches_reference_on_draws(kind):
                 keep, M = _independent_then_complete(C, pinv)
                 assert keep == want_keep and len(keep) == n_kept
                 assert np.array_equal(M, want_M)
+
+
+GEOMETRY_GRIDS = [(4, 4), (4, 23), (23, 4), (9, 7)]
+INWARD = {W: (1, 0), E: (-1, 0), S: (0, 1), N: (0, -1)}  # one step inward, (di, dj)
+
+
+def test_side_geometry():
+    assert [(s.axis, s.end, s.outward) for s in SIDES] == [
+        (0, 0, -1), (0, -1, 1), (1, 0, -1), (1, -1, 1)]
+
+
+@pytest.mark.parametrize("nx, ny", GEOMETRY_GRIDS)
+def test_node_classes_cover_every_node_once(nx, ny):
+    count = np.zeros((nx, ny), dtype=int)
+    for sides in _NODE_CLASSES:
+        count[node_line(sides)] += 1
+    assert len(_NODE_CLASSES) == 9 and (count == 1).all()
+
+
+@pytest.mark.parametrize("nx, ny", GEOMETRY_GRIDS)
+def test_node_line_moves_a_class_inward(nx, ny):
+    """node_line(sides, k) is the class moved k steps inward, diagonally at
+    a corner, node for node."""
+    ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    assert np.array_equal(ii[node_line(())], ii[1:-1, 1:-1])
+    for sides in _NODE_CLASSES[1:]:
+        di = sum(INWARD[s][0] for s in sides)
+        dj = sum(INWARD[s][1] for s in sides)
+        for k in (1, 2):
+            assert np.array_equal(ii[node_line(sides, k)], ii[node_line(sides)] + k * di)
+            assert np.array_equal(jj[node_line(sides, k)], jj[node_line(sides)] + k * dj)
+
+
+@pytest.mark.parametrize("nx, ny", GEOMETRY_GRIDS)
+def test_side_line_is_a_view_of_its_node_line(nx, ny):
+    for k in (0, 1, 2):
+        for side in SIDES:
+            a = np.arange(2 * nx * ny, dtype=float).reshape(2, nx, ny)
+            want = {W: a[..., k, :], E: a[..., -1 - k, :], S: a[..., k], N: a[..., -1 - k]}
+            got = side.line(a, k) if k else side.line(a)
+            assert np.array_equal(got, want[side])
+            got += 0.5  # a view: the write lands in a
+            assert np.array_equal(want[side] % 1, np.full(got.shape, 0.5))
+            assert np.count_nonzero(a % 1) == got.size
+
+
+@pytest.mark.parametrize("nx, ny", GEOMETRY_GRIDS)
+def test_constrained_sides_coordinates_exact_and_contiguous(nx, ny):
+    """The manufactured samplers take cosines of these coordinates, and the
+    exact MMS goldens depend on their bits."""
+    grid = sw.Grid(1.3, 0.7, nx, ny)
+    p = params("fhs")
+    want = {W: (np.zeros(ny), grid.y), E: (np.full(ny, 1.3), grid.y),
+            S: (grid.x, np.zeros(nx)), N: (grid.x, np.full(nx, 0.7))}
+    spec = sw.bc_catalog(sw.classify(p), p)
+    got = constrained_sides(spec, grid)
+    assert [side for side, _, _ in got] == list(SIDES)
+    for side, rows, xy in got:
+        assert rows is spec.rows[side]
+        for c, ref in zip(xy, want[side]):
+            assert c.dtype == np.float64 and c.flags.c_contiguous
+            assert np.array_equal(c, ref)

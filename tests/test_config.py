@@ -7,6 +7,8 @@ with repr, so float(text) gives the generated value back bit for bit.
 """
 
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -139,3 +141,16 @@ def test_unknown_key_names_its_line(doc, data):
     with pytest.raises(UnknownKey) as info:
         sw.parse_config("\n".join(lines))
     assert str(info.value) == f"unknown key '{section}.{key}' (line {at + 2})"
+
+
+def test_readme_config_example_parses():
+    """The README's example config is a valid document that shows every
+    schema key, set or as a comment."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    doc = sw.parse_config(block, source="README.md")
+    assert (doc.nx, doc.ny, doc.forcing_kind, doc.boundary_kind) == (64, 64, "none", "homogeneous")
+    sections = re.findall(r"^\[(\w+)\]\n(.*?)(?=^\[|\Z)", block, re.M | re.S)
+    shown = {(section, key) for section, body in sections
+             for key in re.findall(r"^(?:# )?(\w+) =", body, re.M)}
+    assert shown == {(section, key) for section, keys in _SCHEMA.items() for key in keys}

@@ -49,6 +49,19 @@ def test_run_config_validation():
                      initial=sw.StateField.zeros(sw.Grid(1.0, 1.0, 8, 8)))
 
 
+@pytest.mark.parametrize("l1, l2", [(math.inf, 1.0), (1.0, math.nan), (-math.inf, 2.0)])
+def test_grid_rejects_non_finite_lengths(l1, l2):
+    with pytest.raises(InvalidValue, match="domain lengths must be positive and finite"):
+        sw.Grid(l1, l2, 5, 5)
+
+
+@pytest.mark.parametrize("t_end", [math.inf, math.nan])
+def test_run_config_rejects_non_finite_t_end(t_end):
+    grid = sw.Grid(1.0, 1.0, 8, 8)
+    with pytest.raises(InvalidValue, match=f"t_end must be positive and finite, got {t_end}"):
+        sw.RunConfig(p=params("fhs"), grid=grid, t_end=t_end, initial=sw.StateField.zeros(grid))
+
+
 def test_run_lands_on_t_end():
     p = params("mix1")
     grid = sw.Grid(1.0, 1.0, 24, 24)

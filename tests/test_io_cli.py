@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 import swerect as sw
 from swerect import cli
 from swerect.errors import InvalidValue, IoError, MissingKey, ParseError, UnknownKey
+
+from helpers import REGIME_CASES
 
 MINIMAL = """\
 [physics]
@@ -115,6 +118,52 @@ def test_boundary_file_rejects_y_major_trace(tmp_path):
     doc = sw.load_config(cfg)
     with pytest.raises(IoError, match="trace.csv.*x-major"):
         sw.build_run_config(doc)
+
+
+# the constrained sides of a file-backed run on 13x9 over [0, 1] x [0, 1.3],
+# and the sha256 of the supercritical run's final stack
+FILE_TRACE_SIDES = {
+    "super": ["WEST", "SOUTH"],
+    "fhs": ["WEST", "EAST", "SOUTH", "NORTH"],
+    "msub": ["WEST", "EAST", "SOUTH", "NORTH"],
+}
+FILE_TRACE_FINAL_SHA256 = "0bb378632ee6067f2a65004aab44b157b6ffd699fd5eb7ce19f199203ce1f61f"
+
+
+@pytest.mark.parametrize("kind", sorted(FILE_TRACE_SIDES))
+def test_boundary_file_trace_holds_on_every_side_node(kind, tmp_path):
+    """A run with boundary.kind = file carries rows @ trace on every node of
+    each constrained side, corners included: each side reads its own line of
+    the trace file."""
+    grid = sw.Grid(1.0, 1.3, 13, 9)
+    trace = sw.band_limited_fields(sw.SplitMix64(23), grid.nx, grid.ny)
+    sw.write_field_csv(grid.x, grid.y, sw.StateField(*trace), tmp_path / "trace.csv")
+    u0, v0, phi0, g = REGIME_CASES[kind]
+    text = (MINIMAL.replace("u0 = 4.0", f"u0 = {u0}").replace("v0 = 4.0", f"v0 = {v0}")
+            .replace("nx = 16\nny = 16", "nx = 13\nny = 9").replace("L2 = 1.0", "L2 = 1.3")
+            + "\n[boundary]\nkind = file\nfile = trace.csv\n")
+    doc = sw.load_config(write_cfg(tmp_path, text))
+    assert (doc.phi0, doc.g) == (phi0, g)
+    cfg = sw.build_run_config(doc)
+    final = sw.run(cfg).final.stack()
+    spec = sw.bc_catalog(sw.classify(cfg.p), cfg.p)
+    lines = {sw.Side.WEST: (0, slice(None)), sw.Side.EAST: (-1, slice(None)),
+             sw.Side.SOUTH: (slice(None), 0), sw.Side.NORTH: (slice(None), -1)}
+    seen = []
+    for side in sw.SIDES:
+        rows = spec.rows[side]
+        if rows.shape[0] == 0:
+            continue
+        seen.append(side.name)
+        at = (slice(None),) + lines[side]
+        want = rows @ trace[at]
+        assert np.array_equal(cfg.boundary_data.sample(side, 0.0, *want.shape), want)
+        resid = np.max(np.abs(rows @ final[at] - want)) / np.max(np.abs(want))
+        assert resid <= 2e-15, (side, resid)
+    assert seen == FILE_TRACE_SIDES[kind]
+    if kind == "super":
+        digest = hashlib.sha256(np.ascontiguousarray(final).tobytes()).hexdigest()
+        assert digest == FILE_TRACE_FINAL_SHA256
 
 
 def test_energy_csv_round_trip(tmp_path):
