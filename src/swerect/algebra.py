@@ -14,12 +14,12 @@ coupled through indefinite symmetric 2x2 blocks (an elliptic pair) while the
 third mode remains a pure transport.
 
 Everything here is closed-form except independent_rows' rank tests; numeric
-matrix products appear only in verify_diagonalization, which checks the closed forms.
+matrix products appear only in flux_forms (S0*E1, S0*E2) and in
+verify_diagonalization, which checks the closed forms against them.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
@@ -41,8 +41,7 @@ def _memoized(derive):
     @functools.wraps(derive)
     def cached(p: PhysicalConstants):
         out = derive(p)
-        for fld in dataclasses.fields(out):
-            value = getattr(out, fld.name)
+        for value in vars(out).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
         return out
@@ -63,6 +62,32 @@ def coefficient_matrices(p: PhysicalConstants) -> CoefficientMatrices:
     E2 = np.array([[p.v0, 0.0, 0.0], [0.0, p.v0, p.g], [0.0, p.phi0, p.v0]])
     S0 = np.diag([1.0, 1.0, p.g / p.phi0])
     return CoefficientMatrices(E1, E2, S0)
+
+
+@dataclass(frozen=True)
+class FluxForms:
+    """The symmetrized products S0*E1, S0*E2 and the boundary flux forms
+    F1, F2: the symmetric part of (1/2) S0*E along each axis, scaled to unit
+    max norm.  A side's outward form is exactly +-F1 or +-F2, since a sign
+    flip commutes with every rounding."""
+
+    S0E1: np.ndarray
+    S0E2: np.ndarray
+    F1: np.ndarray
+    F2: np.ndarray
+
+
+def _scaled_form(S0E: np.ndarray) -> np.ndarray:
+    half = 0.5 * S0E
+    F = 0.5 * (half + half.T)
+    return F / float(np.abs(F).max())
+
+
+@_memoized
+def flux_forms(p: PhysicalConstants) -> FluxForms:
+    m = coefficient_matrices(p)
+    S0E1, S0E2 = m.S0 @ m.E1, m.S0 @ m.E2
+    return FluxForms(S0E1, S0E2, _scaled_form(S0E1), _scaled_form(S0E2))
 
 
 def _inv3(m: np.ndarray) -> np.ndarray:
@@ -225,7 +250,7 @@ def verify_diagonalization(p: PhysicalConstants, tol: float = 1e-10) -> Diagnost
     Elliptic case: the same congruences against the 2x2-block targets.
     All residuals are max-norm, relative to the product's own magnitude.
     """
-    m = coefficient_matrices(p)
+    m, ff = coefficient_matrices(p), flux_forms(p)
     rep = DiagnosticReport(regime=classify(p), tol=tol)
     s = p.u0**2 + p.v0**2
     t = transform_for(p)
@@ -236,11 +261,11 @@ def verify_diagonalization(p: PhysicalConstants, tol: float = 1e-10) -> Diagnost
         ty = np.zeros((3, 3))
         ty[:2, :2] = t.blockY
         ty[2, 2] = p.v0 / s
-        rep.residuals["congruence_x"] = _rel_residual(t.P.T @ (m.S0 @ m.E1) @ t.P, tx)
-        rep.residuals["congruence_y"] = _rel_residual(t.P.T @ (m.S0 @ m.E2) @ t.P, ty)
+        rep.residuals["congruence_x"] = _rel_residual(t.P.T @ ff.S0E1 @ t.P, tx)
+        rep.residuals["congruence_y"] = _rel_residual(t.P.T @ ff.S0E2 @ t.P, ty)
     else:
-        rep.residuals["congruence_x"] = _rel_residual(t.P.T @ (m.S0 @ m.E1) @ t.P, np.diag(t.a))
-        rep.residuals["congruence_y"] = _rel_residual(t.P.T @ (m.S0 @ m.E2) @ t.P, np.diag(t.b))
+        rep.residuals["congruence_x"] = _rel_residual(t.P.T @ ff.S0E1 @ t.P, np.diag(t.a))
+        rep.residuals["congruence_y"] = _rel_residual(t.P.T @ ff.S0E2 @ t.P, np.diag(t.b))
         flow = np.linalg.solve(m.E2, m.E1)
         rep.residuals["similarity"] = _rel_residual(t.Pinv @ flow @ t.P, np.diag(t.lam))
     return rep

@@ -100,11 +100,11 @@ def _entering_rows(p: PhysicalConstants, s: float) -> Dict[Side, np.ndarray]:
     identity, so its data are plain Dirichlet values of (u, v, phi).
     """
     t = hyperbolic_transform(p)
-    speeds = (t.a, t.b)
+    speeds = (t.a.tolist(), t.b.tolist())
     out = {}
     for side in SIDES:
-        m = side.outward * s * speeds[side.axis] < 0
-        out[side] = np.eye(3) if m.all() else t.Pinv[m]
+        keep = [i for i, c in enumerate(speeds[side.axis]) if side.outward * s * c < 0]
+        out[side] = np.eye(3) if len(keep) == 3 else t.Pinv.take(keep, axis=0)
     return out
 
 

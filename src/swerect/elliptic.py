@@ -28,6 +28,7 @@ nothing outside the elliptic solvers needs it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -82,6 +83,9 @@ class EllipticCoeffs:
 
 
 def build_coeffs(alpha1: float, alpha2: float, beta1: float, beta2: float) -> EllipticCoeffs:
+    for name, value in zip(("alpha1", "alpha2", "beta1", "beta2"), (alpha1, alpha2, beta1, beta2)):
+        if not math.isfinite(value):
+            raise ViolatesCondition(f"{name} must be finite, got {value}")
     if not (alpha1 > 0 and alpha2 > 0):
         raise ViolatesCondition(f"need alpha1, alpha2 > 0, got ({alpha1}, {alpha2})")
     det = alpha2 * beta1 - alpha1 * beta2

@@ -31,6 +31,8 @@ class Grid:
         if not (0 < self.l1 < np.inf and 0 < self.l2 < np.inf):
             raise InvalidValue(f"domain lengths must be positive and finite, "
                                f"got ({self.l1}, {self.l2})")
+        if not all(isinstance(n, (int, np.integer)) for n in (self.nx, self.ny)):
+            raise InvalidValue(f"nx, ny must be integers, got ({self.nx!r}, {self.ny!r})")
         # 4 nodes minimum: boundary treatment reads two interior neighbors
         if self.nx < 4 or self.ny < 4:
             raise InvalidValue(f"need nx, ny >= 4, got ({self.nx}, {self.ny})")

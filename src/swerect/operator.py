@@ -3,12 +3,13 @@ instrumentation.  States are (3, nx, ny) stacks of (u, v, phi)."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .algebra import coefficient_matrices, transform_for
+from .algebra import coefficient_matrices, flux_forms, transform_for
 from .boundary import BcEnforcer, BoundaryData, Side, SIDES, adjoint_bc_catalog, bc_catalog
 from .errors import InvalidValue, ShapeMismatch
 from .fields import Grid, StateField, inner_product
@@ -242,13 +243,32 @@ class SideForm:
 _EPS = np.finfo(float).eps
 
 
-def _null_basis(rows: np.ndarray) -> np.ndarray:
-    if rows.shape[0] == 0:
-        return np.eye(3)
-    _, s, vt = np.linalg.svd(rows)
-    tol = max(rows.shape) * _EPS * (s[0] if s.size else 0.0)
-    rank = int((s > tol).sum())
-    return vt[rank:].T
+@functools.lru_cache(maxsize=64)
+def _side_spectrum(p: PhysicalConstants, axis: int, sign: float,
+                   shape: Tuple[int, int], data: bytes) -> np.ndarray:
+    """Eigenvalues of sign * flux_forms(p)'s axis form restricted to the
+    null space of the rows in ``data``; read-only, shared by every caller.
+    The shortcuts are exact: with no rows the identity products only add
+    0.0, and LAPACK's dsyevd returns a 1x1 form's single entry."""
+    ff = flux_forms(p)
+    F = sign * (ff.F1, ff.F2)[axis]
+    if shape[0] == 0:
+        R = F + 0.0
+    else:
+        _, s, vt = np.linalg.svd(np.frombuffer(data).reshape(shape))
+        s = s.tolist()
+        tol = max(shape) * _EPS * s[0]
+        basis = vt[sum(x > tol for x in s):].T
+        R = basis.T @ F @ basis
+    R = 0.5 * (R + R.T)
+    if R.size == 0:
+        w = np.empty(0)
+    elif R.size == 1:
+        w = R.reshape(1)
+    else:
+        w = np.linalg.eigvalsh(R)
+    w.flags.writeable = False
+    return w
 
 
 def boundary_quadratic_forms(p: PhysicalConstants, regime: Regime,
@@ -260,18 +280,15 @@ def boundary_quadratic_forms(p: PhysicalConstants, regime: Regime,
     operator transports backwards, so adjoint=True flips every sign and uses
     the adjoint catalog.  All restricted eigenvalues are nonnegative for a
     regime's own catalog -- that is the discrete shadow of the energy
-    inequality the catalogs were designed for.
+    inequality the catalogs were designed for.  In the hyperbolic regimes
+    the adjoint catalog mirrors the forward one with the orientation, so
+    both calls share each side's (read-only) eigenvalues.
     """
-    m = coefficient_matrices(p)
-    flux = (0.5 * (m.S0 @ m.E1), 0.5 * (m.S0 @ m.E2))
     orient = -1.0 if adjoint else 1.0
     spec = adjoint_bc_catalog(regime, p) if adjoint else bc_catalog(regime, p)
     out = {}
     for side in SIDES:
-        form = side.outward * orient * flux[side.axis]
-        F = 0.5 * (form + form.T)
-        basis = _null_basis(spec.rows[side])
-        R = basis.T @ (F / float(np.abs(F).max())) @ basis
-        R = 0.5 * (R + R.T)
-        out[side] = SideForm(side, np.linalg.eigvalsh(R) if R.size else np.empty(0))
+        rows = spec.rows[side]
+        out[side] = SideForm(side, _side_spectrum(p, side.axis, side.outward * orient,
+                                                  rows.shape, rows.tobytes()))
     return out

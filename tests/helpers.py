@@ -8,6 +8,7 @@ import math
 import numpy as np
 
 import swerect as sw
+from swerect.algebra import coefficient_matrices
 from swerect.boundary import Side
 from swerect.errors import InvalidValue, IoError, SingularConstraintSystem
 from swerect.fields import StateField
@@ -216,6 +217,49 @@ def reference_independent_then_complete(rows, pinv):
     if cur.shape[0] != 3:
         raise SingularConstraintSystem("constraint rows cannot be completed to rank 3")
     return kept, n_kept, cur
+
+
+def reference_entering_rows(p, s):
+    """`boundary._entering_rows` as written before its sign law read
+    `tolist()` floats; the catalogs must keep these rows bit for bit."""
+    t = sw.hyperbolic_transform(p)
+    speeds = (t.a, t.b)
+    out = {}
+    for side in sw.boundary.SIDES:
+        m = side.outward * s * speeds[side.axis] < 0
+        out[side] = np.eye(3) if m.all() else t.Pinv[m]
+    return out
+
+
+def _reference_null_basis(rows):
+    if rows.shape[0] == 0:
+        return np.eye(3)
+    _, s, vt = np.linalg.svd(rows)
+    tol = max(rows.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
+    rank = int((s > tol).sum())
+    return vt[rank:].T
+
+
+def reference_boundary_quadratic_forms(p, regime, adjoint=False):
+    """`operator.boundary_quadratic_forms` as written before it shared the
+    per-state flux forms and each side's spectrum: {side: eigenvalues},
+    with the hyperbolic catalogs built by `reference_entering_rows`."""
+    m = coefficient_matrices(p)
+    flux = (0.5 * (m.S0 @ m.E1), 0.5 * (m.S0 @ m.E2))
+    orient = -1.0 if adjoint else 1.0
+    if regime is sw.Regime.MIXED_SUBCRITICAL:
+        rows = (sw.adjoint_bc_catalog if adjoint else sw.bc_catalog)(regime, p).rows
+    else:
+        rows = reference_entering_rows(p, orient)
+    out = {}
+    for side in sw.boundary.SIDES:
+        form = side.outward * orient * flux[side.axis]
+        F = 0.5 * (form + form.T)
+        basis = _reference_null_basis(rows[side])
+        R = basis.T @ (F / float(np.abs(F).max())) @ basis
+        R = 0.5 * (R + R.T)
+        out[side] = np.linalg.eigvalsh(R) if R.size else np.empty(0)
+    return out
 
 
 def _reference_stencil(i, n, d):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import swerect as sw
-from swerect.algebra import coefficient_matrices
+from swerect.algebra import coefficient_matrices, flux_forms
 from swerect.errors import NotElliptic, NotHyperbolic
 from swerect.rng import SplitMix64
 
@@ -132,10 +132,10 @@ def test_transform_regime_guards():
 
 @pytest.mark.parametrize("kind", sorted(REGIME_CASES))
 def test_memoized_derivations_match_fresh_and_are_read_only(kind):
-    """The three per-state derivations are memoized: a repeated call hands
+    """The four per-state derivations are memoized: a repeated call hands
     back the same object, equal to an uncached derivation, and the arrays
     every caller shares cannot be written."""
-    derivations = [coefficient_matrices, sw.elliptic_transform if kind == "msub"
+    derivations = [coefficient_matrices, flux_forms, sw.elliptic_transform if kind == "msub"
                    else sw.hyperbolic_transform]
     rng = SplitMix64(29)
     for _ in range(20):
@@ -154,3 +154,21 @@ def test_memoized_derivations_match_fresh_and_are_read_only(kind):
                             got[0] = 1.0
                     else:
                         assert got == value, (derive.__name__, name)
+
+
+@pytest.mark.parametrize("kind", sorted(REGIME_CASES))
+def test_flux_forms_are_the_scaled_symmetric_half_products(kind):
+    """flux_forms holds S0*E1 and S0*E2, and each form is the symmetric
+    part of half the product scaled to unit max norm: exactly a side's
+    outward form up to a +-1 factor, in either orientation."""
+    rng = SplitMix64(31)
+    for _ in range(20):
+        p = draw_params(kind, rng)
+        ff, m = flux_forms(p), coefficient_matrices(p)
+        for prod, form, E in ((ff.S0E1, ff.F1, m.E1), (ff.S0E2, ff.F2, m.E2)):
+            assert prod.tobytes() == (m.S0 @ E).tobytes()
+            for sign in (1.0, -1.0):
+                half = sign * (0.5 * (m.S0 @ E))
+                F = 0.5 * (half + half.T)
+                assert (sign * form).tobytes() == (F / float(np.abs(F).max())).tobytes()
+            assert np.abs(form).max() == 1.0 and np.array_equal(form, form.T)

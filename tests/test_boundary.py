@@ -9,6 +9,7 @@ from swerect.boundary import (
     _NODE_CLASSES,
     SIDES,
     Side,
+    _entering_rows,
     _independent_then_complete,
     constrained_sides,
     node_line,
@@ -23,6 +24,7 @@ from helpers import (
     compatible_pair,
     draw_params,
     params,
+    reference_entering_rows,
     reference_independent_then_complete,
 )
 
@@ -323,3 +325,19 @@ def test_constrained_sides_coordinates_exact_and_contiguous(nx, ny):
         for c, ref in zip(xy, want[side]):
             assert c.dtype == np.float64 and c.flags.c_contiguous
             assert np.array_equal(c, ref)
+
+
+@pytest.mark.parametrize("kind", ["super", "mix1", "mix2", "fhs"])
+def test_entering_rows_match_reference_bit_for_bit(kind):
+    """The sign law on `tolist()` floats keeps the former rows, shapes and
+    dtypes exactly, in both orientations."""
+    rng = SplitMix64(161)
+    for _ in range(300):
+        p = draw_params(kind, rng)
+        for s in (1.0, -1.0):
+            got, want = _entering_rows(p, s), reference_entering_rows(p, s)
+            assert list(got) == list(want)
+            for side, w in want.items():
+                g = got[side]
+                assert (g.shape, g.dtype, g.tobytes()) == (w.shape, w.dtype, w.tobytes())
+                assert g.flags.writeable and g.flags.c_contiguous

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -34,6 +36,17 @@ def test_build_coeffs_guards():
         sw.build_coeffs(-1.0, 1.0, 0.5, -0.5)  # alpha1 <= 0
     with pytest.raises(ViolatesCondition):
         sw.build_coeffs(1.0, 1.0, 1.0, 1.0)  # det = a2 b1 - a1 b2 = 0
+
+
+@pytest.mark.parametrize("coeffs, name", [
+    ((1.0, 1.0, math.nan, 0.0), "beta1"),
+    ((math.inf, 1.0, 1.0, 0.0), "alpha1"),
+    ((1.0, 1.0, 1.0, -math.inf), "beta2"),
+    ((1.0, math.nan, 1.0, 0.0), "alpha2"),
+])
+def test_build_coeffs_rejects_non_finite(coeffs, name):
+    with pytest.raises(ViolatesCondition, match=f"{name} must be finite"):
+        sw.build_coeffs(*coeffs)
 
 
 def test_swe_block_closed_form():

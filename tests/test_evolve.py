@@ -55,6 +55,19 @@ def test_grid_rejects_non_finite_lengths(l1, l2):
         sw.Grid(l1, l2, 5, 5)
 
 
+@pytest.mark.parametrize("nx, ny", [(5.5, 5), (6.0, 6)])
+def test_grid_rejects_non_integer_node_counts(nx, ny):
+    with pytest.raises(InvalidValue, match=rf"nx, ny must be integers, got \({nx!r}, {ny!r}\)"):
+        sw.Grid(1.0, 1.0, nx, ny)
+
+
+def test_grid_accepts_numpy_integer_node_counts():
+    grid = sw.Grid(1.0, 1.0, np.int64(33), 33)
+    assert grid == sw.Grid(1.0, 1.0, 33, 33)
+    assert np.array_equal(grid.x, np.linspace(0.0, 1.0, 33))
+    assert grid.dx == 1.0 / 32
+
+
 @pytest.mark.parametrize("t_end", [math.inf, math.nan])
 def test_run_config_rejects_non_finite_t_end(t_end):
     grid = sw.Grid(1.0, 1.0, 8, 8)

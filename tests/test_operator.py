@@ -2,12 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import swerect as sw
 from swerect.algebra import coefficient_matrices
-from swerect.errors import InvalidValue, ShapeMismatch
+from swerect.errors import DegenerateCase, InvalidValue, ShapeMismatch
 from swerect.fields import StateField, inner_product
 from swerect.operator import DiscreteOperator, flux_split
 from swerect.rng import SplitMix64
@@ -20,6 +20,7 @@ from helpers import (
     params,
     reference_apply_adjoint_stack,
     reference_apply_stack,
+    reference_boundary_quadratic_forms,
 )
 
 
@@ -310,3 +311,67 @@ def test_inner_product_rounds_like_its_formula(shape):
     for g, phi0 in ((9.81, 1.0), (1.0, 3.0), (0.1, 7e-3)):
         want = sw.fields.integrate(a.u * b.u + a.v * b.v + (g / phi0) * a.phi * b.phi, grid)
         assert inner_product(a, b, grid, g, phi0) == want
+
+
+def _assert_forms_match_reference(p, regime, adjoint):
+    got = sw.boundary_quadratic_forms(p, regime, adjoint=adjoint)
+    want = reference_boundary_quadratic_forms(p, regime, adjoint)
+    assert list(got) == list(want)
+    for side, w in want.items():
+        g = got[side].eigenvalues
+        assert got[side].side is side
+        assert (g.shape, g.tobytes()) == (w.shape, w.tobytes()), (p, adjoint, side)
+
+
+@pytest.mark.parametrize("kind", sorted(REGIME_CASES))
+def test_boundary_forms_match_reference_bit_for_bit(kind):
+    """The shared flux forms, the per-side spectrum memo and its exact
+    shortcuts (no rows, 1x1 forms) keep every eigenvalue's bits and every
+    shape of the former per-call computation, on both catalogs."""
+    rng = SplitMix64(314)
+    for _ in range(300):
+        p = draw_params(kind, rng)
+        for adjoint in (False, True):
+            _assert_forms_match_reference(p, sw.classify(p), adjoint)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    phi0=st.floats(0.05, 20.0), g=st.floats(0.1, 50.0),
+    ru=st.floats(0.01, 4.0), rv=st.floats(0.01, 4.0), f=st.floats(-5.0, 5.0),
+)
+def test_boundary_forms_match_reference_property(phi0, g, ru, rv, f):
+    c = np.sqrt(g * phi0)
+    try:
+        p = sw.validate_params(ru * c, rv * c, phi0, g, f)
+    except DegenerateCase:
+        assume(False)
+    for adjoint in (True, False):
+        _assert_forms_match_reference(p, sw.classify(p), adjoint)
+
+
+@pytest.mark.parametrize("kind", sorted(REGIME_CASES))
+def test_boundary_forms_are_shared_read_only_and_ignore_f(kind):
+    rng = SplitMix64(2718)
+    for _ in range(20):
+        base = draw_params(kind, rng)
+        regime = sw.classify(base)
+        first = {adj: sw.boundary_quadratic_forms(base, regime, adjoint=adj) for adj in (False, True)}
+        for f in (0.0, -0.0, 3.0, -1.5):
+            p = sw.validate_params(base.u0, base.v0, base.phi0, base.g, f)
+            for adjoint, want in first.items():
+                again = sw.boundary_quadratic_forms(p, regime, adjoint=adjoint)
+                for side, form in again.items():
+                    w = want[side].eigenvalues
+                    assert (form.eigenvalues.shape, form.eigenvalues.tobytes()) == (w.shape, w.tobytes())
+                    assert not form.eigenvalues.flags.writeable
+                    if form.eigenvalues.size:
+                        with pytest.raises(ValueError):
+                            form.eigenvalues[0] = 1.0
+        if regime is not sw.Regime.MIXED_SUBCRITICAL:
+            # the adjoint catalog is the W<->E, S<->N mirror of the forward
+            # one with the orientation flipped: the same four spectra
+            fwd, adj = first[False], first[True]
+            for a, b in ((sw.Side.WEST, sw.Side.EAST), (sw.Side.SOUTH, sw.Side.NORTH)):
+                assert adj[b].eigenvalues is fwd[a].eigenvalues
+                assert adj[a].eigenvalues is fwd[b].eigenvalues
