@@ -58,6 +58,14 @@ def _fail(msg: str, code: int) -> int:
     return code
 
 
+def _verdict(name: str, passed: bool) -> int:
+    if passed:
+        print(f"{name}: PASS")
+        return 0
+    print(f"{name}: FAIL", file=sys.stderr)
+    return 1
+
+
 def _cmd_classify(args) -> int:
     p = validate_params(args.u0, args.v0, args.phi0, args.g, args.f)
     regime = classify(p)
@@ -88,11 +96,7 @@ def _cmd_verify_algebra(args) -> int:
     for name, res in sorted(report.residuals.items()):
         print(f"{name}: {res:.3e}")
     print(f"incoming counts (W,E,S,N): {counts.counts} expected {counts.expected}")
-    if report.passed and counts.passed:
-        print("verify-algebra: PASS")
-        return 0
-    print("verify-algebra: FAIL", file=sys.stderr)
-    return 1
+    return _verdict("verify-algebra", report.passed and counts.passed)
 
 
 def _cmd_probe_positivity(args) -> int:
@@ -103,11 +107,7 @@ def _cmd_probe_positivity(args) -> int:
     report = positivity_probe(p, regime, doc.make_grid(), args.samples, args.seed)
     print(f"min quotient {report.min_quotient:.6e} over {report.n_samples} samples "
           f"(threshold {report.threshold:.6e})")
-    if report.passed:
-        print("probe-positivity: PASS")
-        return 0
-    print("probe-positivity: FAIL", file=sys.stderr)
-    return 1
+    return _verdict("probe-positivity", report.passed)
 
 
 def _cmd_solve_elliptic(args) -> int:
@@ -117,11 +117,7 @@ def _cmd_solve_elliptic(args) -> int:
     if args.mms:
         errs, order = elliptic.manufactured_convergence_T(c, doc.make_grid())
         print(f"errors: {errs[0]:.6e} -> {errs[1]:.6e}, order {order:.3f}")
-        if order >= 1.0:
-            print("solve-elliptic --mms: PASS")
-            return 0
-        print("solve-elliptic --mms: FAIL", file=sys.stderr)
-        return 1
+        return _verdict("solve-elliptic --mms", order >= 1.0)
     grid = doc.make_grid()
     exact, F = elliptic.manufactured_solution_T(c, grid)
     theta = elliptic.solve_T(F, c, grid)
@@ -171,11 +167,7 @@ def _cmd_mms_convergence(args) -> int:
     for (nx, ny), err in zip(report.nodes, report.errors):
         print(f"{nx}x{ny}: error {err:.6e}")
     print("orders: " + ", ".join(f"{o:.3f}" for o in report.orders))
-    if report.passed():
-        print("mms-convergence: PASS")
-        return 0
-    print("mms-convergence: FAIL", file=sys.stderr)
-    return 1
+    return _verdict("mms-convergence", report.passed())
 
 
 def _build_parser() -> argparse.ArgumentParser:

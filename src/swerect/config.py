@@ -22,9 +22,9 @@ from typing import Dict, Optional, Tuple
 
 from .boundary import BoundaryData, bc_catalog
 from .errors import InvalidValue, IoError, MissingKey, ParseError, UnknownKey
-from .evolve import RunConfig
+from .evolve import SCHEMES, RunConfig, check_run_settings
 from .fields import Grid, StateField
-from .io_csv import read_field_csv
+from .io_csv import check_precision, read_field_csv
 from .manufactured import DEFAULT_SOLUTION
 from .operator import band_limited_fields
 from .regime import PhysicalConstants, classify, validate_params
@@ -67,7 +67,7 @@ _SCHEMA: Dict[str, Dict[str, Tuple[str, bool, object]]] = {
 }
 
 _CHOICES = {
-    "run.scheme": ("ssprk2", "euler"),
+    "run.scheme": SCHEMES,
     "forcing.kind": ("none", "manufactured", "file"),
     "boundary.kind": ("homogeneous", "manufactured", "file"),
 }
@@ -195,19 +195,10 @@ def parse_config(text: str, source: str = "<string>") -> ConfigDocument:
 
 
 def _validate_semantics(doc: ConfigDocument) -> None:
-    if doc.nx < 4 or doc.ny < 4:
-        raise InvalidValue(f"grid.nx/grid.ny must be >= 4, got ({doc.nx}, {doc.ny})")
-    if doc.L1 <= 0 or doc.L2 <= 0:
-        raise InvalidValue(f"grid.L1/grid.L2 must be positive, got ({doc.L1}, {doc.L2})")
-    if doc.t_end <= 0:
-        raise InvalidValue(f"run.t_end must be positive, got {doc.t_end}")
-    if not (0.0 < doc.cfl <= 0.9):
-        raise InvalidValue(f"run.cfl must be in (0, 0.9], got {doc.cfl}")
+    doc.make_grid()
+    check_run_settings(doc.t_end, doc.cfl, doc.scheme, doc.cadence)
     check_seed(doc.seed, "run.seed")
-    if doc.cadence < 0:
-        raise InvalidValue(f"output.cadence must be nonnegative, got {doc.cadence}")
-    if not (1 <= doc.precision <= 17):
-        raise InvalidValue(f"output.precision must be in 1..17, got {doc.precision}")
+    check_precision(doc.precision)
     if doc.forcing_kind == "file" and not doc.forcing_file:
         raise MissingKey("forcing.file")
     if doc.boundary_kind == "file" and not doc.boundary_file:

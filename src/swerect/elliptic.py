@@ -55,6 +55,16 @@ class EllipticCoeffs:
     beta1: float
     beta2: float
 
+    def __post_init__(self):
+        values = (self.alpha1, self.alpha2, self.beta1, self.beta2)
+        for name, value in zip(("alpha1", "alpha2", "beta1", "beta2"), values):
+            if not math.isfinite(value):
+                raise ViolatesCondition(f"{name} must be finite, got {value}")
+        if not (self.alpha1 > 0 and self.alpha2 > 0):
+            raise ViolatesCondition(f"need alpha1, alpha2 > 0, got ({self.alpha1}, {self.alpha2})")
+        if abs(self.det) <= 1e-12 * max(map(abs, values)) ** 2:
+            raise ViolatesCondition(f"alpha2*beta1 - alpha1*beta2 = {self.det} too close to zero")
+
     @property
     def T1(self) -> np.ndarray:
         return np.array([[self.alpha1, self.beta1], [self.beta1, -self.alpha1]])
@@ -83,15 +93,7 @@ class EllipticCoeffs:
 
 
 def build_coeffs(alpha1: float, alpha2: float, beta1: float, beta2: float) -> EllipticCoeffs:
-    for name, value in zip(("alpha1", "alpha2", "beta1", "beta2"), (alpha1, alpha2, beta1, beta2)):
-        if not math.isfinite(value):
-            raise ViolatesCondition(f"{name} must be finite, got {value}")
-    if not (alpha1 > 0 and alpha2 > 0):
-        raise ViolatesCondition(f"need alpha1, alpha2 > 0, got ({alpha1}, {alpha2})")
-    det = alpha2 * beta1 - alpha1 * beta2
-    scale = max(abs(alpha1), abs(alpha2), abs(beta1), abs(beta2)) ** 2
-    if abs(det) <= 1e-12 * scale:
-        raise ViolatesCondition(f"alpha2*beta1 - alpha1*beta2 = {det} too close to zero")
+    """EllipticCoeffs of the four numbers converted to float."""
     return EllipticCoeffs(float(alpha1), float(alpha2), float(beta1), float(beta2))
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .boundary import BcEnforcer, BoundaryData, bc_catalog
 from .algebra import transform_for
-from .errors import InvalidValue, NonFinite
+from .errors import InvalidValue, NonFinite, ShapeMismatch
 from .fields import EnergyLog, Grid, StateField
 from .manufactured import ManufacturedSolution
 from .operator import DiscreteOperator, energy_value
@@ -29,6 +29,21 @@ def cfl_dt(p: PhysicalConstants, grid: Grid, cfl: float) -> float:
     """Largest stable step: cfl / ((u0+c)/dx + (v0+c)/dy), c = sqrt(g*phi0)."""
     c = p.sound_speed
     return cfl / ((p.u0 + c) / grid.dx + (p.v0 + c) / grid.dy)
+
+
+SCHEMES = ("ssprk2", "euler")
+
+
+def check_run_settings(t_end: float, cfl: float, scheme: str, snapshot_cadence: int) -> None:
+    """The rules on a run's settings; RunConfig and the config file both call this."""
+    if not (0.0 < cfl <= 0.9):
+        raise InvalidValue(f"cfl must be in (0, 0.9], got {cfl}")
+    if not (0.0 < t_end < math.inf):
+        raise InvalidValue(f"t_end must be positive and finite, got {t_end}")
+    if scheme not in SCHEMES:
+        raise InvalidValue(f"scheme must be one of {SCHEMES}, got '{scheme}'")
+    if snapshot_cadence < 0:
+        raise InvalidValue(f"snapshot cadence must be nonnegative, got {snapshot_cadence}")
 
 
 @dataclass
@@ -44,12 +59,7 @@ class RunConfig:
     snapshot_cadence: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.cfl <= 0.9):
-            raise InvalidValue(f"cfl must be in (0, 0.9], got {self.cfl}")
-        if not (0.0 < self.t_end < math.inf):
-            raise InvalidValue(f"t_end must be positive and finite, got {self.t_end}")
-        if self.scheme not in ("ssprk2", "euler"):
-            raise InvalidValue(f"scheme must be 'ssprk2' or 'euler', got '{self.scheme}'")
+        check_run_settings(self.t_end, self.cfl, self.scheme, self.snapshot_cadence)
         if self.initial.u.shape != (self.grid.nx, self.grid.ny):
             raise InvalidValue("initial state shape does not match grid")
 
@@ -90,7 +100,11 @@ class _Stepper:
             R[1] -= self.f * W[0]
         if self.cfg.forcing is not None:
             if t != self._forcing_t:
-                self._forcing, self._forcing_t = self.cfg.forcing(t), t
+                F = self.cfg.forcing(t)
+                if np.shape(F) != R.shape:
+                    raise ShapeMismatch(f"forcing at t={t} has shape {np.shape(F)}, "
+                                        f"need {R.shape}")
+                self._forcing, self._forcing_t = F, t
             R += self._forcing
         return R
 
@@ -126,9 +140,9 @@ class RunResult:
 def run(cfg: RunConfig) -> RunResult:
     """Integrate to t_end with a uniform step chosen to land exactly on t_end.
 
-    Energy is logged every step; a NaN/Inf in any field aborts with NonFinite
-    and a diagnostic naming the regime, the step, and the first bad field and
-    node (u before v before phi, then row-major (i, j)).
+    Energy is logged every step; a NaN/Inf in the initial state (step 0) or a
+    step's result aborts with NonFinite naming the regime, the step, and the
+    first bad field and node (u before v before phi, then row-major (i, j)).
     """
     stepper = _Stepper(cfg)
     dt_max = cfl_dt(cfg.p, cfg.grid, cfg.cfl)
@@ -140,13 +154,9 @@ def run(cfg: RunConfig) -> RunResult:
     stepper.enforcer.apply(W, cfg.boundary_data, 0.0, out=W)
     log = EnergyLog()
     snapshots: List[Tuple[float, StateField]] = []
-    log.append(0.0, energy_value(StateField(*W), cfg.grid, cfg.p))
-    if cfg.snapshot_cadence > 0:
-        snapshots.append((0.0, StateField.from_stack(W)))
-
-    t = 0.0
-    for k in range(1, n_steps + 1):
-        W = stepper.advance(W, dt, t)
+    for k in range(n_steps + 1):
+        if k > 0:  # step 0 checks, logs and snapshots the projected initial state
+            W = stepper.advance(W, dt, t)
         t = k * dt
         if not np.all(np.isfinite(W)):
             c, i, j = np.argwhere(~np.isfinite(W))[0]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidValue, NonFinite
+from .errors import InvalidValue, NonFinite, ShapeMismatch
 
 # numpy renamed trapz -> trapezoid in 2.0; support both without warnings
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -102,6 +102,8 @@ def inner_product(a: StateField, b: StateField, grid: Grid, g: float, phi0: floa
 
 def integrate(dens: np.ndarray, grid: Grid) -> float:
     """Trapezoid rule over the grid for an (nx, ny) density: x first, then y."""
+    if dens.shape != (grid.nx, grid.ny):
+        raise ShapeMismatch(f"field shape {dens.shape} vs grid ({grid.nx}, {grid.ny})")
     return float(trapezoid(trapezoid(dens, dx=grid.dx, axis=0), dx=grid.dy))
 
 

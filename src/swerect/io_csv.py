@@ -25,6 +25,12 @@ FIELD_HEADER = "x,y,u,v,phi"
 ENERGY_HEADER = "t,energy"
 
 
+def check_precision(precision: int) -> None:
+    """Significant digits a writer accepts: 1..17 (17 round-trips a double)."""
+    if not 1 <= precision <= 17:
+        raise InvalidValue(f"precision must be in 1..17, got {precision}")
+
+
 def _fmt(value: float, precision: int) -> str:
     return f"{value:.{precision}g}"
 
@@ -35,6 +41,7 @@ def write_field_csv(x, y, state: StateField, path, precision: int = 17) -> None:
     Streamed one x-row at a time: each row of ``ny`` nodes is one
     %-template with the y column already formatted in it.
     """
+    check_precision(precision)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if state.u.shape != (x.size, y.size):
@@ -81,6 +88,7 @@ def read_field_csv(path) -> Tuple[np.ndarray, np.ndarray, StateField]:
 
 
 def write_energy_csv(log: EnergyLog, path, precision: int = 17) -> None:
+    check_precision(precision)
     lines = [ENERGY_HEADER]
     for t, e in zip(log.times, log.energies):
         lines.append(f"{_fmt(t, precision)},{_fmt(e, precision)}")

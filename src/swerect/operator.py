@@ -19,8 +19,6 @@ from .rng import SplitMix64, check_seed
 
 def energy_value(U: StateField, grid: Grid, p: PhysicalConstants) -> float:
     """Squared weighted norm ||U||^2; the quantity the evolution contracts."""
-    if U.u.shape != (grid.nx, grid.ny):
-        raise ShapeMismatch(f"field shape {U.u.shape} vs grid ({grid.nx}, {grid.ny})")
     return inner_product(U, U, grid, p.g, p.phi0)
 
 

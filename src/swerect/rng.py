@@ -52,9 +52,6 @@ class SplitMix64:
     def next_double(self) -> float:
         return (self.next_uint64() >> 11) * _D53
 
-    def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.next_double()
-
     def doubles(self, n: int) -> np.ndarray:
         """Vectorized batch of n doubles; identical to n next_double() calls."""
         # wrapping uint64 arithmetic; numpy warns on overflow, which is the point

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import swerect as sw
 from swerect.config import _FIELD_NAMES, _SCHEMA
-from swerect.errors import ParseError, UnknownKey
+from swerect.errors import InvalidValue, ParseError, UnknownKey
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
@@ -154,3 +154,60 @@ def test_readme_config_example_parses():
     shown = {(section, key) for section, body in sections
              for key in re.findall(r"^(?:# )?(\w+) =", body, re.M)}
     assert shown == {(section, key) for section, keys in _SCHEMA.items() for key in keys}
+
+
+# ten required keys with valid values; a test overrides one of them
+BASE = {"physics.u0": "4.0", "physics.v0": "4.0", "physics.phi0": "1.0", "physics.g": "9.81",
+        "grid.L1": "1.0", "grid.L2": "1.0", "grid.nx": "16", "grid.ny": "16",
+        "run.t_end": "0.05", "run.cfl": "0.45"}
+
+
+def _document(**values):
+    """A config with each 'section.key' in its own (reopened) section."""
+    return "".join(f"[{k.split('.')[0]}]\n{k.split('.')[1]} = {v}\n"
+                   for k, v in {**BASE, **values}.items())
+
+
+def _run_config(**kw):
+    grid = sw.Grid(1.0, 1.0, 16, 16)
+    return sw.RunConfig(**{"p": sw.validate_params(4.0, 4.0, 1.0, 9.81), "grid": grid,
+                           "t_end": 0.05, "initial": sw.StateField.zeros(grid), **kw})
+
+
+def _write_field(path, precision):
+    grid = sw.Grid(1.0, 1.0, 4, 4)
+    sw.write_field_csv(grid.x, grid.y, sw.StateField.zeros(grid), path / "f.csv",
+                       precision=precision)
+
+
+# (config key, bad text, the same bad value through the Python API owner)
+SAME_RULE = [
+    ("grid.nx", "3", lambda path: sw.Grid(1.0, 1.0, 3, 16)),
+    ("grid.ny", "-2", lambda path: sw.Grid(1.0, 1.0, 16, -2)),
+    ("grid.L1", "0.0", lambda path: sw.Grid(0.0, 1.0, 16, 16)),
+    ("grid.L2", "-1.5", lambda path: sw.Grid(1.0, -1.5, 16, 16)),
+    ("run.t_end", "0.0", lambda path: _run_config(t_end=0.0)),
+    ("run.t_end", "-1.0", lambda path: _run_config(t_end=-1.0)),
+    ("run.cfl", "0.95", lambda path: _run_config(cfl=0.95)),
+    ("run.cfl", "0.0", lambda path: _run_config(cfl=0.0)),
+    ("run.scheme", "rk4", lambda path: _run_config(scheme="rk4")),
+    ("output.cadence", "-3", lambda path: _run_config(snapshot_cadence=-3)),
+    ("output.precision", "0", lambda path: _write_field(path, 0)),
+    ("output.precision", "18", lambda path: sw.write_energy_csv(sw.EnergyLog(), path / "e.csv",
+                                                                precision=18)),
+]
+
+
+@pytest.mark.parametrize("key, text, api", SAME_RULE,
+                         ids=[f"{key}={text}" for key, text, _ in SAME_RULE])
+def test_config_and_api_reject_the_same_value(key, text, api, tmp_path):
+    """Each rule has one owner, so a config file and the Python API reject a
+    bad value alike: same class, and the owner's message in both."""
+    with pytest.raises(sw.SweRectError) as from_config:
+        sw.parse_config(_document(**{key: text}))
+    with pytest.raises(sw.SweRectError) as from_api:
+        api(tmp_path)
+    assert type(from_config.value) is type(from_api.value) is InvalidValue
+    if key != "run.scheme":  # the parser's choice check names the key for every choice
+        assert str(from_config.value) == str(from_api.value)
+    assert list(tmp_path.iterdir()) == []

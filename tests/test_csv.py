@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import swerect as sw
 from swerect import cli
-from swerect.errors import IoError
+from swerect.errors import InvalidValue, IoError
 
 from helpers import reference_read_field_csv, reference_write_field_csv
 
@@ -298,3 +298,19 @@ def test_output_files_pinned(name, tmp_path, capsys):
     got = {fn: hashlib.sha256((outdir / fn).read_bytes()).hexdigest()
            for fn in sorted(os.listdir(outdir))}
     assert got == want
+
+
+@pytest.mark.parametrize("precision", [-1, 0, 18])
+def test_writers_reject_precision_outside_1_to_17(precision, tmp_path):
+    grid = sw.Grid(1.0, 1.0, 4, 4)
+    want = f"precision must be in 1..17, got {precision}"
+    with pytest.raises(InvalidValue) as info:
+        sw.write_field_csv(grid.x, grid.y, sw.StateField.zeros(grid), tmp_path / "f.csv",
+                           precision=precision)
+    assert str(info.value) == want
+    log = sw.EnergyLog()
+    log.append(0.0, 1.0)
+    with pytest.raises(InvalidValue) as info:
+        sw.write_energy_csv(log, tmp_path / "e.csv", precision=precision)
+    assert str(info.value) == want
+    assert list(tmp_path.iterdir()) == []

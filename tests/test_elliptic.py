@@ -282,3 +282,18 @@ def test_nonconvergence_names_direction_size_and_residual(name, monkeypatch):
     assert msg.startswith(f"{name} on 9x13 (234 unknowns): equation-row residual ")
     assert msg.endswith(" exceeds 1e-10")
     assert float(msg.split("residual ")[1].split()[0]) > 1e-10
+
+
+@pytest.mark.parametrize("coeffs, message", [
+    ((1.0, 1.0, 1.0, 1.0), "alpha2*beta1 - alpha1*beta2 = 0.0 too close to zero"),
+    ((math.nan, 1.0, 1.0, 0.0), "alpha1 must be finite, got nan"),
+    ((0.0, 1.0, 1.0, 0.0), "need alpha1, alpha2 > 0, got (0.0, 1.0)"),
+    ((1.0, -2.0, 1.0, 0.0), "need alpha1, alpha2 > 0, got (1.0, -2.0)"),
+])
+def test_elliptic_coeffs_check_their_own_conditions(coeffs, message):
+    """EllipticCoeffs owns the conditions, so a solver never sees
+    coefficients that violate them; build_coeffs reports the same."""
+    for make in (sw.EllipticCoeffs, sw.build_coeffs):
+        with pytest.raises(ViolatesCondition) as info:
+            make(*coeffs)
+        assert str(info.value) == message

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import swerect as sw
-from swerect.errors import InvalidValue, NonFinite
+from swerect.errors import InvalidValue, NonFinite, ShapeMismatch
 from swerect.evolve import _Stepper
 from swerect.manufactured import DEFAULT_SOLUTION
 
@@ -316,3 +316,47 @@ def test_forcing_and_data_evaluated_once_per_distinct_time(kind):
             assert n + 1 < len(forcing_times) < 2 * n
         assert samplers and all(times == [0.0] + [t + dt for t in starts]
                                 for times in sample_times.values())
+
+
+def test_run_config_rejects_negative_snapshot_cadence():
+    grid = sw.Grid(1.0, 1.0, 8, 8)
+    with pytest.raises(InvalidValue, match="snapshot cadence must be nonnegative, got -1"):
+        sw.RunConfig(p=params("fhs"), grid=grid, t_end=1.0, initial=sw.StateField.zeros(grid),
+                     snapshot_cadence=-1)
+
+
+@pytest.mark.parametrize("bad", [0.0, np.zeros((12, 12)), np.zeros((1, 12, 12)),
+                                 np.zeros((3, 12))], ids=["scalar", "plane", "one", "short"])
+def test_forcing_must_be_a_full_stack(bad):
+    grid = sw.Grid(1.0, 1.0, 12, 12)
+    cfg = sw.RunConfig(p=params("mix2"), grid=grid, t_end=0.01, initial=seeded_state(grid),
+                       forcing=lambda t: bad)
+    want = f"forcing at t=0.0 has shape {np.shape(bad)}, need (3, 12, 12)"
+    with pytest.raises(ShapeMismatch) as info:
+        sw.run(cfg)
+    assert str(info.value) == want
+
+
+def test_forcing_shape_checked_at_every_new_stage_time():
+    grid = sw.Grid(1.0, 1.0, 12, 12)
+    good = np.zeros((3, grid.nx, grid.ny))
+    cfg = sw.RunConfig(p=params("fhs"), grid=grid, t_end=0.01, initial=seeded_state(grid),
+                       forcing=lambda t: good if t == 0.0 else good[:, :, :-1])
+    with pytest.raises(ShapeMismatch, match=r"has shape \(3, 12, 11\), need \(3, 12, 12\)"):
+        sw.run(cfg)
+
+
+@pytest.mark.parametrize("kind", sorted(REGIME_CASES))
+@pytest.mark.parametrize("c, node", [(0, (5, 7)), (1, (3, 9)), (2, (8, 3))])
+def test_non_finite_initial_state_reported_as_step_0(kind, c, node):
+    grid = sw.Grid(1.0, 1.0, 16, 17)
+    W = seeded_state(grid).stack()
+    W[(c, *node)] = np.nan
+    W[(c, node[0] + 1, node[1])] = np.inf
+    p = params(kind)
+    cfg = sw.RunConfig(p=p, grid=grid, t_end=0.01, initial=sw.StateField(*W))
+    with pytest.raises(NonFinite) as info:
+        sw.run(cfg)
+    name = ("u", "v", "phi")[c]
+    assert str(info.value) == (f"non-finite state at step 0 (t=0, regime {sw.classify(p)}): "
+                               f"first in field '{name}' at node {node}")

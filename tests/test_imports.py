@@ -69,3 +69,21 @@ except AttributeError as exc:
     print(json.dumps([str(exc), scipy_modules()]))
 """)
     assert out == ["module 'swerect.elliptic' has no attribute 'no_such_name'", []]
+
+
+def test_invalid_elliptic_coefficients_raise_before_scipy():
+    out = run_fresh("""
+import math, warnings
+from swerect.errors import ViolatesCondition
+warnings.simplefilter("error")
+grid = sw.Grid(1.0, 1.0, 9, 9)
+messages = []
+for coeffs in ((math.nan, 1.0, 1.0, 0.0), (1.0, 1.0, 1.0, 1.0)):
+    try:
+        sw.solve_T(sw.ThetaField.zeros(grid), sw.EllipticCoeffs(*coeffs), grid)
+    except ViolatesCondition as exc:
+        messages.append(str(exc))
+print(json.dumps([messages, scipy_modules()]))
+""")
+    assert out == [["alpha1 must be finite, got nan",
+                    "alpha2*beta1 - alpha1*beta2 = 0.0 too close to zero"], []]

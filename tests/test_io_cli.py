@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -525,3 +526,38 @@ def test_cli_probe_positivity_largest_seed_runs(tmp_path, capsys):
     args = ["probe-positivity", "--config", cfg, "--samples", "2", "--seed", str(2**64 - 1)]
     assert cli.main(args) == 0
     assert "probe-positivity: PASS" in capsys.readouterr().out
+
+
+def _patched_verdicts(monkeypatch, passed):
+    """Replace each checking command's report by one that passes or fails;
+    returns (command args, config text, stdout before the verdict line)."""
+    monkeypatch.setattr(cli, "verify_diagonalization",
+                        lambda p, tol: SimpleNamespace(residuals={"P": 1e-16}, passed=passed))
+    monkeypatch.setattr(cli, "positivity_probe", lambda *a: SimpleNamespace(
+        min_quotient=1.0, n_samples=3, threshold=0.5, passed=passed))
+    monkeypatch.setattr(sw.elliptic, "manufactured_convergence_T",
+                        lambda c, grid: ((1.0, 0.25), 2.0 if passed else 0.5))
+    monkeypatch.setattr(cli, "mms_convergence", lambda *a, **kw: SimpleNamespace(
+        nodes=[(17, 17), (33, 33)], errors=[1.0, 0.5], orders=[1.0], passed=lambda: passed))
+    counts = "incoming counts (W,E,S,N): (3, 0, 3, 0) expected (3, 0, 3, 0)\n"
+    return [
+        (["verify-algebra"], MINIMAL, "P: 1.000e-16\n" + counts),
+        (["probe-positivity"], MINIMAL,
+         "min quotient 1.000000e+00 over 3 samples (threshold 5.000000e-01)\n"),
+        (["solve-elliptic", "--mms"], MSUB_TEXT,
+         f"errors: 1.000000e+00 -> 2.500000e-01, order {2.0 if passed else 0.5:.3f}\n"),
+        (["mms-convergence"], MINIMAL,
+         "17x17: error 1.000000e+00\n33x33: error 5.000000e-01\norders: 1.000\n"),
+    ]
+
+
+@pytest.mark.parametrize("passed", [True, False])
+def test_cli_verdict_lines_and_exit_codes(passed, monkeypatch, tmp_path, capsys):
+    """PASS goes to stdout with exit 0, FAIL to stderr with exit 1, for all
+    four checking commands."""
+    for args, text, out in _patched_verdicts(monkeypatch, passed):
+        cfg = write_cfg(tmp_path, text)
+        code = cli.main([args[0], "--config", cfg, *args[1:]])
+        verdict = f"{' '.join(args)}: {'PASS' if passed else 'FAIL'}\n"
+        assert (code, *capsys.readouterr()) == ((0, out + verdict, "") if passed
+                                                 else (1, out, verdict)), args

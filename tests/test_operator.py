@@ -375,3 +375,26 @@ def test_boundary_forms_are_shared_read_only_and_ignore_f(kind):
             for a, b in ((sw.Side.WEST, sw.Side.EAST), (sw.Side.SOUTH, sw.Side.NORTH)):
                 assert adj[b].eigenvalues is fwd[a].eigenvalues
                 assert adj[a].eigenvalues is fwd[b].eigenvalues
+
+
+def test_quadrature_rejects_fields_off_the_grid():
+    """Every quadrature integrates on the grid it is given: a 5x5 field with
+    a 9x9 grid is a ShapeMismatch, not a number with the 9x9 spacing."""
+    grid = sw.Grid(1.0, 1.0, 9, 9)
+    W = sw.band_limited_fields(SplitMix64(4), 5, 5, n_fields=3)
+    U = StateField(*W)
+    theta = sw.ThetaField(*sw.band_limited_fields(SplitMix64(5), 5, 5, n_fields=2))
+    in_v = sw.ThetaField.zeros(sw.Grid(1.0, 1.0, 5, 5))
+    calls = {
+        "inner_product": lambda: inner_product(U, U, grid, 9.81, 1.0),
+        "energy_value": lambda: sw.energy_value(U, grid, params("fhs")),
+        "l2_norm stack": lambda: sw.l2_norm(W, grid),
+        "l2_norm plane": lambda: sw.l2_norm(W[0], grid),
+        "theta_inner": lambda: sw.theta_inner(theta, theta, grid),
+        "theta_norm": lambda: sw.theta_norm(theta, grid),
+        "cross_gradient_residual": lambda: sw.cross_gradient_residual(in_v, grid),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ShapeMismatch) as info:
+            call()
+        assert str(info.value) == "field shape (5, 5) vs grid (9, 9)", name
