@@ -6,8 +6,9 @@ Grammar (one directive per line):
     [section]
     key = value
 
-Sections and keys come from a fixed schema; unknown sections or keys are
-errors, as are duplicates -- a typo never silently picks up a default.
+Sections and keys come from a fixed schema, the fields of ConfigDocument;
+unknown sections or keys are errors, as are duplicates -- a typo never
+silently picks up a default.
 Values are decimal numbers or plain words; '#' starts a comment anywhere.
 
 Required keys: physics.{u0,v0,phi0,g}, grid.{L1,L2,nx,ny}, run.{t_end,cfl}.
@@ -17,8 +18,8 @@ Everything else has a documented default.
 from __future__ import annotations
 
 import os.path
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Optional, Tuple
 
 from .boundary import BoundaryData, bc_catalog
 from .errors import InvalidValue, IoError, MissingKey, ParseError, UnknownKey
@@ -30,88 +31,78 @@ from .operator import band_limited_fields
 from .regime import PhysicalConstants, classify, validate_params
 from .rng import SplitMix64, check_seed
 
-# key -> (type tag, required, default); types: f float, i int, s string
-_SCHEMA: Dict[str, Dict[str, Tuple[str, bool, object]]] = {
-    "physics": {
-        "u0": ("f", True, None),
-        "v0": ("f", True, None),
-        "phi0": ("f", True, None),
-        "g": ("f", True, None),
-        "f": ("f", False, 0.0),
-    },
-    "grid": {
-        "L1": ("f", True, None),
-        "L2": ("f", True, None),
-        "nx": ("i", True, None),
-        "ny": ("i", True, None),
-    },
-    "run": {
-        "t_end": ("f", True, None),
-        "cfl": ("f", True, None),
-        "scheme": ("s", False, "ssprk2"),
-        "seed": ("i", False, 0),
-    },
-    "forcing": {
-        "kind": ("s", False, "none"),
-        "file": ("s", False, ""),
-    },
-    "boundary": {
-        "kind": ("s", False, "homogeneous"),
-        "file": ("s", False, ""),
-    },
-    "output": {
-        "dir": ("s", False, "."),
-        "cadence": ("i", False, 0),
-        "precision": ("i", False, 17),
-    },
-}
 
-_CHOICES = {
-    "run.scheme": SCHEMES,
-    "forcing.kind": ("none", "manufactured", "file"),
-    "boundary.kind": ("homogeneous", "manufactured", "file"),
-}
+def _key(section: str, key: str = "", default=MISSING, choices: Tuple[str, ...] = ()):
+    """A schema entry: its section, its name in the file when that differs from
+    the field's, its default when the key is optional, and its allowed words."""
+    return field(default=default, metadata={"section": section, "key": key, "choices": choices})
 
 
-# schema keys whose bare name is ambiguous carry their section in the field name
-_FIELD_NAMES = {
-    ("forcing", "kind"): "forcing_kind",
-    ("forcing", "file"): "forcing_file",
-    ("boundary", "kind"): "boundary_kind",
-    ("boundary", "file"): "boundary_file",
-    ("output", "dir"): "output_dir",
-}
-
-
-@dataclass
+@dataclass(kw_only=True)
 class ConfigDocument:
-    u0: float
-    v0: float
-    phi0: float
-    g: float
-    f: float
-    L1: float
-    L2: float
-    nx: int
-    ny: int
-    t_end: float
-    cfl: float
-    scheme: str
-    seed: int
-    forcing_kind: str
-    forcing_file: str
-    boundary_kind: str
-    boundary_file: str
-    output_dir: str
-    cadence: int
-    precision: int
+    """A config document. Its fields are the schema, in file order; parsed or
+    built in Python, a document gets the same checks when it is constructed."""
+
+    u0: float = _key("physics")
+    v0: float = _key("physics")
+    phi0: float = _key("physics")
+    g: float = _key("physics")
+    f: float = _key("physics", default=0.0)
+    L1: float = _key("grid")
+    L2: float = _key("grid")
+    nx: int = _key("grid")
+    ny: int = _key("grid")
+    t_end: float = _key("run")
+    cfl: float = _key("run")
+    scheme: str = _key("run", default="ssprk2", choices=SCHEMES)
+    seed: int = _key("run", default=0)
+    forcing_kind: str = _key("forcing", "kind", default="none",
+                             choices=("none", "manufactured", "file"))
+    forcing_file: str = _key("forcing", "file", default="")
+    boundary_kind: str = _key("boundary", "kind", default="homogeneous",
+                              choices=("homogeneous", "manufactured", "file"))
+    boundary_file: str = _key("boundary", "file", default="")
+    output_dir: str = _key("output", "dir", default=".")
+    cadence: int = _key("output", default=0)
+    precision: int = _key("output", default=17)
     source: str = ""
+
+    def __post_init__(self):
+        for (section, key), name in _FIELD_NAMES.items():
+            value, choices = getattr(self, name), _SCHEMA[section][key][3]
+            if choices and value not in choices:
+                raise InvalidValue(f"{section}.{key}: must be one of {choices}, got '{value}'")
+        self.make_grid()
+        check_run_settings(self.t_end, self.cfl, self.scheme, self.cadence)
+        check_seed(self.seed, "run.seed")
+        check_precision(self.precision)
+        if self.forcing_kind == "file" and not self.forcing_file:
+            raise MissingKey("forcing.file")
+        if self.boundary_kind == "file" and not self.boundary_file:
+            raise MissingKey("boundary.file")
 
     def constants(self) -> PhysicalConstants:
         return validate_params(self.u0, self.v0, self.phi0, self.g, self.f)
 
     def make_grid(self) -> Grid:
         return Grid(self.L1, self.L2, self.nx, self.ny)
+
+
+def _views():
+    """The parser's views of the fields: section -> key -> (type name, required,
+    default, choices) in file order, and (section, key) -> field name."""
+    schema, names = {}, {}
+    for f in fields(ConfigDocument):
+        if f.metadata:
+            section, key = f.metadata["section"], f.metadata["key"] or f.name
+            required = f.default is MISSING
+            schema.setdefault(section, {})[key] = (
+                f.type, required, None if required else f.default, f.metadata["choices"])
+            names[(section, key)] = f.name
+    return schema, names
+
+
+_SCHEMA, _FIELD_NAMES = _views()
 
 
 def _parse_lines(text: str):
@@ -153,10 +144,8 @@ def _parse_lines(text: str):
     return out
 
 
-def _convert(section: str, key: str, raw: str):
-    tag = _SCHEMA[section][key][0]
-    dotted = f"{section}.{key}"
-    if tag == "f":
+def _convert(dotted: str, tag: str, raw: str):
+    if tag == "float":
         try:
             val = float(raw)
         except ValueError:
@@ -164,45 +153,26 @@ def _convert(section: str, key: str, raw: str):
         if val != val or val in (float("inf"), float("-inf")):
             raise InvalidValue(f"{dotted}: must be finite, got '{raw}'")
         return val
-    if tag == "i":
+    if tag == "int":
         try:
-            val = int(raw)
+            return int(raw)
         except ValueError:
             raise InvalidValue(f"{dotted}: not an integer: '{raw}'") from None
-        return val
-    choices = _CHOICES.get(dotted)
-    if choices and raw not in choices:
-        raise InvalidValue(f"{dotted}: must be one of {choices}, got '{raw}'")
     return raw
 
 
 def parse_config(text: str, source: str = "<string>") -> ConfigDocument:
+    """Split the lines, convert the values' text and construct the document."""
     raw = _parse_lines(text)
     values = {}
     for section, keys in _SCHEMA.items():
-        for key, (tag, required, default) in keys.items():
+        for key, (tag, required, _, _) in keys.items():
             if (section, key) in raw:
-                values[(section, key)] = _convert(section, key, raw[(section, key)])
+                values[_FIELD_NAMES[(section, key)]] = _convert(f"{section}.{key}", tag,
+                                                                raw[(section, key)])
             elif required:
                 raise MissingKey(f"{section}.{key}")
-            else:
-                values[(section, key)] = default
-
-    doc = ConfigDocument(**{_FIELD_NAMES.get(sk, sk[1]): v for sk, v in values.items()},
-                         source=source)
-    _validate_semantics(doc)
-    return doc
-
-
-def _validate_semantics(doc: ConfigDocument) -> None:
-    doc.make_grid()
-    check_run_settings(doc.t_end, doc.cfl, doc.scheme, doc.cadence)
-    check_seed(doc.seed, "run.seed")
-    check_precision(doc.precision)
-    if doc.forcing_kind == "file" and not doc.forcing_file:
-        raise MissingKey("forcing.file")
-    if doc.boundary_kind == "file" and not doc.boundary_file:
-        raise MissingKey("boundary.file")
+    return ConfigDocument(**values, source=source)
 
 
 def load_config(path) -> ConfigDocument:

@@ -125,6 +125,8 @@ class ThetaField:
 
 
 def theta_inner(A: ThetaField, B: ThetaField, grid: Grid) -> float:
+    if A.theta1.shape != B.theta1.shape:
+        raise ShapeMismatch(f"operand shapes {A.theta1.shape} vs {B.theta1.shape}")
     return integrate(A.theta1 * B.theta1 + A.theta2 * B.theta2, grid)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .boundary import BcEnforcer, BoundaryData, bc_catalog
 from .algebra import transform_for
 from .errors import InvalidValue, NonFinite, ShapeMismatch
-from .fields import EnergyLog, Grid, StateField
+from .fields import EnergyLog, Grid, StateField, is_integer
 from .manufactured import ManufacturedSolution
 from .operator import DiscreteOperator, energy_value
 from .regime import PhysicalConstants, classify
@@ -42,6 +42,8 @@ def check_run_settings(t_end: float, cfl: float, scheme: str, snapshot_cadence: 
         raise InvalidValue(f"t_end must be positive and finite, got {t_end}")
     if scheme not in SCHEMES:
         raise InvalidValue(f"scheme must be one of {SCHEMES}, got '{scheme}'")
+    if not is_integer(snapshot_cadence):
+        raise InvalidValue(f"snapshot cadence must be an integer, got {snapshot_cadence!r}")
     if snapshot_cadence < 0:
         raise InvalidValue(f"snapshot cadence must be nonnegative, got {snapshot_cadence}")
 
@@ -230,6 +232,8 @@ def _mms_error(solution: ManufacturedSolution, p: PhysicalConstants, grid: Grid,
 
 def refinement_ladder(base: Grid, levels: int) -> List[Grid]:
     """Grids whose spacing halves exactly per level: n -> 2n - 1 nodes."""
+    if not is_integer(levels):
+        raise InvalidValue(f"refinement ladder levels must be an integer, got {levels!r}")
     if levels < 2:
         raise InvalidValue(f"a refinement ladder needs at least two levels, got {levels}")
     out = [base]

@@ -20,6 +20,12 @@ from .errors import InvalidValue, NonFinite, ShapeMismatch
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
+def is_integer(value) -> bool:
+    """The rule for every count, seed and digit setting: an int or a NumPy
+    integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Grid:
     l1: float
@@ -31,7 +37,7 @@ class Grid:
         if not (0 < self.l1 < np.inf and 0 < self.l2 < np.inf):
             raise InvalidValue(f"domain lengths must be positive and finite, "
                                f"got ({self.l1}, {self.l2})")
-        if not all(isinstance(n, (int, np.integer)) for n in (self.nx, self.ny)):
+        if not (is_integer(self.nx) and is_integer(self.ny)):
             raise InvalidValue(f"nx, ny must be integers, got ({self.nx!r}, {self.ny!r})")
         # 4 nodes minimum: boundary treatment reads two interior neighbors
         if self.nx < 4 or self.ny < 4:
@@ -90,6 +96,8 @@ def inner_product(a: StateField, b: StateField, grid: Grid, g: float, phi0: floa
     The density is formed in two buffers and rounds exactly like
     (u u' + v v') + ((g/phi0) phi) phi'.
     """
+    if a.u.shape != b.u.shape:
+        raise ShapeMismatch(f"operand shapes {a.u.shape} vs {b.u.shape}")
     dens = np.multiply(a.u, b.u)
     tmp = np.multiply(a.v, b.v)
     dens += tmp

@@ -19,7 +19,7 @@ from typing import Iterator, List, TextIO, Tuple
 import numpy as np
 
 from .errors import InvalidValue, IoError, NonFinite
-from .fields import EnergyLog, StateField
+from .fields import EnergyLog, StateField, is_integer
 
 FIELD_HEADER = "x,y,u,v,phi"
 ENERGY_HEADER = "t,energy"
@@ -27,6 +27,8 @@ ENERGY_HEADER = "t,energy"
 
 def check_precision(precision: int) -> None:
     """Significant digits a writer accepts: 1..17 (17 round-trips a double)."""
+    if not is_integer(precision):
+        raise InvalidValue(f"precision must be an integer, got {precision!r}")
     if not 1 <= precision <= 17:
         raise InvalidValue(f"precision must be in 1..17, got {precision}")
 

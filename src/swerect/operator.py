@@ -12,7 +12,7 @@ import numpy as np
 from .algebra import coefficient_matrices, flux_forms, transform_for
 from .boundary import BcEnforcer, BoundaryData, Side, SIDES, adjoint_bc_catalog, bc_catalog
 from .errors import InvalidValue, ShapeMismatch
-from .fields import Grid, StateField, inner_product
+from .fields import Grid, StateField, inner_product, is_integer
 from .regime import PhysicalConstants, Regime
 from .rng import SplitMix64, check_seed
 
@@ -208,6 +208,8 @@ def positivity_probe(p: PhysicalConstants, regime: Regime, grid: Grid,
     operator; discretely, upwind dissipation keeps the quotient above a small
     negative floor set by the boundary extrapolation error of the samples.
     """
+    if not is_integer(n_samples):
+        raise InvalidValue(f"positivity probe sample count must be an integer, got {n_samples!r}")
     if n_samples < 1:
         raise InvalidValue(f"positivity probe needs at least one sample, got {n_samples}")
     check_seed(seed, "seed")

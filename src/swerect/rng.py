@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidValue
+from .fields import is_integer
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -29,7 +30,10 @@ _D53 = 2.0**-53
 
 
 def check_seed(seed: int, name: str) -> None:
-    """Reject a seed outside [0, 2^64); SplitMix64 itself would mask it."""
+    """Reject a seed that is not an integer in [0, 2^64); SplitMix64 itself
+    would mask it."""
+    if not is_integer(seed):
+        raise InvalidValue(f"{name} must be an integer, got {seed!r}")
     if not 0 <= seed < 2**64:
         raise InvalidValue(f"{name} must be in [0, 2^64), got {seed}")
 
@@ -38,6 +42,8 @@ class SplitMix64:
     """Stateful SplitMix64 stream of uniform doubles in [0, 1)."""
 
     def __init__(self, seed: int):
+        if not is_integer(seed):
+            raise InvalidValue(f"seed must be an integer, got {seed!r}")
         self._state = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
 
     def next_uint64(self) -> int:
@@ -54,6 +60,8 @@ class SplitMix64:
 
     def doubles(self, n: int) -> np.ndarray:
         """Vectorized batch of n doubles; identical to n next_double() calls."""
+        if not is_integer(n) or n < 0:
+            raise InvalidValue(f"n must be a nonnegative integer, got {n!r}")
         # wrapping uint64 arithmetic; numpy warns on overflow, which is the point
         with np.errstate(over="ignore"):
             idx = np.arange(1, n + 1, dtype=np.uint64)

@@ -6,10 +6,12 @@ and trailing comments, blank lines, random indentation and floats written
 with repr, so float(text) gives the generated value back bit for bit.
 """
 
+import dataclasses
 import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -211,3 +213,68 @@ def test_config_and_api_reject_the_same_value(key, text, api, tmp_path):
     if key != "run.scheme":  # the parser's choice check names the key for every choice
         assert str(from_config.value) == str(from_api.value)
     assert list(tmp_path.iterdir()) == []
+
+
+# (config key, bad text, document field, the same bad value built in Python)
+SAME_DOCUMENT = [
+    ("forcing.kind", "foo", "forcing_kind", "foo"),
+    ("boundary.kind", "Manufactured", "boundary_kind", "Manufactured"),
+    ("run.scheme", "rk4", "scheme", "rk4"),
+    ("run.seed", str(2**64), "seed", 2**64),
+    ("run.seed", "-1", "seed", -1),
+    ("output.precision", "40", "precision", 40),
+    ("output.cadence", "-3", "cadence", -3),
+    ("grid.nx", "3", "nx", 3),
+    ("forcing.kind", "file", "forcing_kind", "file"),
+    ("boundary.kind", "file", "boundary_kind", "file"),
+]
+
+
+@pytest.mark.parametrize("key, text, name, value", SAME_DOCUMENT,
+                         ids=[f"{key}={text}" for key, text, _, _ in SAME_DOCUMENT])
+def test_document_built_in_python_is_checked_like_config_text(key, text, name, value):
+    """A ConfigDocument checks itself when it is constructed, so one made by
+    dataclasses.replace on a parsed document raises what the same value
+    raises in config text: same class, same message."""
+    with pytest.raises(sw.SweRectError) as from_text:
+        sw.parse_config(_document(**{key: text}))
+    valid = sw.parse_config(_document())
+    with pytest.raises(sw.SweRectError) as from_python:
+        dataclasses.replace(valid, **{name: value})
+    assert type(from_python.value) is type(from_text.value)
+    assert str(from_python.value) == str(from_text.value)
+
+
+# (document field, value that is not an integer, the owner's message)
+NOT_INTEGERS = [
+    ("cadence", 2.5, "snapshot cadence must be an integer, got 2.5"),
+    ("cadence", True, "snapshot cadence must be an integer, got True"),
+    ("seed", 2.5, "run.seed must be an integer, got 2.5"),
+    ("seed", False, "run.seed must be an integer, got False"),
+    ("precision", 5.0, "precision must be an integer, got 5.0"),
+    ("nx", 16.0, "nx, ny must be integers, got (16.0, 16)"),
+]
+
+
+@pytest.mark.parametrize("name, value, message", NOT_INTEGERS,
+                         ids=[f"{name}={value!r}" for name, value, _ in NOT_INTEGERS])
+def test_document_rejects_integer_settings_that_are_not_integers(name, value, message):
+    valid = sw.parse_config(_document())
+    with pytest.raises(InvalidValue) as info:
+        dataclasses.replace(valid, **{name: value})
+    assert str(info.value) == message
+    # NumPy integers are integers
+    assert getattr(dataclasses.replace(valid, **{name: np.int64(17)}), name) == 17
+
+
+def test_config_document_requires_its_required_keys_by_name():
+    valid = dataclasses.asdict(sw.parse_config(_document()))
+    for section, keys in _SCHEMA.items():
+        for key, (_, required, _, _) in keys.items():
+            if required:
+                name = _FIELD_NAMES[(section, key)]
+                with pytest.raises(TypeError, match=f"argument: '{name}'"):
+                    sw.ConfigDocument(**{k: v for k, v in valid.items() if k != name})
+    with pytest.raises(TypeError):
+        sw.ConfigDocument(*valid.values())
+    assert sw.ConfigDocument(**valid) == sw.parse_config(_document())

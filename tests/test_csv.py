@@ -314,3 +314,22 @@ def test_writers_reject_precision_outside_1_to_17(precision, tmp_path):
         sw.write_energy_csv(log, tmp_path / "e.csv", precision=precision)
     assert str(info.value) == want
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("precision", [5.0, True, np.float64(5.0), "5"])
+def test_writers_reject_precision_that_is_not_an_integer(precision, tmp_path):
+    grid = sw.Grid(1.0, 1.0, 4, 4)
+    want = f"precision must be an integer, got {precision!r}"
+    with pytest.raises(InvalidValue) as info:
+        sw.write_field_csv(grid.x, grid.y, sw.StateField.zeros(grid), tmp_path / "f.csv",
+                           precision=precision)
+    assert str(info.value) == want
+    log = sw.EnergyLog()
+    log.append(0.0, 1.0)
+    with pytest.raises(InvalidValue) as info:
+        sw.write_energy_csv(log, tmp_path / "e.csv", precision=precision)
+    assert str(info.value) == want
+    assert list(tmp_path.iterdir()) == []
+    # a NumPy integer is an integer
+    sw.write_energy_csv(log, tmp_path / "e.csv", precision=np.int64(5))
+    assert (tmp_path / "e.csv").read_text().splitlines()[1] == "0,1"

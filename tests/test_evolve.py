@@ -360,3 +360,22 @@ def test_non_finite_initial_state_reported_as_step_0(kind, c, node):
     name = ("u", "v", "phi")[c]
     assert str(info.value) == (f"non-finite state at step 0 (t=0, regime {sw.classify(p)}): "
                                f"first in field '{name}' at node {node}")
+
+
+@pytest.mark.parametrize("cadence", [2.5, 2.0, True])
+def test_run_config_rejects_snapshot_cadence_that_is_not_an_integer(cadence):
+    """A cadence of 2.5 used to run and snapshot at steps 0, 5, 10 and 12."""
+    grid = sw.Grid(1.0, 1.0, 8, 8)
+    with pytest.raises(InvalidValue) as info:
+        sw.RunConfig(p=params("fhs"), grid=grid, t_end=1.0, initial=sw.StateField.zeros(grid),
+                     snapshot_cadence=cadence)
+    assert str(info.value) == f"snapshot cadence must be an integer, got {cadence!r}"
+
+
+@pytest.mark.parametrize("levels", [2.5, 3.0, True])
+def test_refinement_ladder_rejects_levels_that_are_not_an_integer(levels):
+    with pytest.raises(InvalidValue) as info:
+        sw.refinement_ladder(sw.Grid(1.0, 1.0, 9, 9), levels)
+    assert str(info.value) == f"refinement ladder levels must be an integer, got {levels!r}"
+    grids = sw.refinement_ladder(sw.Grid(1.0, 1.0, 9, 9), np.int64(2))
+    assert [(g.nx, g.ny) for g in grids] == [(9, 9), (17, 17)]

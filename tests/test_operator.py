@@ -398,3 +398,55 @@ def test_quadrature_rejects_fields_off_the_grid():
         with pytest.raises(ShapeMismatch) as info:
             call()
         assert str(info.value) == "field shape (5, 5) vs grid (9, 9)", name
+
+
+@pytest.mark.parametrize("n_samples", [2.5, 2.0, True])
+def test_positivity_probe_rejects_sample_count_that_is_not_an_integer(n_samples):
+    p = params("fhs")
+    with pytest.raises(InvalidValue) as info:
+        sw.positivity_probe(p, sw.classify(p), sw.Grid(1.0, 1.0, 9, 9), n_samples, seed=1)
+    assert str(info.value) == f"positivity probe sample count must be an integer, got {n_samples!r}"
+
+
+@pytest.mark.parametrize("seed", [2.5, 7.0, True])
+def test_seeds_must_be_integers(seed):
+    p = params("fhs")
+    with pytest.raises(InvalidValue) as info:
+        SplitMix64(seed)
+    assert str(info.value) == f"seed must be an integer, got {seed!r}"
+    with pytest.raises(InvalidValue) as info:
+        sw.positivity_probe(p, sw.classify(p), sw.Grid(1.0, 1.0, 9, 9), 2, seed=seed)
+    assert str(info.value) == f"seed must be an integer, got {seed!r}"
+
+
+def test_splitmix64_doubles_takes_a_nonnegative_integer_count():
+    """doubles(2.5) used to return three doubles and advance the stream by
+    two, so the next draw repeated the third."""
+    want = SplitMix64(7).doubles(4)
+    rng = SplitMix64(7)
+    for n in (2.5, 2.0, True, -1):
+        with pytest.raises(InvalidValue) as info:
+            rng.doubles(n)
+        assert str(info.value) == f"n must be a nonnegative integer, got {n!r}"
+    got = np.concatenate([rng.doubles(np.int64(3)), rng.doubles(0), rng.doubles(1)])
+    assert got.tobytes() == want.tobytes()
+    assert SplitMix64(np.uint64(7)).doubles(4).tobytes() == want.tobytes()
+
+
+def test_quadrature_compares_its_operands_shapes():
+    """Two operands of different shapes are a ShapeMismatch, not a broadcast
+    that passes the density's grid check."""
+    grid = sw.Grid(1.0, 1.0, 9, 9)
+    a = StateField(*sw.band_limited_fields(SplitMix64(4), 9, 9, n_fields=3))
+    b = StateField(np.ones((1, 9)), np.ones((1, 9)), np.ones((1, 9)))
+    with pytest.raises(ShapeMismatch) as info:
+        inner_product(a, b, grid, 9.81, 1.0)
+    assert str(info.value) == "operand shapes (9, 9) vs (1, 9)"
+    with pytest.raises(ShapeMismatch) as info:
+        inner_product(b, a, grid, 9.81, 1.0)
+    assert str(info.value) == "operand shapes (1, 9) vs (9, 9)"
+    A = sw.ThetaField(np.ones((9, 9)), np.ones((9, 9)))
+    B = sw.ThetaField(np.ones((9, 1)), np.ones((9, 1)))
+    with pytest.raises(ShapeMismatch) as info:
+        sw.theta_inner(A, B, grid)
+    assert str(info.value) == "operand shapes (9, 9) vs (9, 1)"
