@@ -77,7 +77,6 @@ from .errors import (
     ParseError,
     RegimeMismatch,
     ShapeMismatch,
-    SingularConstraintSystem,
     SingularSystem,
     SweRectError,
     UnknownKey,

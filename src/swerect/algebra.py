@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Union
 
 import numpy as np
 
@@ -196,10 +196,10 @@ def transform_for(p: PhysicalConstants) -> Transform:
     return hyperbolic_transform(p)
 
 
-def independent_rows(rows: np.ndarray, start: Optional[np.ndarray] = None) -> List[int]:
-    """Indices of the rows that, in order, raise the rank of the stack so far:
-    start (full row rank; none by default) over the rows kept before them."""
-    stack = np.zeros((0, rows.shape[1])) if start is None else start
+def independent_rows(rows: np.ndarray) -> List[int]:
+    """Indices of the rows that, in order, raise the rank of the rows kept
+    before them."""
+    stack = np.zeros((0, rows.shape[1]))
     kept: List[int] = []
     for i in range(rows.shape[0]):
         if stack.shape[0] == rows.shape[1]:

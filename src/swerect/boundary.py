@@ -7,11 +7,10 @@ resulting problem well posed.  In the hyperbolic regimes both catalogs follow
 from that one rule (_entering_rows); the mixed subcritical rows are
 closed-form.
 
-Enforcement works in characteristic variables: at a boundary node the
-constrained combinations are set from the data while the remaining
-combinations are filled by first-order extrapolation from the interior, then
-the node value is recovered by a single 3x3 solve.  Corner nodes take the
-union of the two adjacent sides' rows (de-duplicated by rank).
+Enforcement projects each constrained boundary node onto its rows' data,
+orthogonally in the energy inner product (Olsson's projection method): the
+node keeps the part of its own value that the rows leave free.  Corner nodes
+take the union of the two adjacent sides' rows (de-duplicated by rank).
 """
 
 from __future__ import annotations
@@ -22,8 +21,8 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .algebra import Transform, elliptic_transform, hyperbolic_transform, independent_rows
-from .errors import RegimeMismatch, ShapeMismatch, SingularConstraintSystem
+from .algebra import coefficient_matrices, elliptic_transform, hyperbolic_transform, independent_rows
+from .errors import RegimeMismatch, ShapeMismatch
 from .fields import Grid
 from .regime import PhysicalConstants, Regime, classify
 
@@ -243,81 +242,64 @@ def constrained_sides(spec: BoundarySpec, grid: Grid):
 # --- discrete enforcement ---------------------------------------------------
 
 
-def _independent_then_complete(rows: np.ndarray, pinv: np.ndarray):
-    """(keep_idx, M): the indices of the independent rows, and the (3, 3)
-    solve matrix of those rows completed to rank 3 by transform rows."""
-    keep = independent_rows(rows)
-    M = np.vstack([rows[keep], pinv[independent_rows(pinv, start=rows[keep])]])
-    if M.shape[0] != 3:
-        raise SingularConstraintSystem("constraint rows cannot be completed to rank 3")
-    return keep, M
-
-
-@dataclass
-class _Plan:
-    G_data: np.ndarray   # (3, n_kept)
-    G_free: np.ndarray   # (3, 3) acting on the extrapolated state; zero rows when n_kept = 3
-    keep_idx: np.ndarray  # into the rows; at a corner, x side rows stacked over y side rows
-
-
-def _make_plan(rows: np.ndarray, pinv: np.ndarray, include_free_sides: bool) -> Optional[_Plan]:
-    if rows.shape[0] == 0:
-        # pure extrapolation (identity on the extrapolated state), or untouched
-        return (_Plan(np.zeros((3, 0)), np.eye(3), np.empty(0, np.intp))
-                if include_free_sides else None)
-    keep, M = _independent_then_complete(rows, pinv)
-    n_kept = len(keep)
-    Minv = np.linalg.inv(M)
-    G_free = np.zeros((3, 3)) if n_kept == 3 else Minv[:, n_kept:] @ M[n_kept:]
-    return _Plan(Minv[:, :n_kept], G_free, np.array(keep, np.intp))
-
-
 class BcEnforcer:
-    """Precompiled boundary projection for one (spec, transform, grid) triple.
+    """Precompiled boundary projection for one (spec, constants, grid) triple.
 
-    apply() overwrites boundary nodes of a (3, nx, ny) stack so the constraint
-    rows hold exactly with the sampled data while free combinations take the
-    linear extrapolation 2*U_1 - U_2 from the interior (diagonal at corners).
-    Only interior values are read, so the projection is idempotent and can
-    run in place.
+    apply() moves each constrained boundary node of a (3, nx, ny) stack to the
+    nearest state, in the energy weight S0 = diag(1, 1, g/phi0), at which its
+    node class's independent rows R hold with the sampled data d:
 
-    include_free_sides: when True, sides without any constraint rows are also
-    overwritten by pure extrapolation; the time stepper keeps them evolving
-    under its one-sided stencils instead (False), which preserves the discrete
-    energy estimate at outflow.
+        U <- U - S0^-1 R^T (R S0^-1 R^T)^-1 (R U - d) = K d + (I - K R) U.
+
+    A node class whose rows have rank 3 is set to R^-1 d; sides without rows
+    are left untouched, so outflow sides evolve under the one-sided stencils.
+    The projection is orthogonal in the energy inner product, which is what
+    lets a homogeneous step contract.  Each node reads only its own value,
+    so the projection can run in place.
     """
 
-    def __init__(self, spec: BoundarySpec, transform: Transform, grid: Grid,
-                 include_free_sides: bool = False):
+    def __init__(self, spec: BoundarySpec, p: PhysicalConstants, grid: Grid):
+        self._shape = (3, grid.nx, grid.ny)
         # (k, n) of each side's data, in SIDES order
-        self._shapes = tuple((spec.rows[s].shape[0], (grid.nx, grid.ny)[1 - s.axis])
-                             for s in SIDES)
-        # one target per projected node class (edges, then corners): its
-        # plan, where its nodes sit in each side's data, and the nodes with
-        # their next two inward lines.  A side's data run along the other
-        # axis, so at a corner the node is at the other side's end of it
+        self._shapes = tuple((spec.rows[s].shape[0], self._shape[2 - s.axis]) for s in SIDES)
+        s_inv = 1.0 / np.diag(coefficient_matrices(p).S0)
+        # one target per projected node class (edges, then corners): its K
+        # and I - K R, the rows it keeps, where its nodes sit in each side's
+        # data, and the nodes.  A side's data run along the other axis, so at
+        # a corner the node is at the other side's end of it
         targets = []
         for sides in _NODE_CLASSES[1:]:
             rows = np.vstack([spec.rows[s] for s in sides])
-            plan = _make_plan(rows, transform.Pinv, include_free_sides)
-            if plan is not None:
-                node, near, far = (node_line(sides, k) for k in range(3))
-                along = tuple((s, node[2 - s.axis]) for s in sides)
-                targets.append((plan, along, node, near, far))
+            if rows.shape[0] == 0:
+                continue
+            keep = independent_rows(rows)
+            R = rows[keep]
+            if len(keep) == 3:
+                K, Pm = np.linalg.inv(R), np.zeros((3, 3))
+            else:
+                SR = s_inv[:, None] * R.T
+                K = SR @ np.linalg.inv(R @ SR)
+                Pm = np.eye(3) - K @ R
+            node = node_line(sides)
+            along = tuple((s, node[2 - s.axis]) for s in sides)
+            targets.append((K, Pm, keep, along, node))
         self._targets = tuple(targets)
         self._t = self._data = self._data_terms = None
 
     def _sample(self, data: BoundaryData, t: float):
-        """G_data times the kept data of every target at time t."""
+        """K times the kept data of every target at time t."""
         samples = {s: data.sample(s, t, k, n) for s, (k, n) in zip(SIDES, self._shapes)}
-        return [plan.G_data @ np.concatenate([samples[s][:, i] for s, i in along])[plan.keep_idx]
-                for plan, along, _, _, _ in self._targets]
+        return [K @ np.concatenate([samples[s][:, i] for s, i in along])[keep]
+                for K, _, keep, along, _ in self._targets]
 
     def apply(self, W: np.ndarray, data: BoundaryData, t: float = 0.0, *,
               out: Optional[np.ndarray] = None) -> np.ndarray:
         """Project W into ``out`` (a fresh copy of W when None; W itself
         projects in place).  The data are sampled once per distinct t: a
         repeated (data, t) reuses the previous samples."""
+        for a in (W, out):
+            if a is not None and a.shape != self._shape:
+                raise ShapeMismatch(f"stack shape {a.shape} vs {self._shape}")
         if out is None:
             out = W.copy()
         elif out is not W:
@@ -325,6 +307,6 @@ class BcEnforcer:
         if t != self._t or data is not self._data:
             self._data_terms = self._sample(data, t)
             self._t, self._data = t, data
-        for (plan, _, node, near, far), term in zip(self._targets, self._data_terms):
-            out[node] = term + plan.G_free @ (2.0 * W[near] - W[far])
+        for (_, Pm, _, _, node), term in zip(self._targets, self._data_terms):
+            out[node] = term + Pm @ out[node]
         return out

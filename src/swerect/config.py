@@ -17,6 +17,7 @@ Everything else has a documented default.
 
 from __future__ import annotations
 
+import math
 import os.path
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional, Tuple
@@ -24,7 +25,7 @@ from typing import Optional, Tuple
 from .boundary import BoundaryData, bc_catalog
 from .errors import InvalidValue, IoError, MissingKey, ParseError, UnknownKey
 from .evolve import SCHEMES, RunConfig, check_run_settings
-from .fields import Grid, StateField
+from .fields import Grid, StateField, is_real
 from .io_csv import check_precision, read_field_csv
 from .manufactured import DEFAULT_SOLUTION
 from .operator import band_limited_fields
@@ -69,9 +70,13 @@ class ConfigDocument:
 
     def __post_init__(self):
         for (section, key), name in _FIELD_NAMES.items():
-            value, choices = getattr(self, name), _SCHEMA[section][key][3]
+            value, (tag, _, _, choices) = getattr(self, name), _SCHEMA[section][key]
             if choices and value not in choices:
                 raise InvalidValue(f"{section}.{key}: must be one of {choices}, got '{value}'")
+            if tag == "float" and is_real(value) and not math.isfinite(value):
+                raise InvalidValue(f"{section}.{key}: must be finite, got '{value}'")
+        if not (isinstance(self.output_dir, str) and self.output_dir):
+            raise InvalidValue(f"output.dir: must be a non-empty path, got {self.output_dir!r}")
         self.make_grid()
         check_run_settings(self.t_end, self.cfl, self.scheme, self.cadence)
         check_seed(self.seed, "run.seed")
@@ -147,12 +152,9 @@ def _parse_lines(text: str):
 def _convert(dotted: str, tag: str, raw: str):
     if tag == "float":
         try:
-            val = float(raw)
+            return float(raw)
         except ValueError:
             raise InvalidValue(f"{dotted}: not a number: '{raw}'") from None
-        if val != val or val in (float("inf"), float("-inf")):
-            raise InvalidValue(f"{dotted}: must be finite, got '{raw}'")
-        return val
     if tag == "int":
         try:
             return int(raw)

@@ -42,10 +42,6 @@ class SingularSystem(SweRectError):
     """A linear system that should be invertible is numerically singular."""
 
 
-class SingularConstraintSystem(SweRectError):
-    """Boundary constraint rows cannot be completed to an invertible system."""
-
-
 class NonConvergence(SweRectError):
     """An iterative or time-stepping process failed to produce a usable result."""
 

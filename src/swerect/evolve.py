@@ -17,9 +17,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .boundary import BcEnforcer, BoundaryData, bc_catalog
-from .algebra import transform_for
 from .errors import InvalidValue, NonFinite, ShapeMismatch
-from .fields import EnergyLog, Grid, StateField, is_integer
+from .fields import EnergyLog, Grid, StateField, is_integer, is_real
 from .manufactured import ManufacturedSolution
 from .operator import DiscreteOperator, energy_value
 from .regime import PhysicalConstants, classify
@@ -36,6 +35,9 @@ SCHEMES = ("ssprk2", "euler")
 
 def check_run_settings(t_end: float, cfl: float, scheme: str, snapshot_cadence: int) -> None:
     """The rules on a run's settings; RunConfig and the config file both call this."""
+    for name, value in (("cfl", cfl), ("t_end", t_end)):
+        if not is_real(value):
+            raise InvalidValue(f"{name} must be a real number, got {value!r}")
     if not (0.0 < cfl <= 0.9):
         raise InvalidValue(f"cfl must be in (0, 0.9], got {cfl}")
     if not (0.0 < t_end < math.inf):
@@ -79,10 +81,7 @@ class _Stepper:
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.regime = classify(cfg.p)
-        # rows-only enforcement: outflow sides evolve under the one-sided
-        # stencils, which is what keeps the discrete energy estimate
-        self.enforcer = BcEnforcer(bc_catalog(self.regime, cfg.p), transform_for(cfg.p),
-                                   cfg.grid, include_free_sides=False)
+        self.enforcer = BcEnforcer(bc_catalog(self.regime, cfg.p), cfg.p, cfg.grid)
         self.op = DiscreteOperator(cfg.p, cfg.grid)
         self.f = cfg.p.f
         shape = (3, cfg.grid.nx, cfg.grid.ny)
@@ -120,7 +119,7 @@ class _Stepper:
         K += W
         if self.cfg.scheme == "euler":
             return self.enforce(K, t + dt)
-        # stage 1 projects in place: it reads only interior nodes
+        # stage 1 projects in place: each node reads only itself
         W1 = self.enforcer.apply(K, self.cfg.boundary_data, t + dt, out=K)
         K2 = self.rhs(W1, t + dt, self._s)
         K2 *= dt

@@ -26,6 +26,12 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """The rule for every real-valued setting: an int, a float or a NumPy
+    real, and not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Grid:
     l1: float
@@ -34,6 +40,8 @@ class Grid:
     ny: int
 
     def __post_init__(self):
+        if not (is_real(self.l1) and is_real(self.l2)):
+            raise InvalidValue(f"domain lengths must be real numbers, got ({self.l1!r}, {self.l2!r})")
         if not (0 < self.l1 < np.inf and 0 < self.l2 < np.inf):
             raise InvalidValue(f"domain lengths must be positive and finite, "
                                f"got ({self.l1}, {self.l2})")

@@ -9,7 +9,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .algebra import coefficient_matrices, flux_forms, transform_for
+from .algebra import coefficient_matrices, flux_forms
 from .boundary import BcEnforcer, BoundaryData, Side, SIDES, adjoint_bc_catalog, bc_catalog
 from .errors import InvalidValue, ShapeMismatch
 from .fields import Grid, StateField, inner_product, is_integer
@@ -204,9 +204,10 @@ def positivity_probe(p: PhysicalConstants, regime: Regime, grid: Grid,
                      n_samples: int, seed: int) -> ProbeReport:
     """Minimum of <A_h U, U> / ||U||^2 over random smooth BC-respecting fields.
 
-    The continuous quadratic form is nonnegative on the domain of the
-    operator; discretely, upwind dissipation keeps the quotient above a small
-    negative floor set by the boundary extrapolation error of the samples.
+    The samples are projected onto the catalog by the stepper's own
+    enforcer.  The continuous quadratic form is nonnegative on the domain of
+    the operator; discretely, upwind dissipation keeps the quotient above a
+    small negative floor.
     """
     if not is_integer(n_samples):
         raise InvalidValue(f"positivity probe sample count must be an integer, got {n_samples!r}")
@@ -214,7 +215,7 @@ def positivity_probe(p: PhysicalConstants, regime: Regime, grid: Grid,
         raise InvalidValue(f"positivity probe needs at least one sample, got {n_samples}")
     check_seed(seed, "seed")
     spec = bc_catalog(regime, p)
-    enforcer = BcEnforcer(spec, transform_for(p), grid, include_free_sides=True)
+    enforcer = BcEnforcer(spec, p, grid)
     op = DiscreteOperator(p, grid)
     data = BoundaryData.homogeneous()
     rng = SplitMix64(seed)

@@ -24,7 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DegenerateCase, NonPositiveParameter, NotElliptic, NotHyperbolic
+from .errors import DegenerateCase, InvalidValue, NonPositiveParameter, NotElliptic, NotHyperbolic
+from .fields import is_real
 
 #: Relative genericity tolerance: base states with any of the three sign
 #: quantities within TAU_GEN * g * phi0 of zero are rejected, because the
@@ -81,6 +82,9 @@ def validate_params(u0: float, v0: float, phi0: float, g: float, f: float = 0.0)
     DegenerateCase when the state sits within the genericity tolerance of a
     regime boundary.
     """
+    for name, value in zip(("u0", "v0", "phi0", "g", "f"), (u0, v0, phi0, g, f)):
+        if not is_real(value):
+            raise InvalidValue(f"{name} must be a real number, got {value!r}")
     return PhysicalConstants(float(u0), float(v0), float(phi0), float(g), float(f))
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import swerect as sw
 from swerect.algebra import coefficient_matrices
 from swerect.boundary import Side
-from swerect.errors import InvalidValue, IoError, SingularConstraintSystem
+from swerect.errors import InvalidValue, IoError
 from swerect.fields import StateField
 from swerect.rng import SplitMix64
 
@@ -191,15 +191,10 @@ def boundary_flat_theta(grid, scale=400.0):
     return ThetaField(psi.copy(), psi.copy())
 
 
-def reference_independent_then_complete(rows, pinv):
+def reference_independent_rows(rows):
     """The enforcement row rule as written before the enforcement plans and
-    the elliptic assembly shared `algebra.independent_rows`:
-    `boundary._independent_then_complete` must keep the same rows and build
-    the same (3, 3) matrix, bit for bit.
-
-    Returns (keep_idx, n_kept, M) with M the (3, 3) solve matrix whose first
-    n_kept rows are the kept constraints and the rest free combinations.
-    """
+    the elliptic assembly shared `algebra.independent_rows`: the indices of
+    the rows that, in order, raise the rank of the rows kept before them."""
     kept = []
     cur = np.zeros((0, 3))
     for i in range(rows.shape[0]):
@@ -207,16 +202,7 @@ def reference_independent_then_complete(rows, pinv):
         if np.linalg.matrix_rank(trial) > cur.shape[0]:
             kept.append(i)
             cur = trial
-    n_kept = cur.shape[0]
-    for r in pinv:
-        if cur.shape[0] == 3:
-            break
-        trial = np.vstack([cur, r])
-        if np.linalg.matrix_rank(trial) > cur.shape[0]:
-            cur = trial
-    if cur.shape[0] != 3:
-        raise SingularConstraintSystem("constraint rows cannot be completed to rank 3")
-    return kept, n_kept, cur
+    return kept
 
 
 def reference_entering_rows(p, s):

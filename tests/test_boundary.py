@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 import swerect as sw
+from swerect.algebra import independent_rows
 from swerect.boundary import (
     _NODE_CLASSES,
     SIDES,
     Side,
     _entering_rows,
-    _independent_then_complete,
     constrained_sides,
     node_line,
 )
@@ -25,7 +25,7 @@ from helpers import (
     draw_params,
     params,
     reference_entering_rows,
-    reference_independent_then_complete,
+    reference_independent_rows,
 )
 
 W, E, S, N = Side.WEST, Side.EAST, Side.SOUTH, Side.NORTH
@@ -122,8 +122,7 @@ def test_compatible_fields_annihilate_rows():
 
 
 def _projector(p, spec, grid):
-    """Enforcement of every side, free sides by extrapolation."""
-    return sw.BcEnforcer(spec, sw.transform_for(p), grid, include_free_sides=True)
+    return sw.BcEnforcer(spec, p, grid)
 
 
 def test_apply_bc_idempotent():
@@ -136,7 +135,9 @@ def test_apply_bc_idempotent():
         data = sw.BoundaryData.homogeneous()
         once = enforcer.apply(sw.band_limited_fields(rng, 20, 24), data)
         twice = enforcer.apply(once, data)
-        assert np.array_equal(once, twice)
+        # a second pass re-projects each node's own value: round-off only,
+        # within 4 ulps of the field's largest value (1 ulp seen)
+        assert np.max(np.abs(twice - once)) <= 4 * np.finfo(float).eps * np.max(np.abs(once))
 
 
 def test_apply_bc_reproduces_sampled_data():
@@ -205,11 +206,10 @@ def test_lifted_forcing_consistency():
     assert norms[1] < 0.75 * norms[0]
 
 
-@pytest.mark.parametrize("include_free_sides", [True, False])
 @pytest.mark.parametrize("kind", sorted(REGIME_CASES))
-def test_enforcer_in_place_matches_copy(kind, include_free_sides):
+def test_enforcer_in_place_matches_copy(kind):
     """Projecting in place, into another buffer, or into a fresh copy gives
-    the same bits: the projection reads only interior nodes.  One enforcer
+    the same bits: each projected node reads only its own value.  One enforcer
     reused across times and data sets (it samples once per distinct t)
     agrees with a fresh enforcer for every call."""
     p = params(kind)
@@ -218,11 +218,11 @@ def test_enforcer_in_place_matches_copy(kind, include_free_sides):
     for grid in (sw.Grid(1.0, 1.0, 4, 4), sw.Grid(1.0, 1.5, 5, 9)):
         datas = (sw.BoundaryData.homogeneous(),
                  sw.BoundaryData.from_state_samples(spec, grid, DEFAULT_SOLUTION.state))
-        reused = sw.BcEnforcer(spec, sw.transform_for(p), grid, include_free_sides)
+        reused = sw.BcEnforcer(spec, p, grid)
         for data in datas + datas[::-1]:
             for t in (0.0, 0.3, 0.3, 0.0):
                 W = sw.band_limited_fields(rng, grid.nx, grid.ny)
-                fresh = sw.BcEnforcer(spec, sw.transform_for(p), grid, include_free_sides)
+                fresh = sw.BcEnforcer(spec, p, grid)
                 want = fresh.apply(W, data, t)
                 assert want is not W and not np.array_equal(want, W)
                 other = np.full_like(W, np.nan)
@@ -247,22 +247,18 @@ def test_side_members_hash_and_copy_as_themselves():
 @pytest.mark.parametrize("kind", sorted(REGIME_CASES))
 def test_row_rule_matches_reference_on_draws(kind):
     """Every edge and corner row stack of both catalogs keeps the same rows
-    and builds the same solve matrix as the reference rule, bit for bit
-    (corners stack the x side's rows over the y side's, as BcEnforcer does;
-    in MixedSubcritical the forward SW corner repeats a row pair)."""
+    as the reference rule (corners stack the x side's rows over the y
+    side's, as BcEnforcer does; in MixedSubcritical the forward SW corner
+    repeats a row pair)."""
     rng = SplitMix64(71)
     for _ in range(200):
         p = draw_params(kind, rng)
-        pinv = sw.transform_for(p).Pinv
         for catalog in (sw.bc_catalog, sw.adjoint_bc_catalog):
             rows = catalog(sw.classify(p), p).rows
             stacks = [rows[s] for s in SIDES]
             stacks += [np.vstack([rows[sx], rows[sy]]) for sx in (W, E) for sy in (S, N)]
             for C in stacks:
-                want_keep, n_kept, want_M = reference_independent_then_complete(C, pinv)
-                keep, M = _independent_then_complete(C, pinv)
-                assert keep == want_keep and len(keep) == n_kept
-                assert np.array_equal(M, want_M)
+                assert independent_rows(C) == reference_independent_rows(C)
 
 
 GEOMETRY_GRIDS = [(4, 4), (4, 23), (23, 4), (9, 7)]
@@ -341,3 +337,17 @@ def test_entering_rows_match_reference_bit_for_bit(kind):
                 g = got[side]
                 assert (g.shape, g.dtype, g.tobytes()) == (w.shape, w.dtype, w.tobytes())
                 assert g.flags.writeable and g.flags.c_contiguous
+
+
+@pytest.mark.parametrize("shape", [(3, 16, 20), (3, 20, 16), (2, 16, 16), (4, 16, 16), (16, 16)])
+def test_enforcer_rejects_a_stack_of_another_shape(shape):
+    p = params("fhs")
+    enforcer = sw.BcEnforcer(sw.bc_catalog(sw.classify(p), p), p, sw.Grid(1.0, 1.0, 16, 16))
+    data = sw.BoundaryData.homogeneous()
+    want = f"stack shape {shape} vs (3, 16, 16)"
+    with pytest.raises(ShapeMismatch) as info:
+        enforcer.apply(np.zeros(shape), data)
+    assert str(info.value) == want
+    with pytest.raises(ShapeMismatch) as info:
+        enforcer.apply(np.zeros((3, 16, 16)), data, out=np.zeros(shape))
+    assert str(info.value) == want

@@ -197,7 +197,22 @@ SAME_RULE = [
     ("output.precision", "0", lambda path: _write_field(path, 0)),
     ("output.precision", "18", lambda path: sw.write_energy_csv(sw.EnergyLog(), path / "e.csv",
                                                                 precision=18)),
+    # values that are not real numbers: the parser's number syntax and the
+    # owners' type checks reject them alike
+    ("run.cfl", '"0.45"', lambda path: _run_config(cfl="0.45")),
+    ("run.t_end", "True", lambda path: _run_config(t_end=True)),
+    ("grid.L1", '"1.0"', lambda path: dataclasses.replace(sw.parse_config(_document()), L1="1.0")),
+    ("grid.L1", "True", lambda path: sw.Grid(True, 1.0, 16, 16)),
+    ("physics.u0", '"4.0"', lambda path: sw.validate_params("4.0", 4.0, 1.0, 9.81)),
 ]
+
+
+def _is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 @pytest.mark.parametrize("key, text, api", SAME_RULE,
@@ -210,7 +225,8 @@ def test_config_and_api_reject_the_same_value(key, text, api, tmp_path):
     with pytest.raises(sw.SweRectError) as from_api:
         api(tmp_path)
     assert type(from_config.value) is type(from_api.value) is InvalidValue
-    if key != "run.scheme":  # the parser's choice check names the key for every choice
+    # the parser's own checks, of a choice or of the number syntax, name the key
+    if key != "run.scheme" and _is_number(text):
         assert str(from_config.value) == str(from_api.value)
     assert list(tmp_path.iterdir()) == []
 
@@ -227,6 +243,10 @@ SAME_DOCUMENT = [
     ("grid.nx", "3", "nx", 3),
     ("forcing.kind", "file", "forcing_kind", "file"),
     ("boundary.kind", "file", "boundary_kind", "file"),
+    ("physics.f", "nan", "f", math.nan),
+    ("physics.u0", "inf", "u0", math.inf),
+    ("grid.L1", "-inf", "L1", -math.inf),
+    ("run.cfl", "nan", "cfl", math.nan),
 ]
 
 
@@ -278,3 +298,32 @@ def test_config_document_requires_its_required_keys_by_name():
     with pytest.raises(TypeError):
         sw.ConfigDocument(*valid.values())
     assert sw.ConfigDocument(**valid) == sw.parse_config(_document())
+
+
+# (owner, value that is not a real number, the owner's message)
+NOT_REALS = [
+    (lambda v: sw.Grid(v, 1.0, 16, 16), True, "domain lengths must be real numbers, got (True, 1.0)"),
+    (lambda v: sw.Grid(1.0, v, 16, 16), "1.0", "domain lengths must be real numbers, got (1.0, '1.0')"),
+    (lambda v: _run_config(t_end=v), True, "t_end must be a real number, got True"),
+    (lambda v: _run_config(cfl=v), "0.45", "cfl must be a real number, got '0.45'"),
+    (lambda v: sw.validate_params(v, 4.0, 1.0, 9.81), "4.0", "u0 must be a real number, got '4.0'"),
+    (lambda v: sw.validate_params(4.0, 4.0, 1.0, 9.81, v), False, "f must be a real number, got False"),
+]
+
+
+@pytest.mark.parametrize("owner, value, message", NOT_REALS, ids=[m for _, _, m in NOT_REALS])
+def test_real_settings_reject_values_that_are_not_real(owner, value, message):
+    with pytest.raises(InvalidValue) as info:
+        owner(value)
+    assert type(info.value) is InvalidValue and str(info.value) == message
+    # ints and NumPy reals are real numbers; bools and text are not
+    assert [sw.fields.is_real(v) for v in (1, 0.5, np.float32(0.5), np.int8(2))] == [True] * 4
+    assert [sw.fields.is_real(v) for v in (True, np.bool_(True), "1.0", None)] == [False] * 4
+
+
+@pytest.mark.parametrize("output_dir", [None, "", 3])
+def test_document_output_dir_is_a_non_empty_string(output_dir):
+    valid = sw.parse_config(_document())
+    with pytest.raises(InvalidValue) as info:
+        dataclasses.replace(valid, output_dir=output_dir)
+    assert str(info.value) == f"output.dir: must be a non-empty path, got {output_dir!r}"

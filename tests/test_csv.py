@@ -265,21 +265,21 @@ dir = e
 # field, so the two files are equal
 PINNED_FILES = {
     "run-a": (RUN_A, "run", {
-        "energy.csv": "2b85e9a50f8a26e26f383eea07ffffae10ea442883c7d93632118732ceb60f27",
-        "field_000000.csv": "79ecb9d6950969b1068bbc576cdf4555df804f1ba5b07eb57f3305361f49f2e2",
-        "field_000001.csv": "e6a7b0eb622d0c6636b878349d7a34416cb126716ce355b9fcacfd475d91ac33",
-        "field_000002.csv": "bc5a4ea11b26bd04b16ed8f66a4ee8b78e64b5d3a096f907b04b1a23a828b4eb",
-        "field_000003.csv": "f0ee6193e0a3752fdeb6798e704124cf0a98c35251093c292d2dbdea371a2326",
-        "field_000004.csv": "33f1666c4c2d780bc85475ca09fa07ae01a27d0161a19a7fe207c3dc5bbd8195",
-        "field_000005.csv": "a9e0737df57966094f340e883ac0a1fe63fa50919867ca36b97eb4640b2bd4d4",
-        "field_final.csv": "a9e0737df57966094f340e883ac0a1fe63fa50919867ca36b97eb4640b2bd4d4",
+        "energy.csv": "dd1f83c4b27cfd958ca6f8381e71285d4326e3fc6b7b4a6d82d538b3c4211fe2",
+        "field_000000.csv": "fc41efec2e744dfa2e6d8441fca6433f3376425a889c93f67d07d3f48b9dee8d",
+        "field_000001.csv": "eeda8a4367c7f8f3a28361f05d71448df0bef434eeb0bec4033a3b5d948b1cea",
+        "field_000002.csv": "2f59dd18d0b939f6c906cbf326379b530b25c5c4b49a3db6b97da0ee50667e1a",
+        "field_000003.csv": "b4197ba18a699bdf06dd0332e7dba748bba79836cf1fdf67dd36653926627cb3",
+        "field_000004.csv": "973b24b94c9095b6508c83603180fd2265af06e5d1c94cd500c6e123fb907044",
+        "field_000005.csv": "9570fc01d89714a0922e838455aba347610afbf7a788cff55236afc8651bb0b5",
+        "field_final.csv": "9570fc01d89714a0922e838455aba347610afbf7a788cff55236afc8651bb0b5",
     }),
     "run-b": (RUN_B, "run", {
-        "energy.csv": "b305c6ba88c06e2d2e1cc2d504e06ef024dc5a89442a320ff5d6a63c1616d19e",
-        "field_000000.csv": "005c6551875859532a80b182f322f0c04ef82f445d85655ccfa652900c6617dd",
-        "field_000001.csv": "b11c741a7868a7b30252224db5eab50df9f5bd93d42d2d0f212a73bc92f9e806",
-        "field_000002.csv": "ef6318fa3bccdc54d63c849d613ad828208fcda137e091382374bcebd09be465",
-        "field_final.csv": "ef6318fa3bccdc54d63c849d613ad828208fcda137e091382374bcebd09be465",
+        "energy.csv": "ed28702d3a1d96de3410c3bc8c48536e116c85c3486836c753858566d5b75d28",
+        "field_000000.csv": "bc793dca51c00df22abecf67fee7a642fa5a8bfb3b3e1310d8357e416849f047",
+        "field_000001.csv": "60343858dca24c3af3e40bd3dcf89f231bb28397cf00698bc4456928f926936a",
+        "field_000002.csv": "2e45f5436b421d2d4520f0d8ef5237c6bce397c19cba44bdd7e193cd0c051fc7",
+        "field_final.csv": "2e45f5436b421d2d4520f0d8ef5237c6bce397c19cba44bdd7e193cd0c051fc7",
     }),
     "solve-elliptic": (ELLIPTIC, "solve-elliptic", {
         "theta.csv": "09ef71553120f6c332aeb2bd8ee6e083bf7458cc9ab1e9c029679900735ee26b",

@@ -379,3 +379,84 @@ def test_refinement_ladder_rejects_levels_that_are_not_an_integer(levels):
     assert str(info.value) == f"refinement ladder levels must be an integer, got {levels!r}"
     grids = sw.refinement_ladder(sw.Grid(1.0, 1.0, 9, 9), np.int64(2))
     assert [(g.nx, g.ny) for g in grids] == [(9, 9), (17, 17)]
+
+
+# --- certified contraction ----------------------------------------------------
+# With zero forcing and zero boundary data one step is a linear map M of the
+# (3, nx, ny) stack, so its worst one-step gain in the energy norm over every
+# state that satisfies the catalog is one number: the largest singular value
+# of H^1/2 M Q, with H the trapezoid weights (g/phi0 on phi) and Q an
+# H-orthonormal basis of the range of the boundary projection P.  Both maps
+# are built column by column from unit stacks.
+
+
+def _columns(fn, shape):
+    """The matrix whose k-th column is fn of the k-th unit stack."""
+    n = int(np.prod(shape))
+    out = np.empty((n, n))
+    for k in range(n):
+        e = np.zeros(n)
+        e[k] = 1.0
+        out[:, k] = fn(e.reshape(shape)).ravel()
+    return out
+
+
+def _energy_weights(p, grid):
+    wx, wy = np.full(grid.nx, grid.dx), np.full(grid.ny, grid.dy)
+    wx[[0, -1]] *= 0.5
+    wy[[0, -1]] *= 0.5
+    return (np.array([1.0, 1.0, p.g / p.phi0])[:, None, None] * np.outer(wx, wy)).ravel()
+
+
+def _admissible_basis(p, grid):
+    """(root of H, H^1/2 Q): an orthonormal basis of H^1/2 range(P)."""
+    cfg = sw.RunConfig(p=p, grid=grid, t_end=1.0, initial=sw.StateField.zeros(grid))
+    stepper = _Stepper(cfg)
+    root = np.sqrt(_energy_weights(p, grid))
+    P = _columns(lambda e: stepper.enforce(e, 0.0), (3, grid.nx, grid.ny))
+    U, s, _ = np.linalg.svd(root[:, None] * P)
+    return root, U[:, : np.count_nonzero(s > 1e-8 * s[0])]
+
+
+def _one_step(p, grid, cfl, scheme, basis):
+    """(H^1/2 M Q, Q): one homogeneous step on the admissible states."""
+    root, HQ = basis
+    cfg = sw.RunConfig(p=p, grid=grid, t_end=1.0, initial=sw.StateField.zeros(grid),
+                       cfl=cfl, scheme=scheme)
+    stepper, dt = _Stepper(cfg), sw.cfl_dt(p, grid, cfl)
+    M = _columns(lambda e: stepper.advance(e, dt, 0.0), (3, grid.nx, grid.ny))
+    Q = HQ / root[:, None]
+    return root[:, None] * (M @ Q), Q
+
+
+@pytest.mark.parametrize("n", [9, 13])
+@pytest.mark.parametrize("kind", sorted(REGIME_CASES))
+def test_homogeneous_step_contracts_every_admissible_state(kind, n):
+    """The README's contraction claim as a certificate: no state that
+    satisfies the catalog gains energy-norm in one homogeneous step, on n x n
+    grids, at f in {0, 5}, cfl 0.45 and 0.9, with either scheme."""
+    grid = sw.Grid(1.0, 1.0, n, n)
+    basis = _admissible_basis(params(kind), grid)
+    for f in (0.0, 5.0):
+        p = sw.validate_params(*REGIME_CASES[kind], f)
+        for cfl in (0.45, 0.9):
+            for scheme in sw.evolve.SCHEMES:
+                gain = np.linalg.norm(_one_step(p, grid, cfl, scheme, basis)[0], 2)
+                assert gain <= 1.0 + 1e-12, (f, cfl, scheme, gain - 1.0)
+
+
+@pytest.mark.parametrize("kind", ["fhs", "msub"])
+def test_worst_admissible_state_contracts_through_run(kind):
+    """The stepper's own worst state on 13 x 13 (f = 0), handed to sw.run as
+    the initial state: the energy log never grows.  An oblique projection
+    that writes extrapolated values into the free characteristics fails here
+    at step 0 (E1/E0 = 1.040 in fhs, 1.179 in msub)."""
+    p, grid = params(kind), sw.Grid(1.0, 1.0, 13, 13)
+    X, Q = _one_step(p, grid, 0.45, "ssprk2", _admissible_basis(p, grid))
+    _, s, vt = np.linalg.svd(X, full_matrices=False)
+    gain, W0 = s[0], (Q @ vt[0]).reshape(3, grid.nx, grid.ny)
+    res = sw.run(sw.RunConfig(p=p, grid=grid, t_end=10 * sw.cfl_dt(p, grid, 0.45),
+                              initial=sw.StateField.from_stack(W0)))
+    rep = sw.contraction_check(res.log)
+    assert res.n_steps == 10 and rep.passed, (gain, rep)
+    assert res.log.energies[1] / res.log.energies[0] == pytest.approx(gain**2, rel=1e-9)
