@@ -116,10 +116,15 @@ def inner_product(a: StateField, b: StateField, grid: Grid, g: float, phi0: floa
     return integrate(dens, grid)
 
 
+def check_field_shape(f: np.ndarray, grid: Grid) -> None:
+    """A grid function must be shaped (nx, ny)."""
+    if f.shape != (grid.nx, grid.ny):
+        raise ShapeMismatch(f"field shape {f.shape} vs grid ({grid.nx}, {grid.ny})")
+
+
 def integrate(dens: np.ndarray, grid: Grid) -> float:
     """Trapezoid rule over the grid for an (nx, ny) density: x first, then y."""
-    if dens.shape != (grid.nx, grid.ny):
-        raise ShapeMismatch(f"field shape {dens.shape} vs grid ({grid.nx}, {grid.ny})")
+    check_field_shape(dens, grid)
     return float(trapezoid(trapezoid(dens, dx=grid.dx, axis=0), dx=grid.dy))
 
 

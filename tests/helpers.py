@@ -325,6 +325,19 @@ def reference_assemble(F, c, grid, bc_rows, sign):
     return A, rhs, eq_mask
 
 
+def reference_solve(F, c, grid, bc_rows, sign):
+    """The elliptic solve before the nested-dissection order: `spsolve` with
+    its default COLAMD order on `elliptic._assemble`'s system, as assembled."""
+    import scipy.sparse.linalg as spla
+
+    from swerect.elliptic import _assemble
+
+    A, rhs, _ = _assemble(F, c, grid, bc_rows, sign)
+    sol = spla.spsolve(A, rhs)
+    N = grid.nx * grid.ny
+    return sw.ThetaField(sol[:N].reshape(grid.nx, grid.ny), sol[N:].reshape(grid.nx, grid.ny))
+
+
 # The two one-sided differences and the two upwind bodies the shared kernel
 # of `operator.DiscreteOperator` must reproduce bit for bit.
 

@@ -282,7 +282,7 @@ PINNED_FILES = {
         "field_final.csv": "2e45f5436b421d2d4520f0d8ef5237c6bce397c19cba44bdd7e193cd0c051fc7",
     }),
     "solve-elliptic": (ELLIPTIC, "solve-elliptic", {
-        "theta.csv": "09ef71553120f6c332aeb2bd8ee6e083bf7458cc9ab1e9c029679900735ee26b",
+        "theta.csv": "f3e2f902a6ee16d23c7085f3e4355c4b257931b1f92c47c14a74905d77dec94c",
     }),
 }
 

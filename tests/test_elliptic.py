@@ -12,12 +12,14 @@ from swerect.elliptic import ThetaField, apply_T, apply_T_star
 from swerect.errors import (
     BcViolation,
     NonConvergence,
+    NonFinite,
     RegimeMismatch,
+    ShapeMismatch,
     SingularSystem,
     ViolatesCondition,
 )
 
-from helpers import boundary_flat_theta, params, reference_assemble
+from helpers import boundary_flat_theta, params, reference_assemble, reference_solve
 
 P_MSUB = params("msub")
 C_SWE = sw.swe_elliptic_block(P_MSUB)
@@ -262,7 +264,7 @@ SOLVERS = {"T": sw.solve_T, "T*": sw.solve_T_star}
 def test_singular_system_names_direction_and_size(name, monkeypatch):
     grid = sw.Grid(1.0, 1.5, 9, 13)
     monkeypatch.setattr("scipy.sparse.linalg.spsolve",
-                        lambda A, b: np.full_like(b, np.nan))
+                        lambda A, b, **kwargs: np.full_like(b, np.nan))
     with pytest.raises(SingularSystem) as info:
         SOLVERS[name](ThetaField.zeros(grid), C_SWE, grid)
     assert str(info.value) == f"{name} on 9x13 (234 unknowns): direct solve produced non-finite values"
@@ -274,7 +276,7 @@ def test_nonconvergence_names_direction_size_and_residual(name, monkeypatch):
     exact_solve = scipy.sparse.linalg.spsolve
     # a ramp, not a constant: T annihilates constants, so their residual is 0
     monkeypatch.setattr("scipy.sparse.linalg.spsolve",
-                        lambda A, b: exact_solve(A, b) + 1e-3 * np.linspace(0.0, 1.0, b.size))
+                        lambda A, b, **kwargs: exact_solve(A, b) + 1e-3 * np.linspace(0.0, 1.0, b.size))
     _, F = sw.manufactured_solution_T(C_SWE, grid)
     with pytest.raises(NonConvergence) as info:
         SOLVERS[name](F, C_SWE, grid)
@@ -297,3 +299,110 @@ def test_elliptic_coeffs_check_their_own_conditions(coeffs, message):
         with pytest.raises(ViolatesCondition) as info:
             make(*coeffs)
         assert str(info.value) == message
+
+
+# --- nested-dissection solve against the as-assembled COLAMD solve ----------
+
+# the reference solve's coefficients and grids, plus a determinant of 1e-4
+# and two strips thin enough to be numbered plainly along their long axis
+ORDER_COEFFS = {**ASSEMBLY_COEFFS, "det-1e-4": sw.build_coeffs(1.0, 1.0, 0.5, 0.4999)}
+ORDER_GRIDS = {**ASSEMBLY_GRIDS, "4x40": sw.Grid(1.0, 2.0, 4, 40),
+               "40x4": sw.Grid(2.0, 1.0, 40, 4)}
+
+
+def _assert_matches_reference_solve(F, c, grid):
+    for solve, bc_rows, sign in ((sw.solve_T, elliptic._FORWARD_BC, 1.0),
+                                 (sw.solve_T_star, elliptic._adjoint_bc(c), -1.0)):
+        got = solve(F, c, grid)
+        ref = reference_solve(F, c, grid, bc_rows, sign)
+        scale = max(np.max(np.abs(ref.theta1)), np.max(np.abs(ref.theta2)))
+        diff = max(np.max(np.abs(got.theta1 - ref.theta1)),
+                   np.max(np.abs(got.theta2 - ref.theta2)))
+        assert diff <= 1e-11 * scale, (sign, diff / scale)
+
+
+@pytest.mark.parametrize("grid_name", sorted(ORDER_GRIDS))
+@pytest.mark.parametrize("coeff_name", sorted(ORDER_COEFFS))
+def test_solve_matches_reference_solve(coeff_name, grid_name):
+    c, grid = ORDER_COEFFS[coeff_name], ORDER_GRIDS[grid_name]
+    f = sw.band_limited_fields(sw.SplitMix64(11), grid.nx, grid.ny, n_fields=2)
+    _assert_matches_reference_solve(ThetaField(f[0], f[1]), c, grid)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    a1=st.floats(0.05, 5.0), a2=st.floats(0.05, 5.0),
+    b1=st.floats(-5.0, 5.0), b2=st.floats(-5.0, 5.0),
+    nx=st.integers(4, 24), ny=st.integers(4, 24),
+    l1=st.floats(0.2, 3.0), l2=st.floats(0.2, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_solve_matches_reference_solve_property(a1, a2, b1, b2, nx, ny, l1, l2, seed):
+    try:
+        c = sw.build_coeffs(a1, a2, b1, b2)
+    except ViolatesCondition:
+        assume(False)
+    # a nearly singular pair amplifies any change of pivot order: keep the
+    # determinant within four decades of the largest coefficient squared
+    assume(abs(c.det) >= 1e-4 * max(a1, a2, abs(b1), abs(b2)) ** 2)
+    grid = sw.Grid(l1, l2, nx, ny)
+    f = sw.band_limited_fields(sw.SplitMix64(seed), nx, ny, n_fields=2)
+    _assert_matches_reference_solve(ThetaField(f[0], f[1]), c, grid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nx=st.integers(4, 80), ny=st.integers(4, 80))
+def test_node_order_is_a_permutation(nx, ny):
+    order = elliptic._node_order(nx, ny)
+    assert np.array_equal(np.sort(order), np.arange(nx * ny))
+
+
+# --- what the elliptic entry points reject ----------------------------------
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("component", ["theta1", "theta2"])
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_non_finite_forcing_names_direction_component_and_node(name, component, value):
+    grid = sw.Grid(1.0, 1.0, 9, 9)
+    F = ThetaField.zeros(grid)
+    getattr(F, component)[6, 1] = value
+    getattr(F, component)[2, 7] = value  # row-major first
+    if component == "theta1":
+        F.theta2[0, 0] = value  # theta1 is reported before theta2
+    with pytest.raises(NonFinite) as info:
+        SOLVERS[name](F, C_SWE, grid)
+    assert str(info.value) == (f"non-finite forcing for {name} on 9x9: "
+                               f"first in component '{component}' at node (2, 7)")
+
+
+ENTRY_POINTS = {
+    "solve_T": lambda th, grid: sw.solve_T(th, C_SWE, grid),
+    "solve_T_star": lambda th, grid: sw.solve_T_star(th, C_SWE, grid),
+    "apply_T": lambda th, grid: apply_T(th, C_SWE, grid),
+    "apply_T_star": lambda th, grid: apply_T_star(th, C_SWE, grid),
+    "neumann_crosscheck": lambda th, grid: sw.neumann_crosscheck(th, C_SWE, grid),
+    "cross_gradient_residual": lambda th, grid: sw.cross_gradient_residual(th, grid),
+    "apriori_check": lambda th, grid: sw.apriori_check(th, C_SWE, grid),
+}
+
+
+def _theta2_replaced():
+    th = ThetaField.zeros(sw.Grid(1.0, 1.0, 9, 9))
+    th.theta2 = np.zeros((9, 8))
+    return th, sw.Grid(1.0, 1.0, 9, 9), "field shape (9, 8) vs grid (9, 9)"
+
+
+def _grid_one_node_taller():
+    th = ThetaField.zeros(sw.Grid(1.0, 1.0, 9, 9))
+    return th, sw.Grid(1.0, 1.0, 9, 10), "field shape (9, 9) vs grid (9, 10)"
+
+
+@pytest.mark.parametrize("misfit", [_theta2_replaced, _grid_one_node_taller],
+                         ids=["theta2-replaced", "grid-9x10"])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_check_both_components_against_the_grid(entry, misfit):
+    th, grid, message = misfit()
+    with pytest.raises(ShapeMismatch) as info:
+        ENTRY_POINTS[entry](th, grid)
+    assert str(info.value) == message

@@ -123,14 +123,14 @@ def test_golden_energy_manufactured_rotating(kind):
 # on the msub elliptic block; 33x33 on the unit square, 17x25 on
 # [0,1]x[0,1.5]; seeded forcing is band_limited_fields(SplitMix64(7), 4 fields)
 GOLDEN_ELLIPTIC = {
-    (33, 33, "T", "manufactured"): (15.852381870231163, 16.95147310676403, 4161.974767565745, 5176.900639933041),
-    (33, 33, "T*", "manufactured"): (16.57245058856934, 16.57245058856934, 2378.8983939563477, -4970.463924222083),
-    (33, 33, "T", "seeded"): (0.6174544657181883, 0.6426660761738248, -68.23732645794037, -10.745623348670861),
-    (33, 33, "T*", "seeded"): (0.7428543404790756, 0.6967009377259377, 74.80811044258368, 1.4548116590192492),
-    (17, 25, "T", "manufactured"): (9.824489829288275, 10.505143449736313, 1190.8033618065451, 1516.192595010558),
-    (17, 25, "T*", "manufactured"): (10.263283502910578, 10.30111757223541, 725.530267853462, -1475.6073990153902),
-    (17, 25, "T", "seeded"): (0.6207264554212915, 0.6099486230997758, 37.79794696862892, 30.82480783878706),
-    (17, 25, "T*", "seeded"): (1.1245686895171003, 1.2358996404946845, 10.172566644469036, -118.52501210427029),
+    (33, 33, "T", "manufactured"): (15.852381870231158, 16.95147310676402, 4161.974767565735, 5176.900639933036),
+    (33, 33, "T*", "manufactured"): (16.572450588569335, 16.57245058856934, 2378.8983939563477, -4970.463924222084),
+    (33, 33, "T", "seeded"): (0.6174544657181882, 0.6426660761738251, -68.23732645794041, -10.745623348670794),
+    (33, 33, "T*", "seeded"): (0.7428543404790763, 0.6967009377259382, 74.80811044258427, 1.454811659019775),
+    (17, 25, "T", "manufactured"): (9.82448982928827, 10.50514344973631, 1190.8033618065435, 1516.1925950105574),
+    (17, 25, "T*", "manufactured"): (10.263283502910582, 10.301117572235407, 725.5302678534624, -1475.6073990153905),
+    (17, 25, "T", "seeded"): (0.6207264554212913, 0.609948623099776, 37.797946968628864, 30.824807838787088),
+    (17, 25, "T*", "seeded"): (1.1245686895171005, 1.2358996404946845, 10.172566644469015, -118.52501210427033),
 }
 
 
