@@ -103,7 +103,6 @@ from .io_csv import (
 from .manufactured import DEFAULT_SOLUTION, ManufacturedSolution
 from .operator import (
     DiscreteOperator,
-    LiftedProblem,
     ProbeReport,
     apply_B,
     band_limited_fields,

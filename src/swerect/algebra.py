@@ -13,21 +13,20 @@ similarity-diagonalizes E2^{-1} E1.  When Delta < 0 the first two modes stay
 coupled through indefinite symmetric 2x2 blocks (an elliptic pair) while the
 third mode remains a pure transport.
 
-Everything here is closed-form except independent_rows' rank tests; numeric
-matrix products appear only in flux_forms (S0*E1, S0*E2) and in
-verify_diagonalization, which checks the closed forms against them.
+Everything here is closed-form, P = Pinv^-1 included, except
+independent_rows' rank tests; numeric matrix products appear only in
+flux_forms (S0*E1, S0*E2) and in verify_diagonalization, which checks the
+closed forms against them.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Union
 
 import numpy as np
 
-from .errors import SingularSystem
 from .regime import PhysicalConstants, Regime, classify, kappa0, kappa1
 
 
@@ -90,26 +89,6 @@ def flux_forms(p: PhysicalConstants) -> FluxForms:
     return FluxForms(S0E1, S0E2, _scaled_form(S0E1), _scaled_form(S0E2))
 
 
-def _inv3(m: np.ndarray) -> np.ndarray:
-    """3x3 inverse by adjugate; the transforms are small and well conditioned
-    away from regime boundaries.  Not faster than a factorization (10.8 us
-    against 9.1 us for np.linalg.inv), but it raises SingularSystem itself."""
-    adj = np.empty((3, 3))
-    adj[0, 0] = m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1]
-    adj[0, 1] = m[0, 2] * m[2, 1] - m[0, 1] * m[2, 2]
-    adj[0, 2] = m[0, 1] * m[1, 2] - m[0, 2] * m[1, 1]
-    adj[1, 0] = m[1, 2] * m[2, 0] - m[1, 0] * m[2, 2]
-    adj[1, 1] = m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0]
-    adj[1, 2] = m[0, 2] * m[1, 0] - m[0, 0] * m[1, 2]
-    adj[2, 0] = m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0]
-    adj[2, 1] = m[0, 1] * m[2, 0] - m[0, 0] * m[2, 1]
-    adj[2, 2] = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    det = m[0, 0] * adj[0, 0] + m[0, 1] * adj[1, 0] + m[0, 2] * adj[2, 0]
-    if det == 0.0 or not math.isfinite(det):
-        raise SingularSystem("transform matrix is singular")
-    return adj / det
-
-
 @dataclass(frozen=True)
 class CharTransform:
     """Hyperbolic-case diagonalizing transform Xi = Pinv @ U.
@@ -139,7 +118,15 @@ def hyperbolic_transform(p: PhysicalConstants) -> CharTransform:
             [u0, v0, g],
         ]
     )
-    P = _inv3(Pinv)
+    # P = Pinv^-1 in closed form; with e = (v0, -u0, 0), f = (u0, v0, 0)
+    # and z = (0, 0, 1) its columns are e/2s -+ g f/(2 k0 s) +- z/(2 k0)
+    # and f/s.  det Pinv = 2 k0 s, which validation keeps from underflowing
+    # to 0.  Each entry divides its whole numerator, so a tiny s cannot
+    # overflow a shared factor like g/(k0 s)
+    h, q = 2.0 * s, 2.0 * k0 * s
+    P = np.array([[v0 / h - g * u0 / q, v0 / h + g * u0 / q, u0 / s],
+                  [-u0 / h - g * v0 / q, -u0 / h + g * v0 / q, v0 / s],
+                  [0.5 / k0, -0.5 / k0, 0.0]])
     a = np.array([u0 * k0 + g * v0, u0 * k0 - g * v0, 2.0 * k0 * u0]) / (2.0 * s * k0)
     b = np.array([v0 * k0 - g * u0, v0 * k0 + g * u0, 2.0 * k0 * v0]) / (2.0 * s * k0)
     # lam needs v0^2 != g*phi0, which genericity already guarantees
@@ -179,7 +166,13 @@ def elliptic_transform(p: PhysicalConstants) -> EllipticTransform:
             [u0, v0, g],
         ]
     )
-    P = _inv3(Pinv)
+    # P = Pinv^-1 in closed form: columns e/s, -g f/(k1 s) + z/k1 and f/s
+    # in the notation of hyperbolic_transform (det Pinv = -k1 s, kept nonzero
+    # by validation)
+    q = k1 * s
+    P = np.array([[v0 / s, -g * u0 / q, u0 / s],
+                  [-u0 / s, -g * v0 / q, v0 / s],
+                  [0.0, 1.0 / k1, 0.0]])
     blockX = np.array([[u0, g * v0 / k1], [g * v0 / k1, -u0]]) / s
     blockY = np.array([[v0, -g * u0 / k1], [-g * u0 / k1, -v0]]) / s
     return EllipticTransform(Pinv, P, blockX, blockY, np.array([u0 / s, v0 / s]), k1)

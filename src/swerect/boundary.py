@@ -50,11 +50,10 @@ class Side(enum.Enum):
     def __str__(self):
         return self.name.capitalize()
 
-    def line(self, a: np.ndarray, k: int = 0) -> np.ndarray:
-        """View of the k-th node line in from this side of an (..., nx, ny)
-        array: a[..., k, :] for West, a[..., -1 - k] for North."""
-        i = self.end - self.outward * k
-        return a[..., i, :] if self.axis == 0 else a[..., i]
+    def line(self, a: np.ndarray) -> np.ndarray:
+        """View of this side's node line of an (..., nx, ny) array:
+        a[..., 0, :] for West, a[..., -1] for North."""
+        return a[..., self.end, :] if self.axis == 0 else a[..., self.end]
 
 
 SIDES = (Side.WEST, Side.EAST, Side.SOUTH, Side.NORTH)
@@ -65,12 +64,11 @@ _NODE_CLASSES = ((),) + tuple((s,) for s in SIDES) + tuple(
     (sx, sy) for sx in SIDES[:2] for sy in SIDES[2:])
 
 
-def node_line(sides: Tuple[Side, ...], k: int = 0):
-    """Index of one node class's nodes into an (..., nx, ny) array, moved k
-    steps inward (diagonally at a corner); the interior takes k = 0."""
+def node_line(sides: Tuple[Side, ...]):
+    """Index of one node class's nodes into an (..., nx, ny) array."""
     idx = [slice(1, -1), slice(1, -1)]
     for side in sides:
-        idx[side.axis] = side.end - side.outward * k
+        idx[side.axis] = side.end
     return (Ellipsis, *idx)
 
 
@@ -78,7 +76,6 @@ def node_line(sides: Tuple[Side, ...], k: int = 0):
 class BoundarySpec:
     """Constraint rows per side; rows[s] has shape (k_s, 3), possibly k_s = 0."""
 
-    regime: Regime
     rows: Dict[Side, np.ndarray]
 
     def counts(self) -> Tuple[int, int, int, int]:
@@ -118,7 +115,7 @@ def bc_catalog(regime: Regime, p: PhysicalConstants) -> BoundarySpec:
     if classify(p) is not regime:
         raise RegimeMismatch(f"constants classify as {classify(p)}, not {regime}")
     if regime is not Regime.MIXED_SUBCRITICAL:
-        return BoundarySpec(regime, _entering_rows(p, 1.0))
+        return BoundarySpec(_entering_rows(p, 1.0))
     u0, v0, g = p.u0, p.v0, p.g
     ws = _rows((v0, -u0, 0.0), (u0, v0, g))
     side_rows = {
@@ -129,7 +126,7 @@ def bc_catalog(regime: Regime, p: PhysicalConstants) -> BoundarySpec:
         Side.EAST: _rows((0.0, 0.0, 1.0)),
         Side.NORTH: _rows((0.0, 0.0, 1.0)),
     }
-    return BoundarySpec(regime, side_rows)
+    return BoundarySpec(side_rows)
 
 
 def adjoint_bc_catalog(regime: Regime, p: PhysicalConstants) -> BoundarySpec:
@@ -143,7 +140,7 @@ def adjoint_bc_catalog(regime: Regime, p: PhysicalConstants) -> BoundarySpec:
     if classify(p) is not regime:
         raise RegimeMismatch(f"constants classify as {classify(p)}, not {regime}")
     if regime is not Regime.MIXED_SUBCRITICAL:
-        return BoundarySpec(regime, _entering_rows(p, -1.0))
+        return BoundarySpec(_entering_rows(p, -1.0))
     u0, v0, g = p.u0, p.v0, p.g
     k1 = elliptic_transform(p).kappa1
     side_rows = {
@@ -152,7 +149,7 @@ def adjoint_bc_catalog(regime: Regime, p: PhysicalConstants) -> BoundarySpec:
         Side.SOUTH: _rows((g * u0 * v0, -g * u0**2, v0 * k1**2)),
         Side.NORTH: _rows((v0**2, -v0 * u0, -g * u0), (u0, v0, g)),
     }
-    return BoundarySpec(regime, side_rows)
+    return BoundarySpec(side_rows)
 
 
 @dataclass

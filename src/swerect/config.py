@@ -188,11 +188,10 @@ def load_config(path) -> ConfigDocument:
     return parse_config(text, source=str(path))
 
 
-def _resolve(doc: ConfigDocument, name: str, base_dir) -> str:
+def _resolve(doc: ConfigDocument, name: str) -> str:
     if os.path.isabs(name):
         return name
-    if base_dir is None:
-        base_dir = os.path.dirname(doc.source) if doc.source not in ("", "<string>") else "."
+    base_dir = os.path.dirname(doc.source) if doc.source not in ("", "<string>") else "."
     return os.path.join(base_dir, name)
 
 
@@ -205,7 +204,7 @@ def _field_on_grid(path, grid: Grid):
     return state
 
 
-def build_run_config(doc: ConfigDocument, base_dir=None) -> RunConfig:
+def build_run_config(doc: ConfigDocument) -> RunConfig:
     """Assemble an executable run description from a parsed document.
 
     File-backed forcing and boundary data are read once and held constant in
@@ -220,7 +219,7 @@ def build_run_config(doc: ConfigDocument, base_dir=None) -> RunConfig:
         forcing = DEFAULT_SOLUTION.forcing_on_grid(p, grid)
         initial = DEFAULT_SOLUTION.state_field(grid, 0.0)
     elif doc.forcing_kind == "file":
-        stack = _field_on_grid(_resolve(doc, doc.forcing_file, base_dir), grid).stack()
+        stack = _field_on_grid(_resolve(doc, doc.forcing_file), grid).stack()
         forcing = lambda t, _s=stack: _s  # noqa: E731 - constant-in-time source
         initial = _seeded_initial(doc, grid)
     else:
@@ -230,7 +229,7 @@ def build_run_config(doc: ConfigDocument, base_dir=None) -> RunConfig:
     if doc.boundary_kind == "manufactured":
         data = DEFAULT_SOLUTION.boundary_data_on_grid(spec, grid)
     elif doc.boundary_kind == "file":
-        trace = _field_on_grid(_resolve(doc, doc.boundary_file, base_dir), grid).stack()
+        trace = _field_on_grid(_resolve(doc, doc.boundary_file), grid).stack()
         data = BoundaryData(samplers={
             side: lambda t, _g=rows @ side.line(trace): _g
             for side, rows in spec.rows.items() if rows.shape[0]

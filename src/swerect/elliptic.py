@@ -113,7 +113,7 @@ def swe_elliptic_block(p: PhysicalConstants) -> EllipticCoeffs:
     return build_coeffs(p.u0 / s, p.v0 / s, p.g * p.v0 / (t.kappa1 * s), -p.g * p.u0 / (t.kappa1 * s))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ThetaField:
     theta1: np.ndarray
     theta2: np.ndarray
@@ -137,18 +137,18 @@ def theta_norm(A: ThetaField, grid: Grid) -> float:
     return float(np.sqrt(theta_inner(A, A, grid)))
 
 
-def _check_on_grid(theta: ThetaField, grid: Grid) -> None:
-    """Both components have the grid's shape: a component replaced after
-    construction is caught here, not deep inside a stencil."""
-    check_field_shape(theta.theta1, grid)
-    check_field_shape(theta.theta2, grid)
-
-
 def _grads(f: np.ndarray, grid: Grid) -> Tuple[np.ndarray, np.ndarray]:
     return (
         np.gradient(f, grid.dx, axis=0, edge_order=1),
         np.gradient(f, grid.dy, axis=1, edge_order=1),
     )
+
+
+def _partials(theta: ThetaField, grid: Grid):
+    """(theta1_x, theta1_y, theta2_x, theta2_y) of a field on the grid.  The
+    view is frozen, so theta2 has theta1's shape and one check covers both."""
+    check_field_shape(theta.theta1, grid)
+    return (*_grads(theta.theta1, grid), *_grads(theta.theta2, grid))
 
 
 def _T_rows(c: EllipticCoeffs, t1x, t1y, t2x, t2y) -> Tuple[np.ndarray, np.ndarray]:
@@ -157,16 +157,16 @@ def _T_rows(c: EllipticCoeffs, t1x, t1y, t2x, t2y) -> Tuple[np.ndarray, np.ndarr
             c.beta1 * t1x - c.alpha1 * t2x + c.beta2 * t1y - c.alpha2 * t2y)
 
 
-def apply_T(theta: ThetaField, c: EllipticCoeffs, grid: Grid, sign: float = 1.0) -> ThetaField:
-    """T Theta (or -T Theta = T* Theta with sign=-1); centered differences
-    inside, one-sided first-order at the boundary nodes."""
-    _check_on_grid(theta, grid)
-    r1, r2 = _T_rows(c, *_grads(theta.theta1, grid), *_grads(theta.theta2, grid))
-    return ThetaField(sign * r1, sign * r2)
+def apply_T(theta: ThetaField, c: EllipticCoeffs, grid: Grid) -> ThetaField:
+    """T Theta; centered differences inside, one-sided first-order at the
+    boundary nodes."""
+    return ThetaField(*_T_rows(c, *_partials(theta, grid)))
 
 
 def apply_T_star(theta: ThetaField, c: EllipticCoeffs, grid: Grid) -> ThetaField:
-    return apply_T(theta, c, grid, sign=-1.0)
+    """T* Theta = -T Theta (negation is exact)."""
+    r1, r2 = _T_rows(c, *_partials(theta, grid))
+    return ThetaField(-r1, -r2)
 
 
 def _check_in_V(theta: ThetaField) -> None:
@@ -189,10 +189,8 @@ def cross_gradient_residual(theta: ThetaField, grid: Grid) -> float:
     residual above round-off means a broken gradient or quadrature.  Inputs
     outside discrete V are rejected.
     """
-    _check_on_grid(theta, grid)
+    t1x, t1y, t2x, t2y = _partials(theta, grid)
     _check_in_V(theta)
-    t1x, t1y = _grads(theta.theta1, grid)
-    t2x, t2y = _grads(theta.theta2, grid)
     return abs(integrate(t2x * t1y - t1x * t2y, grid))
 
 
@@ -224,24 +222,16 @@ def apriori_check(theta: ThetaField, c: EllipticCoeffs, grid: Grid) -> AprioriRe
     a curvature seminorm of the field; the slack is reported so refinement
     studies can watch it vanish relative to the norms.
     """
-    _check_on_grid(theta, grid)
+    partials = _partials(theta, grid)
     _check_in_V(theta)
-    t1x, t1y = _grads(theta.theta1, grid)
-    t2x, t2y = _grads(theta.theta2, grid)
 
     def l2(*fs):
         return float(np.sqrt(integrate(sum(f * f for f in fs), grid)))
 
-    grad_norm = l2(t1x, t1y, t2x, t2y)
-    Tt = apply_T(theta, c, grid)
-    T_norm = theta_norm(Tt, grid)
+    grad_norm = l2(*partials)
+    T_norm = l2(*_T_rows(c, *partials))
     # H2-like curvature proxy: second differences of both fields
-    seconds = []
-    for f in (theta.theta1, theta.theta2):
-        fx, fy = _grads(f, grid)
-        for gcomp in (fx, fy):
-            gx, gy = _grads(gcomp, grid)
-            seconds.extend((gx, gy))
+    seconds = [d for f in partials for d in _grads(f, grid)]
     h = max(grid.dx, grid.dy)
     slack = 2.0 * (c.c2 + 1.0 / c.c1) * h * l2(*seconds)
     return AprioriReport(grad_norm, T_norm, c.c1, c.c2, slack)
@@ -288,7 +278,7 @@ def _assemble(F: ThetaField, c: EllipticCoeffs, grid: Grid, bc_rows: dict, sign:
     node itself), so the summed, sorted CSR matrix does not depend on the
     order the entries come in: it equals the per-node loop's bit for bit.
     """
-    _check_on_grid(F, grid)
+    check_field_shape(F.theta1, grid)  # the frozen view: theta2 matches
     nx, ny = grid.nx, grid.ny
     bad = np.argwhere(~np.isfinite(np.stack([F.theta1, F.theta2])))
     if bad.size:
@@ -501,8 +491,7 @@ def neumann_crosscheck(theta: ThetaField, c: EllipticCoeffs, grid: Grid):
     East and North in the transformed picture, evaluated in original
     coordinates.  O(h) for compactly supported forcing; returns the two
     max-abs residuals (East, North), normalized by the gradient scale."""
-    _check_on_grid(theta, grid)
-    t1x, t1y = _grads(theta.theta1, grid)
+    t1x, t1y, _, _ = _partials(theta, grid)
     gscale = max(float(np.max(np.abs(t1x))), float(np.max(np.abs(t1y))), 1e-300)
     a1, a2, b1, b2 = c.alpha1, c.alpha2, c.beta1, c.beta2
     e, n = Side.EAST, Side.NORTH

@@ -6,6 +6,8 @@ three prognostic fields (u, v, phi) on that mesh, each shaped (nx, ny) with
 index [i, j] at node (x_i, y_j).  The numerical kernels work on (3, nx, ny)
 stacks; StateField is the view runs take and return and the CSV files and
 the energy quadrature read (StateField(*W) views a stack without copying).
+The view is frozen, so its components keep the one shape construction
+checked; dataclasses.replace makes a view with a component changed.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ class Grid:
         return np.meshgrid(self.x, self.y, indexing="ij")
 
 
-@dataclass
+@dataclass(frozen=True)
 class StateField:
     u: np.ndarray
     v: np.ndarray

@@ -133,25 +133,16 @@ def apply_B(W: np.ndarray, p: PhysicalConstants) -> np.ndarray:
 # --- lifting ----------------------------------------------------------------
 
 
-@dataclass
-class LiftedProblem:
-    """Homogeneous-BC reformulation of a non-homogeneous problem.
-
-    Solve the homogeneous problem with forcing() and initial state
-    (original initial minus shift(0)); then solution = homogeneous + shift(t).
-    """
-
-    forcing: Callable[[float], np.ndarray]
-    shift: Callable[[float], np.ndarray]
-
-
-def lift_nonhomogeneous(ug, dug_dt, forcing, p: PhysicalConstants, grid: Grid) -> LiftedProblem:
+def lift_nonhomogeneous(ug, dug_dt, forcing, p: PhysicalConstants,
+                        grid: Grid) -> Callable[[float], np.ndarray]:
     """Fold boundary data carried by a lifting field ug into the forcing.
 
     ug(t) and dug_dt(t) return (3, nx, ny) stacks satisfying the
     non-homogeneous boundary data; forcing(t) returns a stack (or None for
-    zero).  The lifted forcing is F - d(ug)/dt - A_h ug - B ug, so the
-    remainder solves the same system with homogeneous boundary data.
+    zero).  Returns the lifted forcing t -> F - d(ug)/dt - A_h ug - B ug.
+    The remainder solves the same system with homogeneous boundary data:
+    run it with the lifted forcing from the initial state minus ug(0),
+    then solution(t) = remainder(t) + ug(t).
     """
     op = DiscreteOperator(p, grid)
 
@@ -165,7 +156,7 @@ def lift_nonhomogeneous(ug, dug_dt, forcing, p: PhysicalConstants, grid: Grid) -
             out += base
         return out
 
-    return LiftedProblem(forcing=lifted, shift=ug)
+    return lifted
 
 
 # --- probes and boundary forms ----------------------------------------------

@@ -45,9 +45,21 @@ class Regime(enum.Enum):
         return self.value
 
 
+def _square(name: str, value: float) -> float:
+    """value**2, as the sign quantities compute it; one out of float range
+    is an InvalidValue naming it."""
+    try:
+        return value**2
+    except OverflowError:
+        raise InvalidValue(f"{name}^2 overflows a float: {name} = {value}") from None
+
+
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """Validated base state; construction enforces positivity and genericity."""
+    """Validated base state; construction enforces positivity, genericity and
+    float range: u0^2, v0^2, g*phi0, u0^2 + v0^2, kappa^2 = g*|Delta|/phi0
+    and the energy weight g/phi0 must all be finite, and kappa*(u0^2 + v0^2),
+    |det Pinv| up to a factor 2, must not underflow to 0."""
 
     u0: float
     v0: float
@@ -62,13 +74,23 @@ class PhysicalConstants:
                 raise NonPositiveParameter(f"{name} must be finite and > 0, got {val}")
         if not math.isfinite(self.f):
             raise NonPositiveParameter(f"f must be finite, got {self.f}")
+        u2, v2, gp = _square("u0", self.u0), _square("v0", self.v0), self.g * self.phi0
+        d = u2 + v2 - gp
+        k2 = self.g * abs(d) / self.phi0
+        for name, value in (("g*phi0", gp), ("u0^2 + v0^2", u2 + v2), ("g*|Delta|/phi0", k2),
+                            ("g/phi0", self.g / self.phi0)):
+            if math.isinf(value):
+                raise InvalidValue(f"{name} overflows a float for this base state")
         scale = TAU_GEN * self.g * self.phi0
-        if abs(self.u0**2 - self.g * self.phi0) <= scale:
+        if abs(u2 - gp) <= scale:
             raise DegenerateCase("u0^2 ~ g*phi0 within genericity tolerance")
-        if abs(self.v0**2 - self.g * self.phi0) <= scale:
+        if abs(v2 - gp) <= scale:
             raise DegenerateCase("v0^2 ~ g*phi0 within genericity tolerance")
-        if abs(self.u0**2 + self.v0**2 - self.g * self.phi0) <= scale:
+        if abs(d) <= scale:
             raise DegenerateCase("u0^2 + v0^2 ~ g*phi0 within genericity tolerance")
+        # the transforms divide by kappa, u0^2 + v0^2 and their product
+        if math.sqrt(k2) * (u2 + v2) == 0.0:
+            raise InvalidValue("kappa*(u0^2 + v0^2) underflows to 0 for this base state")
 
     @property
     def sound_speed(self) -> float:
@@ -78,7 +100,8 @@ class PhysicalConstants:
 def validate_params(u0: float, v0: float, phi0: float, g: float, f: float = 0.0) -> PhysicalConstants:
     """Validate five raw scalars into a PhysicalConstants.
 
-    Raises NonPositiveParameter for nonpositive u0/v0/phi0/g and
+    Raises NonPositiveParameter for nonpositive u0/v0/phi0/g, InvalidValue
+    naming the quantity when a derived scale overflows a float, and
     DegenerateCase when the state sits within the genericity tolerance of a
     regime boundary.
     """

@@ -56,6 +56,18 @@ def test_transform_inverse_consistency():
             assert np.max(np.abs(t.Pinv @ t.P - np.eye(3))) < 1e-11
 
 
+@pytest.mark.parametrize("kind", sorted(REGIME_CASES))
+def test_closed_form_P_is_the_inverse(kind):
+    """P is written in closed form, not inverted: it matches np.linalg.inv
+    of Pinv entry for entry, and Pinv @ P is the identity."""
+    rng = SplitMix64(29)
+    for _ in range(200):
+        t = sw.transform_for(draw_params(kind, rng))
+        ref = np.linalg.inv(t.Pinv)
+        assert np.max(np.abs(t.P - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.max(np.abs(t.Pinv @ t.P - np.eye(3))) <= 1e-13
+
+
 def test_characteristic_round_trip_on_fields():
     rng = SplitMix64(23)
     p = params("fhs")

@@ -201,7 +201,7 @@ def test_lifted_forcing_consistency():
             return DEFAULT_SOLUTION.dt(X, Y, t)
 
         lifted = sw.lift_nonhomogeneous(ug, dug, DEFAULT_SOLUTION.forcing_on_grid(p, grid), p, grid)
-        r = lifted.forcing(0.37)
+        r = lifted(0.37)
         norms.append(sw.l2_norm(r, grid))
     assert norms[1] < 0.75 * norms[0]
 
@@ -262,7 +262,6 @@ def test_row_rule_matches_reference_on_draws(kind):
 
 
 GEOMETRY_GRIDS = [(4, 4), (4, 23), (23, 4), (9, 7)]
-INWARD = {W: (1, 0), E: (-1, 0), S: (0, 1), N: (0, -1)}  # one step inward, (di, dj)
 
 
 def test_side_geometry():
@@ -280,29 +279,28 @@ def test_node_classes_cover_every_node_once(nx, ny):
 
 @pytest.mark.parametrize("nx, ny", GEOMETRY_GRIDS)
 def test_node_line_moves_a_class_inward(nx, ny):
-    """node_line(sides, k) is the class moved k steps inward, diagonally at
-    a corner, node for node."""
+    """node_line(sides) pins each of the class's axes to its side's end and
+    runs the other axes over the interior, node for node."""
     ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
     assert np.array_equal(ii[node_line(())], ii[1:-1, 1:-1])
     for sides in _NODE_CLASSES[1:]:
-        di = sum(INWARD[s][0] for s in sides)
-        dj = sum(INWARD[s][1] for s in sides)
-        for k in (1, 2):
-            assert np.array_equal(ii[node_line(sides, k)], ii[node_line(sides)] + k * di)
-            assert np.array_equal(jj[node_line(sides, k)], jj[node_line(sides)] + k * dj)
+        want = [slice(1, -1), slice(1, -1)]
+        for s in sides:
+            want[s.axis] = s.end
+        assert np.array_equal(ii[node_line(sides)], ii[tuple(want)])
+        assert np.array_equal(jj[node_line(sides)], jj[tuple(want)])
 
 
 @pytest.mark.parametrize("nx, ny", GEOMETRY_GRIDS)
 def test_side_line_is_a_view_of_its_node_line(nx, ny):
-    for k in (0, 1, 2):
-        for side in SIDES:
-            a = np.arange(2 * nx * ny, dtype=float).reshape(2, nx, ny)
-            want = {W: a[..., k, :], E: a[..., -1 - k, :], S: a[..., k], N: a[..., -1 - k]}
-            got = side.line(a, k) if k else side.line(a)
-            assert np.array_equal(got, want[side])
-            got += 0.5  # a view: the write lands in a
-            assert np.array_equal(want[side] % 1, np.full(got.shape, 0.5))
-            assert np.count_nonzero(a % 1) == got.size
+    for side in SIDES:
+        a = np.arange(2 * nx * ny, dtype=float).reshape(2, nx, ny)
+        want = {W: a[..., 0, :], E: a[..., -1, :], S: a[..., 0], N: a[..., -1]}
+        got = side.line(a)
+        assert np.array_equal(got, want[side])
+        got += 0.5  # a view: the write lands in a
+        assert np.array_equal(want[side] % 1, np.full(got.shape, 0.5))
+        assert np.count_nonzero(a % 1) == got.size
 
 
 @pytest.mark.parametrize("nx, ny", GEOMETRY_GRIDS)

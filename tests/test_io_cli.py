@@ -376,6 +376,19 @@ def test_cli_classify_degenerate_exit_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_classify_overflowing_base_state_exit_2(capsys):
+    code = cli.main(["classify", "--u0", "1e200", "--v0", "1", "--phi0", "1", "--g", "9.81"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: u0^2 overflows a float: u0 = 1e+200\n"
+
+
+def test_cli_run_overflowing_base_state_exit_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, MINIMAL.replace("u0 = 4.0", "u0 = 1e200"))
+    code = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: u0^2 overflows a float: u0 = 1e+200\n"
+
+
 def test_cli_verify_algebra(tmp_path, capsys):
     cfg = write_cfg(tmp_path, MINIMAL)
     code = cli.main(["verify-algebra", "--config", cfg])

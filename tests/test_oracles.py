@@ -371,4 +371,4 @@ def test_exact_lifted_forcing():
         return DEFAULT_SOLUTION.dt(x, y, t)
 
     lifted = sw.lift_nonhomogeneous(ug, dug_dt, DEFAULT_SOLUTION.forcing_on_grid(p, grid), p, grid)
-    assert _digest(lifted.forcing(0.37)) == EXACT_LIFTED_FORCING
+    assert _digest(lifted(0.37)) == EXACT_LIFTED_FORCING

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 import swerect as sw
-from swerect.errors import DegenerateCase, NonPositiveParameter, NotElliptic, NotHyperbolic
+from swerect.errors import (DegenerateCase, InvalidValue, NonPositiveParameter, NotElliptic,
+                            NotHyperbolic)
 from swerect.rng import SplitMix64
 
 from helpers import REGIME_CASES, REGIME_NAMES, draw_params
@@ -53,6 +56,24 @@ def test_degenerate_states_rejected():
         sw.validate_params(1.0, c, 1.0, 9.81)  # v0^2 = g*phi0
     with pytest.raises(DegenerateCase):
         sw.validate_params(c / np.sqrt(2), c / np.sqrt(2), 1.0, 9.81)  # Delta = 0
+
+
+@pytest.mark.parametrize("args, name", [
+    ((1e200, 1, 1, 9.81), "u0^2 overflows a float: u0 = 1e+200"),
+    ((1, 1e200, 1, 9.81), "v0^2 overflows a float: v0 = 1e+200"),
+    ((1e154, 1e154, 1, 9.81), "u0^2 + v0^2 overflows a float"),
+    ((1, 1, 1e200, 1e200), "g*phi0 overflows a float"),
+    ((2, 2, 1e-200, 1e200), "g*|Delta|/phi0 overflows a float"),
+    ((1e-6, 1e-6, 1e-160, 1e150), "g/phi0 overflows a float"),
+    ((1e-200, 1e-200, 1, 9.81), "kappa*(u0^2 + v0^2) underflows to 0"),
+    ((1, 1, 1e10, 1e-320), "kappa*(u0^2 + v0^2) underflows to 0"),
+])
+def test_out_of_range_base_states_rejected(args, name):
+    """A derived scale out of float range is an InvalidValue naming it, not
+    a bare OverflowError from u0**2, an inf that reaches kappa or S0, or a
+    division by a det(Pinv) that underflowed to 0."""
+    with pytest.raises(InvalidValue, match="^" + re.escape(name)):
+        sw.validate_params(*args)
 
 
 def test_genericity_tolerance_is_relative():
