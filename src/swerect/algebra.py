@@ -27,6 +27,7 @@ from typing import Dict, List, Union
 
 import numpy as np
 
+from .errors import InvalidValue
 from .regime import PhysicalConstants, Regime, classify, kappa0, kappa1
 
 
@@ -129,6 +130,8 @@ def hyperbolic_transform(p: PhysicalConstants) -> CharTransform:
                   [0.5 / k0, -0.5 / k0, 0.0]])
     a = np.array([u0 * k0 + g * v0, u0 * k0 - g * v0, 2.0 * k0 * u0]) / (2.0 * s * k0)
     b = np.array([v0 * k0 - g * u0, v0 * k0 + g * u0, 2.0 * k0 * v0]) / (2.0 * s * k0)
+    if not (a.all() and b.all()):  # a speed of 0 would enter through no side
+        raise InvalidValue("a characteristic speed underflows to 0 for this base state")
     # lam needs v0^2 != g*phi0, which genericity already guarantees
     den = v0**2 - g * p.phi0
     lam = np.array(

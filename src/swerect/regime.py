@@ -59,7 +59,8 @@ class PhysicalConstants:
     """Validated base state; construction enforces positivity, genericity and
     float range: u0^2, v0^2, g*phi0, u0^2 + v0^2, kappa^2 = g*|Delta|/phi0
     and the energy weight g/phi0 must all be finite, and kappa*(u0^2 + v0^2),
-    |det Pinv| up to a factor 2, must not underflow to 0."""
+    |det Pinv| up to a factor 2, must not underflow to 0 nor overflow when
+    doubled."""
 
     u0: float
     v0: float
@@ -77,8 +78,10 @@ class PhysicalConstants:
         u2, v2, gp = _square("u0", self.u0), _square("v0", self.v0), self.g * self.phi0
         d = u2 + v2 - gp
         k2 = self.g * abs(d) / self.phi0
+        # the transforms divide by kappa*(u0^2 + v0^2) and by twice it
+        ks = math.sqrt(k2) * (u2 + v2)
         for name, value in (("g*phi0", gp), ("u0^2 + v0^2", u2 + v2), ("g*|Delta|/phi0", k2),
-                            ("g/phi0", self.g / self.phi0)):
+                            ("g/phi0", self.g / self.phi0), ("2*kappa*(u0^2 + v0^2)", 2.0 * ks)):
             if math.isinf(value):
                 raise InvalidValue(f"{name} overflows a float for this base state")
         scale = TAU_GEN * self.g * self.phi0
@@ -88,8 +91,7 @@ class PhysicalConstants:
             raise DegenerateCase("v0^2 ~ g*phi0 within genericity tolerance")
         if abs(d) <= scale:
             raise DegenerateCase("u0^2 + v0^2 ~ g*phi0 within genericity tolerance")
-        # the transforms divide by kappa, u0^2 + v0^2 and their product
-        if math.sqrt(k2) * (u2 + v2) == 0.0:
+        if ks == 0.0:
             raise InvalidValue("kappa*(u0^2 + v0^2) underflows to 0 for this base state")
 
     @property

@@ -14,12 +14,13 @@ from swerect.boundary import (
     constrained_sides,
     node_line,
 )
-from swerect.errors import ShapeMismatch
+from swerect.errors import DegenerateCase, InvalidValue, ShapeMismatch
 from swerect.manufactured import DEFAULT_SOLUTION
 from swerect.rng import SplitMix64
 
 from helpers import (
     REGIME_CASES,
+    REGIME_NAMES,
     boundary_row_residual,
     compatible_pair,
     draw_params,
@@ -261,6 +262,36 @@ def test_row_rule_matches_reference_on_draws(kind):
                 assert independent_rows(C) == reference_independent_rows(C)
 
 
+def test_catalogs_constrain_every_characteristic_on_extreme_states():
+    """Over base states log-uniform in [1e-170, 1e170]^4, a validated
+    hyperbolic state either has a characteristic speed below the float range
+    (InvalidValue) or both catalogs carry its regime's counts, so every
+    characteristic enters through some side.  A det(Pinv) that overflowed
+    used to zero every speed and leave all four sides empty."""
+    expected = {REGIME_NAMES[k]: v for k, v in EXPECTED_COUNTS.items()}
+    rng = SplitMix64(83)
+    seen = {"invalid state": 0, "speed underflow": 0, "full catalog": 0}
+    for _ in range(2000):
+        args = (10.0 ** (340.0 * rng.doubles(4) - 170.0)).tolist()
+        try:
+            p = sw.validate_params(*args)
+        except (InvalidValue, DegenerateCase):
+            seen["invalid state"] += 1
+            continue
+        regime = sw.classify(p)
+        if regime is sw.Regime.MIXED_SUBCRITICAL:
+            continue
+        try:
+            w, e, s, n = sw.bc_catalog(regime, p).counts()
+        except InvalidValue:
+            seen["speed underflow"] += 1
+            continue
+        assert (w, e, s, n) == expected[str(regime)]
+        assert sw.adjoint_bc_catalog(regime, p).counts() == (e, w, n, s)
+        seen["full catalog"] += 1
+    assert min(seen.values()) > 0, seen
+
+
 GEOMETRY_GRIDS = [(4, 4), (4, 23), (23, 4), (9, 7)]
 
 
@@ -279,16 +310,23 @@ def test_node_classes_cover_every_node_once(nx, ny):
 
 @pytest.mark.parametrize("nx, ny", GEOMETRY_GRIDS)
 def test_node_line_moves_a_class_inward(nx, ny):
-    """node_line(sides) pins each of the class's axes to its side's end and
-    runs the other axes over the interior, node for node."""
+    """node_line(sides) picks its class's (i, j) nodes, in order, from the
+    table below: an edge runs along its side without the two corners, and a
+    corner is one node.  (The id predates the removal of the inward offset.)"""
     ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-    assert np.array_equal(ii[node_line(())], ii[1:-1, 1:-1])
-    for sides in _NODE_CLASSES[1:]:
-        want = [slice(1, -1), slice(1, -1)]
-        for s in sides:
-            want[s.axis] = s.end
-        assert np.array_equal(ii[node_line(sides)], ii[tuple(want)])
-        assert np.array_equal(jj[node_line(sides)], jj[tuple(want)])
+    X, Y, inner_i, inner_j = nx - 1, ny - 1, range(1, nx - 1), range(1, ny - 1)
+    table = {
+        (): [(i, j) for i in inner_i for j in inner_j],
+        (W,): [(0, j) for j in inner_j],
+        (E,): [(X, j) for j in inner_j],
+        (S,): [(i, 0) for i in inner_i],
+        (N,): [(i, Y) for i in inner_i],
+        (W, S): [(0, 0)], (W, N): [(0, Y)], (E, S): [(X, 0)], (E, N): [(X, Y)],
+    }
+    assert sorted(table, key=str) == sorted(_NODE_CLASSES, key=str)
+    for sides, nodes in table.items():
+        got = zip(ii[node_line(sides)].ravel().tolist(), jj[node_line(sides)].ravel().tolist())
+        assert list(got) == nodes
 
 
 @pytest.mark.parametrize("nx, ny", GEOMETRY_GRIDS)

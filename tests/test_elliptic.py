@@ -394,9 +394,18 @@ def _grid_one_node_taller():
     return th, sw.Grid(1.0, 1.0, 9, 10), "field shape (9, 9) vs grid (9, 10)"
 
 
-@pytest.mark.parametrize("misfit", [_grid_one_node_taller], ids=["grid-9x10"])
+def _grid_one_node_wider():
+    th = ThetaField.zeros(sw.Grid(1.0, 1.0, 9, 9))
+    return th, sw.Grid(1.0, 1.0, 10, 9), "field shape (9, 9) vs grid (10, 9)"
+
+
+@pytest.mark.parametrize("misfit", [_grid_one_node_taller, _grid_one_node_wider],
+                         ids=["grid-9x10", "grid-10x9"])
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_entry_points_check_both_components_against_the_grid(entry, misfit):
+    """Every entry point checks the field against the grid along both axes.
+    The view is frozen and its components share one shape, so checking
+    theta1 checks theta2 as well (test_field_views_are_frozen)."""
     th, grid, message = misfit()
     with pytest.raises(ShapeMismatch) as info:
         ENTRY_POINTS[entry](th, grid)

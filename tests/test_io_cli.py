@@ -382,6 +382,15 @@ def test_cli_classify_overflowing_base_state_exit_2(capsys):
     assert capsys.readouterr().err == "error: u0^2 overflows a float: u0 = 1e+200\n"
 
 
+def test_cli_classify_underflowing_speed_exit_2(capsys):
+    # validates as Supercritical, but a[2] = u0/(u0^2 + v0^2) ~ 1e-340
+    code = cli.main(["classify", "--u0", "1e-100", "--v0", "1e120", "--phi0", "1",
+                     "--g", "1e-300"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: a characteristic speed underflows to 0 for this base state\n")
+
+
 def test_cli_run_overflowing_base_state_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, MINIMAL.replace("u0 = 4.0", "u0 = 1e200"))
     code = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")])

@@ -67,11 +67,13 @@ def test_degenerate_states_rejected():
     ((1e-6, 1e-6, 1e-160, 1e150), "g/phi0 overflows a float"),
     ((1e-200, 1e-200, 1, 9.81), "kappa*(u0^2 + v0^2) underflows to 0"),
     ((1, 1, 1e10, 1e-320), "kappa*(u0^2 + v0^2) underflows to 0"),
+    ((3.4e42, 1.1e135, 5.4e93, 3.7e-94), "2*kappa*(u0^2 + v0^2) overflows a float"),
 ])
 def test_out_of_range_base_states_rejected(args, name):
     """A derived scale out of float range is an InvalidValue naming it, not
     a bare OverflowError from u0**2, an inf that reaches kappa or S0, or a
-    division by a det(Pinv) that underflowed to 0."""
+    division by a det(Pinv) that underflowed to 0 or overflowed (which made
+    every characteristic speed 0)."""
     with pytest.raises(InvalidValue, match="^" + re.escape(name)):
         sw.validate_params(*args)
 
