@@ -6,7 +6,7 @@ the view of one state that runs take and return, the CSV files hold and
 the energy quadrature reads.  The public surface is re-exported here;
 submodules group it as
 
-    regime    -- parameter validation, regime classification, kappa scales
+    regime    -- parameter validation, which fixes the regime, Delta and kappa
     algebra   -- symmetrizer, characteristic/elliptic transforms, diagnostics
     boundary  -- admissible boundary-row catalogs (forward and adjoint),
                  trace data, discrete enforcement
@@ -112,18 +112,7 @@ from .operator import (
     lift_nonhomogeneous,
     positivity_probe,
 )
-from .regime import (
-    TAU_GEN,
-    KappaValue,
-    PhysicalConstants,
-    Regime,
-    classify,
-    delta,
-    kappa,
-    kappa0,
-    kappa1,
-    validate_params,
-)
+from .regime import TAU_GEN, PhysicalConstants, Regime, classify, validate_params
 from .rng import SplitMix64
 
 __version__ = "0.1.0"

@@ -27,8 +27,8 @@ from typing import Dict, List, Union
 
 import numpy as np
 
-from .errors import InvalidValue
-from .regime import PhysicalConstants, Regime, classify, kappa0, kappa1
+from .errors import InvalidValue, NotElliptic, NotHyperbolic
+from .regime import PhysicalConstants, Regime
 
 
 def _memoized(derive):
@@ -104,13 +104,13 @@ class CharTransform:
     a: np.ndarray
     b: np.ndarray
     lam: np.ndarray
-    kappa0: float
 
 
 @_memoized
 def hyperbolic_transform(p: PhysicalConstants) -> CharTransform:
-    k0 = kappa0(p)  # raises NotHyperbolic when Delta <= 0
-    u0, v0, g = p.u0, p.v0, p.g
+    if p.delta <= 0:
+        raise NotHyperbolic(f"characteristic transform requires Delta > 0, got Delta = {p.delta}")
+    u0, v0, g, k0 = p.u0, p.v0, p.g, p.kappa
     s = u0**2 + v0**2
     Pinv = np.array(
         [
@@ -141,7 +141,7 @@ def hyperbolic_transform(p: PhysicalConstants) -> CharTransform:
             u0 / v0,
         ]
     )
-    return CharTransform(Pinv, P, a, b, lam, k0)
+    return CharTransform(Pinv, P, a, b, lam)
 
 
 @dataclass(frozen=True)
@@ -154,13 +154,13 @@ class EllipticTransform:
     blockX: np.ndarray
     blockY: np.ndarray
     zeta_speed: np.ndarray
-    kappa1: float
 
 
 @_memoized
 def elliptic_transform(p: PhysicalConstants) -> EllipticTransform:
-    k1 = kappa1(p)  # raises NotElliptic when Delta >= 0
-    u0, v0, g = p.u0, p.v0, p.g
+    if p.delta >= 0:
+        raise NotElliptic(f"elliptic transform requires Delta < 0, got Delta = {p.delta}")
+    u0, v0, g, k1 = p.u0, p.v0, p.g, p.kappa
     s = u0**2 + v0**2
     Pinv = np.array(
         [
@@ -178,7 +178,7 @@ def elliptic_transform(p: PhysicalConstants) -> EllipticTransform:
                   [0.0, 1.0 / k1, 0.0]])
     blockX = np.array([[u0, g * v0 / k1], [g * v0 / k1, -u0]]) / s
     blockY = np.array([[v0, -g * u0 / k1], [-g * u0 / k1, -v0]]) / s
-    return EllipticTransform(Pinv, P, blockX, blockY, np.array([u0 / s, v0 / s]), k1)
+    return EllipticTransform(Pinv, P, blockX, blockY, np.array([u0 / s, v0 / s]))
 
 
 Transform = Union[CharTransform, EllipticTransform]
@@ -187,7 +187,7 @@ Transform = Union[CharTransform, EllipticTransform]
 def transform_for(p: PhysicalConstants) -> Transform:
     """The elliptic transform in the mixed subcritical regime, the
     characteristic one in the four hyperbolic regimes."""
-    if classify(p) is Regime.MIXED_SUBCRITICAL:
+    if p.regime is Regime.MIXED_SUBCRITICAL:
         return elliptic_transform(p)
     return hyperbolic_transform(p)
 
@@ -238,16 +238,16 @@ def _rel_residual(product: np.ndarray, target: np.ndarray) -> float:
 def verify_diagonalization(p: PhysicalConstants, tol: float = 1e-10) -> DiagnosticReport:
     """Check the closed-form transforms against explicit matrix products.
 
-    Hyperbolic case: P^T S0E1 P vs diag(a), P^T S0E2 P vs diag(b), and
-    P^{-1} (E2^{-1}E1) P vs diag(lam) -- the latter is legitimate even though
-    the eigenvector normalization is not unique, because any right diagonal
-    rescaling of P is absorbed by the similarity conjugation.
+    Hyperbolic case: P^T S0E1 P vs diag(a), P^T S0E2 P vs diag(b), and the
+    similarity E2^{-1}E1 = P diag(lam) P^{-1} as E1 P vs E2 P diag(lam),
+    which needs no solve with E2 (whose entries can span hundreds of
+    decades) and holds for any column scaling of P.
 
     Elliptic case: the same congruences against the 2x2-block targets.
     All residuals are max-norm, relative to the product's own magnitude.
     """
     m, ff = coefficient_matrices(p), flux_forms(p)
-    rep = DiagnosticReport(regime=classify(p), tol=tol)
+    rep = DiagnosticReport(regime=p.regime, tol=tol)
     s = p.u0**2 + p.v0**2
     t = transform_for(p)
     if isinstance(t, EllipticTransform):
@@ -262,6 +262,5 @@ def verify_diagonalization(p: PhysicalConstants, tol: float = 1e-10) -> Diagnost
     else:
         rep.residuals["congruence_x"] = _rel_residual(t.P.T @ ff.S0E1 @ t.P, np.diag(t.a))
         rep.residuals["congruence_y"] = _rel_residual(t.P.T @ ff.S0E2 @ t.P, np.diag(t.b))
-        flow = np.linalg.solve(m.E2, m.E1)
-        rep.residuals["similarity"] = _rel_residual(t.Pinv @ flow @ t.P, np.diag(t.lam))
+        rep.residuals["similarity"] = _rel_residual(m.E1 @ t.P, (m.E2 @ t.P) * t.lam)
     return rep

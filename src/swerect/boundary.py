@@ -21,10 +21,10 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .algebra import coefficient_matrices, elliptic_transform, hyperbolic_transform, independent_rows
+from .algebra import coefficient_matrices, hyperbolic_transform, independent_rows
 from .errors import RegimeMismatch, ShapeMismatch
 from .fields import Grid
-from .regime import PhysicalConstants, Regime, classify
+from .regime import PhysicalConstants, Regime
 
 
 class Side(enum.Enum):
@@ -104,7 +104,12 @@ def _entering_rows(p: PhysicalConstants, s: float) -> Dict[Side, np.ndarray]:
     return out
 
 
-def bc_catalog(regime: Regime, p: PhysicalConstants) -> BoundarySpec:
+def _check_regime(p: PhysicalConstants, regime: Regime) -> None:
+    if p.regime is not regime:
+        raise RegimeMismatch(f"constants classify as {p.regime}, not {regime}")
+
+
+def bc_catalog(p: PhysicalConstants) -> BoundarySpec:
     """Forward-problem constraint rows for the regime of p.
 
     In the hyperbolic regimes each side constrains exactly the
@@ -112,9 +117,7 @@ def bc_catalog(regime: Regime, p: PhysicalConstants) -> BoundarySpec:
     the mixed subcritical regime constrains the shear and energy-flux
     combinations on West/South and phi alone on East/North.
     """
-    if classify(p) is not regime:
-        raise RegimeMismatch(f"constants classify as {classify(p)}, not {regime}")
-    if regime is not Regime.MIXED_SUBCRITICAL:
+    if p.regime is not Regime.MIXED_SUBCRITICAL:
         return BoundarySpec(_entering_rows(p, 1.0))
     u0, v0, g = p.u0, p.v0, p.g
     ws = _rows((v0, -u0, 0.0), (u0, v0, g))
@@ -129,7 +132,7 @@ def bc_catalog(regime: Regime, p: PhysicalConstants) -> BoundarySpec:
     return BoundarySpec(side_rows)
 
 
-def adjoint_bc_catalog(regime: Regime, p: PhysicalConstants) -> BoundarySpec:
+def adjoint_bc_catalog(p: PhysicalConstants) -> BoundarySpec:
     """Adjoint-problem constraint rows (homogeneous in the adjoint variables).
 
     The adjoint operator transports information the opposite way, so in the
@@ -137,12 +140,9 @@ def adjoint_bc_catalog(regime: Regime, p: PhysicalConstants) -> BoundarySpec:
     W<->E, S<->N mirror of the forward catalog.  The mixed subcritical rows
     are closed-form.
     """
-    if classify(p) is not regime:
-        raise RegimeMismatch(f"constants classify as {classify(p)}, not {regime}")
-    if regime is not Regime.MIXED_SUBCRITICAL:
+    if p.regime is not Regime.MIXED_SUBCRITICAL:
         return BoundarySpec(_entering_rows(p, -1.0))
-    u0, v0, g = p.u0, p.v0, p.g
-    k1 = elliptic_transform(p).kappa1
+    u0, v0, g, k1 = p.u0, p.v0, p.g, p.kappa
     side_rows = {
         Side.WEST: _rows((g * v0**2, -g * v0 * u0, -u0 * k1**2)),
         Side.EAST: _rows((u0 * v0, -u0**2, g * v0), (u0, v0, g)),
@@ -167,9 +167,11 @@ def incoming_count_check(p: PhysicalConstants, regime: Regime) -> IncomingCountR
 
     West should carry one row per positive a_i, East one per negative a_i,
     South/North likewise for b.  The mixed subcritical regime has no full
-    characteristic set; its counts are fixed at (2, 1, 2, 1).
+    characteristic set; its counts are fixed at (2, 1, 2, 1).  Raises
+    RegimeMismatch when regime is not the regime of p.
     """
-    spec = bc_catalog(regime, p)
+    _check_regime(p, regime)
+    spec = bc_catalog(p)
     if regime is Regime.MIXED_SUBCRITICAL:
         expected = (2, 1, 2, 1)
     else:

@@ -36,7 +36,7 @@ from .evolve import mms_convergence, refinement_ladder, run
 from .fields import StateField
 from .io_csv import write_energy_csv, write_field_csv
 from .operator import positivity_probe
-from .regime import classify, kappa, validate_params
+from .regime import validate_params
 from .rng import check_seed
 
 _USAGE_ERRORS = (
@@ -68,12 +68,9 @@ def _verdict(name: str, passed: bool) -> int:
 
 def _cmd_classify(args) -> int:
     p = validate_params(args.u0, args.v0, args.phi0, args.g, args.f)
-    regime = classify(p)
-    print(regime)
-    k = kappa(p)
-    print(f"kappa{'1' if k.elliptic else '0'} = {k.value:.12g}")
-    for title, spec in (("forward", bc_catalog(regime, p)),
-                        ("adjoint", adjoint_bc_catalog(regime, p))):
+    print(p.regime)
+    print(f"kappa{'1' if p.delta < 0 else '0'} = {p.kappa:.12g}")
+    for title, spec in (("forward", bc_catalog(p)), ("adjoint", adjoint_bc_catalog(p))):
         print(f"boundary rows ({title}):")
         for side in SIDES:
             rows = spec.rows[side]
@@ -90,9 +87,8 @@ def _cmd_classify(args) -> int:
 def _cmd_verify_algebra(args) -> int:
     doc = load_config(args.config)
     p = doc.constants()
-    regime = classify(p)
     report = verify_diagonalization(p, tol=args.tol)
-    counts = incoming_count_check(p, regime)
+    counts = incoming_count_check(p, p.regime)
     for name, res in sorted(report.residuals.items()):
         print(f"{name}: {res:.3e}")
     print(f"incoming counts (W,E,S,N): {counts.counts} expected {counts.expected}")
@@ -103,8 +99,7 @@ def _cmd_probe_positivity(args) -> int:
     check_seed(args.seed, "--seed")
     doc = load_config(args.config)
     p = doc.constants()
-    regime = classify(p)
-    report = positivity_probe(p, regime, doc.make_grid(), args.samples, args.seed)
+    report = positivity_probe(p, doc.make_grid(), args.samples, args.seed)
     print(f"min quotient {report.min_quotient:.6e} over {report.n_samples} samples "
           f"(threshold {report.threshold:.6e})")
     return _verdict("probe-positivity", report.passed)

@@ -29,7 +29,7 @@ from .fields import Grid, StateField, is_real
 from .io_csv import check_precision, read_field_csv
 from .manufactured import DEFAULT_SOLUTION
 from .operator import band_limited_fields
-from .regime import PhysicalConstants, classify, validate_params
+from .regime import PhysicalConstants, validate_params
 from .rng import SplitMix64, check_seed
 
 
@@ -212,8 +212,7 @@ def build_run_config(doc: ConfigDocument) -> RunConfig:
     """
     p = doc.constants()
     grid = doc.make_grid()
-    regime = classify(p)
-    spec = bc_catalog(regime, p)
+    spec = bc_catalog(p)
 
     if doc.forcing_kind == "manufactured":
         forcing = DEFAULT_SOLUTION.forcing_on_grid(p, grid)

@@ -47,8 +47,8 @@ from .errors import (
 )
 from .boundary import _NODE_CLASSES, SIDES, Side, node_line
 from .fields import Grid, check_field_shape, integrate
-from .regime import PhysicalConstants, Regime, classify
-from .algebra import elliptic_transform, independent_rows
+from .regime import PhysicalConstants, Regime
+from .algebra import independent_rows
 
 
 @dataclass(frozen=True)
@@ -106,11 +106,10 @@ def swe_elliptic_block(p: PhysicalConstants) -> EllipticCoeffs:
     The determinant is g/(kappa1*(u0^2+v0^2)) > 0, so the condition holds for
     every admissible base state.
     """
-    if classify(p) is not Regime.MIXED_SUBCRITICAL:
+    if p.regime is not Regime.MIXED_SUBCRITICAL:
         raise RegimeMismatch("swe_elliptic_block requires the mixed subcritical regime")
-    t = elliptic_transform(p)
     s = p.u0**2 + p.v0**2
-    return build_coeffs(p.u0 / s, p.v0 / s, p.g * p.v0 / (t.kappa1 * s), -p.g * p.u0 / (t.kappa1 * s))
+    return build_coeffs(p.u0 / s, p.v0 / s, p.g * p.v0 / (p.kappa * s), -p.g * p.u0 / (p.kappa * s))
 
 
 @dataclass(frozen=True)

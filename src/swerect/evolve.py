@@ -21,7 +21,7 @@ from .errors import InvalidValue, NonFinite, ShapeMismatch
 from .fields import EnergyLog, Grid, StateField, is_integer, is_real
 from .manufactured import ManufacturedSolution
 from .operator import DiscreteOperator, energy_value
-from .regime import PhysicalConstants, classify
+from .regime import PhysicalConstants
 
 
 def cfl_dt(p: PhysicalConstants, grid: Grid, cfl: float) -> float:
@@ -80,8 +80,7 @@ class _Stepper:
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
-        self.regime = classify(cfg.p)
-        self.enforcer = BcEnforcer(bc_catalog(self.regime, cfg.p), cfg.p, cfg.grid)
+        self.enforcer = BcEnforcer(bc_catalog(cfg.p), cfg.p, cfg.grid)
         self.op = DiscreteOperator(cfg.p, cfg.grid)
         self.f = cfg.p.f
         shape = (3, cfg.grid.nx, cfg.grid.ny)
@@ -162,7 +161,7 @@ def run(cfg: RunConfig) -> RunResult:
         if not np.all(np.isfinite(W)):
             c, i, j = np.argwhere(~np.isfinite(W))[0]
             raise NonFinite(
-                f"non-finite state at step {k} (t={t:.6g}, regime {stepper.regime}): "
+                f"non-finite state at step {k} (t={t:.6g}, regime {cfg.p.regime}): "
                 f"first in field '{('u', 'v', 'phi')[c]}' at node ({i}, {j})"
             )
         # advance returns a fresh W that nothing writes into later: a view will do
@@ -214,7 +213,7 @@ class MmsReport:
 
 def _mms_error(solution: ManufacturedSolution, p: PhysicalConstants, grid: Grid,
                t_end: float, cfl: float, scheme: str) -> float:
-    spec = bc_catalog(classify(p), p)
+    spec = bc_catalog(p)
     cfg = RunConfig(
         p=p, grid=grid, t_end=t_end,
         initial=solution.state_field(grid, 0.0),

@@ -82,7 +82,7 @@ class StateField:
 
     def __post_init__(self):
         if not (self.u.shape == self.v.shape == self.phi.shape):
-            raise InvalidValue("u, v, phi must share one shape")
+            raise ShapeMismatch("u, v, phi must share one shape")
 
     @classmethod
     def zeros(cls, grid: Grid) -> "StateField":

@@ -10,7 +10,8 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from .algebra import coefficient_matrices, flux_forms
-from .boundary import BcEnforcer, BoundaryData, Side, SIDES, adjoint_bc_catalog, bc_catalog
+from .boundary import (BcEnforcer, BoundaryData, Side, SIDES, _check_regime, adjoint_bc_catalog,
+                       bc_catalog)
 from .errors import InvalidValue, ShapeMismatch
 from .fields import Grid, StateField, inner_product, is_integer
 from .regime import PhysicalConstants, Regime
@@ -191,8 +192,7 @@ class ProbeReport:
         return self.min_quotient >= self.threshold
 
 
-def positivity_probe(p: PhysicalConstants, regime: Regime, grid: Grid,
-                     n_samples: int, seed: int) -> ProbeReport:
+def positivity_probe(p: PhysicalConstants, grid: Grid, n_samples: int, seed: int) -> ProbeReport:
     """Minimum of <A_h U, U> / ||U||^2 over random smooth BC-respecting fields.
 
     The samples are projected onto the catalog by the stepper's own
@@ -205,8 +205,7 @@ def positivity_probe(p: PhysicalConstants, regime: Regime, grid: Grid,
     if n_samples < 1:
         raise InvalidValue(f"positivity probe needs at least one sample, got {n_samples}")
     check_seed(seed, "seed")
-    spec = bc_catalog(regime, p)
-    enforcer = BcEnforcer(spec, p, grid)
+    enforcer = BcEnforcer(bc_catalog(p), p, grid)
     op = DiscreteOperator(p, grid)
     data = BoundaryData.homogeneous()
     rng = SplitMix64(seed)
@@ -274,10 +273,12 @@ def boundary_quadratic_forms(p: PhysicalConstants, regime: Regime,
     regime's own catalog -- that is the discrete shadow of the energy
     inequality the catalogs were designed for.  In the hyperbolic regimes
     the adjoint catalog mirrors the forward one with the orientation, so
-    both calls share each side's (read-only) eigenvalues.
+    both calls share each side's (read-only) eigenvalues.  Raises
+    RegimeMismatch when regime is not the regime of p.
     """
+    _check_regime(p, regime)
     orient = -1.0 if adjoint else 1.0
-    spec = adjoint_bc_catalog(regime, p) if adjoint else bc_catalog(regime, p)
+    spec = adjoint_bc_catalog(p) if adjoint else bc_catalog(p)
     out = {}
     for side in SIDES:
         rows = spec.rows[side]

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
 
-from .errors import DegenerateCase, InvalidValue, NonPositiveParameter, NotElliptic, NotHyperbolic
+from .errors import DegenerateCase, InvalidValue, NonPositiveParameter
 from .fields import is_real
 
 #: Relative genericity tolerance: base states with any of the three sign
@@ -60,13 +59,21 @@ class PhysicalConstants:
     float range: u0^2, v0^2, g*phi0, u0^2 + v0^2, kappa^2 = g*|Delta|/phi0
     and the energy weight g/phi0 must all be finite, and kappa*(u0^2 + v0^2),
     |det Pinv| up to a factor 2, must not underflow to 0 nor overflow when
-    doubled."""
+    doubled.
+
+    The rules' own Delta = u0^2 + v0^2 - g*phi0, kappa = sqrt(g*|Delta|/phi0)
+    (kappa0 when Delta > 0, kappa1 when Delta < 0) and the regime their
+    signs decide are kept as delta, kappa and regime, which every other
+    module reads; equality, hash and repr read only the five inputs."""
 
     u0: float
     v0: float
     phi0: float
     g: float
     f: float = 0.0
+    delta: float = field(init=False, repr=False, compare=False)
+    kappa: float = field(init=False, repr=False, compare=False)
+    regime: Regime = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("u0", "v0", "phi0", "g"):
@@ -78,8 +85,9 @@ class PhysicalConstants:
         u2, v2, gp = _square("u0", self.u0), _square("v0", self.v0), self.g * self.phi0
         d = u2 + v2 - gp
         k2 = self.g * abs(d) / self.phi0
+        k = math.sqrt(k2)
         # the transforms divide by kappa*(u0^2 + v0^2) and by twice it
-        ks = math.sqrt(k2) * (u2 + v2)
+        ks = k * (u2 + v2)
         for name, value in (("g*phi0", gp), ("u0^2 + v0^2", u2 + v2), ("g*|Delta|/phi0", k2),
                             ("g/phi0", self.g / self.phi0), ("2*kappa*(u0^2 + v0^2)", 2.0 * ks)):
             if math.isinf(value):
@@ -93,6 +101,14 @@ class PhysicalConstants:
             raise DegenerateCase("u0^2 + v0^2 ~ g*phi0 within genericity tolerance")
         if ks == 0.0:
             raise InvalidValue("kappa*(u0^2 + v0^2) underflows to 0 for this base state")
+        if u2 > gp:
+            regime = Regime.SUPERCRITICAL if v2 > gp else Regime.MIXED_HYPERBOLIC_II
+        elif v2 > gp:
+            regime = Regime.MIXED_HYPERBOLIC_I
+        else:
+            regime = Regime.FULLY_HYPERBOLIC_SUBCRITICAL if d > 0 else Regime.MIXED_SUBCRITICAL
+        for name, value in (("delta", d), ("kappa", k), ("regime", regime)):
+            object.__setattr__(self, name, value)
 
     @property
     def sound_speed(self) -> float:
@@ -113,51 +129,6 @@ def validate_params(u0: float, v0: float, phi0: float, g: float, f: float = 0.0)
     return PhysicalConstants(float(u0), float(v0), float(phi0), float(g), float(f))
 
 
-def delta(p: PhysicalConstants) -> float:
-    """Discriminant u0^2 + v0^2 - g*phi0; its sign separates the transforms."""
-    return p.u0**2 + p.v0**2 - p.g * p.phi0
-
-
 def classify(p: PhysicalConstants) -> Regime:
-    """Unique regime of a validated base state (no errors: boundaries already excluded)."""
-    gp = p.g * p.phi0
-    x_sup = p.u0**2 > gp
-    y_sup = p.v0**2 > gp
-    if x_sup and y_sup:
-        return Regime.SUPERCRITICAL
-    if (not x_sup) and y_sup:
-        return Regime.MIXED_HYPERBOLIC_I
-    if x_sup and not y_sup:
-        return Regime.MIXED_HYPERBOLIC_II
-    if delta(p) > 0:
-        return Regime.FULLY_HYPERBOLIC_SUBCRITICAL
-    return Regime.MIXED_SUBCRITICAL
-
-
-def kappa0(p: PhysicalConstants) -> float:
-    """sqrt(g*Delta/phi0), defined only for Delta > 0."""
-    d = delta(p)
-    if d <= 0:
-        raise NotHyperbolic(f"kappa0 requires Delta > 0, got Delta = {d}")
-    return math.sqrt(p.g * d / p.phi0)
-
-
-def kappa1(p: PhysicalConstants) -> float:
-    """sqrt(-g*Delta/phi0), defined only for Delta < 0."""
-    d = delta(p)
-    if d >= 0:
-        raise NotElliptic(f"kappa1 requires Delta < 0, got Delta = {d}")
-    return math.sqrt(-p.g * d / p.phi0)
-
-
-class KappaValue(NamedTuple):
-    value: float
-    elliptic: bool  # True when the Delta < 0 branch applies
-
-
-def kappa(p: PhysicalConstants) -> KappaValue:
-    """The single positive wavenumber-like scale of the state's regime."""
-    if delta(p) > 0:
-        return KappaValue(kappa0(p), False)
-    return KappaValue(kappa1(p), True)
-
+    """Unique regime of a validated base state, as validation decided it."""
+    return p.regime

@@ -118,7 +118,7 @@ def msub_compatible_pair(p, grid):
     """
     t = sw.elliptic_transform(p)
     X, Y = grid.meshgrid()
-    u0, v0, g, k1 = p.u0, p.v0, p.g, t.kappa1
+    u0, v0, g, k1 = p.u0, p.v0, p.g, p.kappa
     ws = vanish(W, X, Y, grid) * vanish(S, X, Y, grid)
     en = vanish(E, X, Y, grid) * vanish(N, X, Y, grid)
     Xi = np.stack([_BASES[0](X, Y) * ws, _BASES[1](X, Y) * en, _BASES[2](X, Y) * ws])
@@ -191,6 +191,45 @@ def boundary_flat_theta(grid, scale=400.0):
     return ThetaField(psi.copy(), psi.copy())
 
 
+# the regime, Delta and kappa as the package computed them before validation
+# kept its own results: one function each, recomputing from (u0, v0, phi0, g)
+def reference_delta(p):
+    """Discriminant u0^2 + v0^2 - g*phi0; its sign separates the transforms."""
+    return p.u0**2 + p.v0**2 - p.g * p.phi0
+
+
+def reference_classify(p):
+    """Unique regime of a validated base state (no errors: boundaries already excluded)."""
+    gp = p.g * p.phi0
+    x_sup = p.u0**2 > gp
+    y_sup = p.v0**2 > gp
+    if x_sup and y_sup:
+        return sw.Regime.SUPERCRITICAL
+    if (not x_sup) and y_sup:
+        return sw.Regime.MIXED_HYPERBOLIC_I
+    if x_sup and not y_sup:
+        return sw.Regime.MIXED_HYPERBOLIC_II
+    if reference_delta(p) > 0:
+        return sw.Regime.FULLY_HYPERBOLIC_SUBCRITICAL
+    return sw.Regime.MIXED_SUBCRITICAL
+
+
+def reference_kappa0(p):
+    """sqrt(g*Delta/phi0), defined only for Delta > 0."""
+    d = reference_delta(p)
+    if d <= 0:
+        raise sw.NotHyperbolic(f"kappa0 requires Delta > 0, got Delta = {d}")
+    return math.sqrt(p.g * d / p.phi0)
+
+
+def reference_kappa1(p):
+    """sqrt(-g*Delta/phi0), defined only for Delta < 0."""
+    d = reference_delta(p)
+    if d >= 0:
+        raise sw.NotElliptic(f"kappa1 requires Delta < 0, got Delta = {d}")
+    return math.sqrt(-p.g * d / p.phi0)
+
+
 def reference_independent_rows(rows):
     """The enforcement row rule as written before the enforcement plans and
     the elliptic assembly shared `algebra.independent_rows`: the indices of
@@ -234,7 +273,7 @@ def reference_boundary_quadratic_forms(p, regime, adjoint=False):
     flux = (0.5 * (m.S0 @ m.E1), 0.5 * (m.S0 @ m.E2))
     orient = -1.0 if adjoint else 1.0
     if regime is sw.Regime.MIXED_SUBCRITICAL:
-        rows = (sw.adjoint_bc_catalog if adjoint else sw.bc_catalog)(regime, p).rows
+        rows = (sw.adjoint_bc_catalog if adjoint else sw.bc_catalog)(p).rows
     else:
         rows = reference_entering_rows(p, orient)
     out = {}

@@ -37,8 +37,8 @@ def test_char_transform_reference_values():
     # and Pinv applied to (1, 0, 0) picks the first column (v0, v0, u0)
     p = sw.validate_params(3.0, 3.0, 1.0, 9.81)
     t = sw.hyperbolic_transform(p)
-    k0 = sw.kappa0(p)
-    assert t.kappa0 == pytest.approx(8.963475888292443, rel=1e-15)
+    k0 = p.kappa
+    assert p.kappa == pytest.approx(8.963475888292443, rel=1e-15)
     assert np.allclose(t.Pinv[0], [3.0, -3.0, k0], rtol=1e-15)
     assert np.allclose(t.Pinv[1], [3.0, -3.0, -k0], rtol=1e-15)
     assert np.allclose(t.Pinv[2], [3.0, 3.0, 9.81], rtol=1e-15)
@@ -124,7 +124,7 @@ def test_elliptic_transform_block_values():
     p = params("msub")
     t = sw.elliptic_transform(p)
     s = p.u0**2 + p.v0**2
-    k1 = sw.kappa1(p)
+    k1 = p.kappa
     assert np.allclose(t.blockX, np.array([[p.u0, p.g * p.v0 / k1],
                                            [p.g * p.v0 / k1, -p.u0]]) / s, rtol=1e-14)
     assert np.allclose(t.blockY, np.array([[p.v0, -p.g * p.u0 / k1],
@@ -137,6 +137,29 @@ def test_verify_diagonalization_all_regimes():
         rep = sw.verify_diagonalization(params(kind))
         assert rep.passed, rep.residuals
         assert rep.max_residual < 1e-12
+
+
+def test_similarity_check_solves_nothing():
+    """The similarity residual compares E1 P with E2 P diag(lam).  At this
+    state E2's entries span 1e-64 to 1e101, and the former check through
+    np.linalg.solve(E2, E1) read 1.0 although the transform holds to
+    round-off."""
+    p = sw.validate_params(2.1075465984466066e-132, 1.116911008777928e+43,
+                           1.3670349706134247e+101, 4.6270104544481676e-64)
+    rep = sw.verify_diagonalization(p)
+    assert rep.residuals["similarity"] < 1e-15
+    assert rep.passed, rep.residuals
+
+
+def test_similarity_check_reports_a_transform_that_misses():
+    """At this state the float P and lam miss E1 P = E2 P diag(lam) by
+    1.7e-6, column-relative, also in 60-digit arithmetic; the former check
+    through np.linalg.solve(E2, E1) read 1.4e-13 and passed."""
+    p = sw.validate_params(2.880528616291078e-50, 9.566569475751031e-167,
+                           8.228692919621886e-155, 1.6823446807029773e-164)
+    rep = sw.verify_diagonalization(p)
+    assert rep.residuals["similarity"] > 1e-7
+    assert not rep.passed
 
 
 def test_transform_regime_guards():

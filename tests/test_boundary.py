@@ -43,7 +43,7 @@ EXPECTED_COUNTS = {
 def test_catalog_row_counts():
     for kind, want in EXPECTED_COUNTS.items():
         p = params(kind)
-        spec = sw.bc_catalog(sw.classify(p), p)
+        spec = sw.bc_catalog(p)
         assert spec.counts() == want
 
 
@@ -51,9 +51,8 @@ def test_adjoint_counts_mirror_forward():
     # the adjoint constrains the outgoing set: counts swap W<->E and S<->N
     for kind in REGIME_CASES:
         p = params(kind)
-        regime = sw.classify(p)
-        cw, ce, cs, cn = sw.bc_catalog(regime, p).counts()
-        aw, ae, as_, an = sw.adjoint_bc_catalog(regime, p).counts()
+        cw, ce, cs, cn = sw.bc_catalog(p).counts()
+        aw, ae, as_, an = sw.adjoint_bc_catalog(p).counts()
         assert (aw, ae, as_, an) == (3 - cw, 3 - ce, 3 - cs, 3 - cn)
 
 
@@ -78,7 +77,7 @@ def test_forward_rows_are_characteristic_rows():
             for _ in range(200):
                 p = draw_params(kind, rng)
                 named = dict(zip(("xi", "eta", "zeta"), sw.hyperbolic_transform(p).Pinv))
-                spec = catalog(sw.classify(p), p)
+                spec = catalog(p)
                 for side, want in sides.items():
                     ref = (np.eye(3) if want == "all"
                            else np.array([named[n] for n in want.split()]).reshape(-1, 3))
@@ -89,8 +88,8 @@ def test_forward_rows_are_characteristic_rows():
 def test_msub_adjoint_rows_closed_form():
     p = params("msub")
     u0, v0, g = p.u0, p.v0, p.g
-    k1 = sw.kappa1(p)
-    spec = sw.adjoint_bc_catalog(sw.classify(p), p)
+    k1 = p.kappa
+    spec = sw.adjoint_bc_catalog(p)
     assert np.allclose(spec.rows[W], [[g * v0**2, -g * v0 * u0, -u0 * k1**2]])
     assert np.allclose(spec.rows[E], [[u0 * v0, -u0**2, g * v0], [u0, v0, g]])
     assert np.allclose(spec.rows[S], [[g * u0 * v0, -g * u0**2, v0 * k1**2]])
@@ -107,19 +106,23 @@ def test_incoming_count_check_on_draws():
 
 
 def test_regime_mismatch_guard():
+    """The two entry points that still take a regime reject one that is not
+    the regime of the constants."""
     p = params("super")
     with pytest.raises(sw.RegimeMismatch):
-        sw.bc_catalog(sw.Regime.MIXED_SUBCRITICAL, p)
+        sw.incoming_count_check(p, sw.Regime.MIXED_SUBCRITICAL)
+    for adjoint in (False, True):
+        with pytest.raises(sw.RegimeMismatch):
+            sw.boundary_quadratic_forms(p, sw.Regime.MIXED_SUBCRITICAL, adjoint=adjoint)
 
 
 def test_compatible_fields_annihilate_rows():
     grid = sw.Grid(1.0, 1.0, 17, 17)
     for kind in REGIME_CASES:
         p = params(kind)
-        regime = sw.classify(p)
         U, V = compatible_pair(kind, p, grid)
-        assert boundary_row_residual(U, sw.bc_catalog(regime, p), grid) < 1e-12
-        assert boundary_row_residual(V, sw.adjoint_bc_catalog(regime, p), grid) < 1e-12
+        assert boundary_row_residual(U, sw.bc_catalog(p), grid) < 1e-12
+        assert boundary_row_residual(V, sw.adjoint_bc_catalog(p), grid) < 1e-12
 
 
 def _projector(p, spec, grid):
@@ -131,8 +134,7 @@ def test_apply_bc_idempotent():
     grid = sw.Grid(1.0, 1.0, 20, 24)
     for kind in REGIME_CASES:
         p = params(kind)
-        regime = sw.classify(p)
-        enforcer = _projector(p, sw.bc_catalog(regime, p), grid)
+        enforcer = _projector(p, sw.bc_catalog(p), grid)
         data = sw.BoundaryData.homogeneous()
         once = enforcer.apply(sw.band_limited_fields(rng, 20, 24), data)
         twice = enforcer.apply(once, data)
@@ -147,8 +149,7 @@ def test_apply_bc_reproduces_sampled_data():
     grid = sw.Grid(1.0, 1.0, 16, 13)
     for kind in REGIME_CASES:
         p = params(kind)
-        regime = sw.classify(p)
-        spec = sw.bc_catalog(regime, p)
+        spec = sw.bc_catalog(p)
         data = sw.BoundaryData.from_state_samples(spec, grid, DEFAULT_SOLUTION.state)
         rng = SplitMix64(19)
         W_ = _projector(p, spec, grid).apply(sw.band_limited_fields(rng, grid.nx, grid.ny),
@@ -169,7 +170,7 @@ def test_apply_bc_reproduces_sampled_data():
 def test_apply_bc_interior_untouched():
     grid = sw.Grid(1.0, 1.0, 12, 12)
     p = params("fhs")
-    spec = sw.bc_catalog(sw.classify(p), p)
+    spec = sw.bc_catalog(p)
     rng = SplitMix64(4)
     W_ = sw.band_limited_fields(rng, 12, 12)
     out = _projector(p, spec, grid).apply(W_, sw.BoundaryData.homogeneous())
@@ -178,7 +179,7 @@ def test_apply_bc_interior_untouched():
 
 def test_bad_sampler_shape_raises():
     p = params("fhs")
-    spec = sw.bc_catalog(sw.classify(p), p)
+    spec = sw.bc_catalog(p)
     data = sw.BoundaryData({W: lambda t: np.zeros((3, 5))})  # W has 2 rows
     rng = SplitMix64(4)
     W_ = sw.band_limited_fields(rng, 10, 10)
@@ -214,7 +215,7 @@ def test_enforcer_in_place_matches_copy(kind):
     reused across times and data sets (it samples once per distinct t)
     agrees with a fresh enforcer for every call."""
     p = params(kind)
-    spec = sw.bc_catalog(sw.classify(p), p)
+    spec = sw.bc_catalog(p)
     rng = SplitMix64(13)
     for grid in (sw.Grid(1.0, 1.0, 4, 4), sw.Grid(1.0, 1.5, 5, 9)):
         datas = (sw.BoundaryData.homogeneous(),
@@ -255,7 +256,7 @@ def test_row_rule_matches_reference_on_draws(kind):
     for _ in range(200):
         p = draw_params(kind, rng)
         for catalog in (sw.bc_catalog, sw.adjoint_bc_catalog):
-            rows = catalog(sw.classify(p), p).rows
+            rows = catalog(p).rows
             stacks = [rows[s] for s in SIDES]
             stacks += [np.vstack([rows[sx], rows[sy]]) for sx in (W, E) for sy in (S, N)]
             for C in stacks:
@@ -282,12 +283,12 @@ def test_catalogs_constrain_every_characteristic_on_extreme_states():
         if regime is sw.Regime.MIXED_SUBCRITICAL:
             continue
         try:
-            w, e, s, n = sw.bc_catalog(regime, p).counts()
+            w, e, s, n = sw.bc_catalog(p).counts()
         except InvalidValue:
             seen["speed underflow"] += 1
             continue
         assert (w, e, s, n) == expected[str(regime)]
-        assert sw.adjoint_bc_catalog(regime, p).counts() == (e, w, n, s)
+        assert sw.adjoint_bc_catalog(p).counts() == (e, w, n, s)
         seen["full catalog"] += 1
     assert min(seen.values()) > 0, seen
 
@@ -349,7 +350,7 @@ def test_constrained_sides_coordinates_exact_and_contiguous(nx, ny):
     p = params("fhs")
     want = {W: (np.zeros(ny), grid.y), E: (np.full(ny, 1.3), grid.y),
             S: (grid.x, np.zeros(nx)), N: (grid.x, np.full(nx, 0.7))}
-    spec = sw.bc_catalog(sw.classify(p), p)
+    spec = sw.bc_catalog(p)
     got = constrained_sides(spec, grid)
     assert [side for side, _, _ in got] == list(SIDES)
     for side, rows, xy in got:
@@ -378,7 +379,7 @@ def test_entering_rows_match_reference_bit_for_bit(kind):
 @pytest.mark.parametrize("shape", [(3, 16, 20), (3, 20, 16), (2, 16, 16), (4, 16, 16), (16, 16)])
 def test_enforcer_rejects_a_stack_of_another_shape(shape):
     p = params("fhs")
-    enforcer = sw.BcEnforcer(sw.bc_catalog(sw.classify(p), p), p, sw.Grid(1.0, 1.0, 16, 16))
+    enforcer = sw.BcEnforcer(sw.bc_catalog(p), p, sw.Grid(1.0, 1.0, 16, 16))
     data = sw.BoundaryData.homogeneous()
     want = f"stack shape {shape} vs (3, 16, 16)"
     with pytest.raises(ShapeMismatch) as info:

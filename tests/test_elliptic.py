@@ -56,7 +56,7 @@ def test_build_coeffs_rejects_non_finite(coeffs, name):
 def test_swe_block_closed_form():
     p = P_MSUB
     s = p.u0**2 + p.v0**2
-    k1 = sw.kappa1(p)
+    k1 = p.kappa
     c = C_SWE
     assert c.alpha1 == pytest.approx(p.u0 / s, rel=1e-15)
     assert c.alpha2 == pytest.approx(p.v0 / s, rel=1e-15)
@@ -424,5 +424,5 @@ def test_field_views_are_frozen(view, component):
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(field, component, np.ones((1, 9)))
     assert getattr(field, component).shape == (9, 9)
-    with pytest.raises((ShapeMismatch, InvalidValue)):
+    with pytest.raises(ShapeMismatch):
         dataclasses.replace(field, **{component: np.ones((1, 9))})

@@ -235,7 +235,7 @@ def _stepper_config(kind, f, grid, forced, scheme="ssprk2", **kw):
     if not forced:
         return sw.RunConfig(p=p, grid=grid, t_end=0.05, initial=seeded_state(grid),
                             scheme=scheme, **kw)
-    spec = sw.bc_catalog(sw.classify(p), p)
+    spec = sw.bc_catalog(p)
     return sw.RunConfig(
         p=p, grid=grid, t_end=0.05, initial=DEFAULT_SOLUTION.state_field(grid, 0.0),
         scheme=scheme, forcing=DEFAULT_SOLUTION.forcing_on_grid(p, grid),

@@ -147,7 +147,7 @@ def test_boundary_file_trace_holds_on_every_side_node(kind, tmp_path):
     assert (doc.phi0, doc.g) == (phi0, g)
     cfg = sw.build_run_config(doc)
     final = sw.run(cfg).final.stack()
-    spec = sw.bc_catalog(sw.classify(cfg.p), cfg.p)
+    spec = sw.bc_catalog(cfg.p)
     lines = {sw.Side.WEST: (0, slice(None)), sw.Side.EAST: (-1, slice(None)),
              sw.Side.SOUTH: (slice(None), 0), sw.Side.NORTH: (slice(None), -1)}
     seen = []

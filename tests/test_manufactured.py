@@ -106,7 +106,7 @@ def test_grid_boundary_data_equals_state_samples(kind):
     every constrained side and at every t, and the config's manufactured
     boundary kind uses them."""
     p = sw.validate_params(*REGIME_CASES[kind])
-    spec = sw.bc_catalog(sw.classify(p), p)
+    spec = sw.bc_catalog(p)
     for grid in (sw.Grid(1.0, 1.0, 17, 17), sw.Grid(2.0, 0.7, 9, 23)):
         for sol in SOLUTIONS:
             got = sol.boundary_data_on_grid(spec, grid)
@@ -125,7 +125,7 @@ def test_config_manufactured_boundary_uses_grid_samplers():
             "[grid]\nL1 = 1.0\nL2 = 1.5\nnx = 9\nny = 13\n"
             "[run]\nt_end = 0.05\ncfl = 0.45\n[boundary]\nkind = manufactured\n")
     cfg = sw.build_run_config(sw.parse_config(text))
-    spec = sw.bc_catalog(sw.classify(cfg.p), cfg.p)
+    spec = sw.bc_catalog(cfg.p)
     want = sw.BoundaryData.from_state_samples(spec, cfg.grid, DEFAULT_SOLUTION.state)
     assert cfg.boundary_data.samplers.keys() == want.samplers.keys()
     for side, sample in want.samplers.items():

@@ -253,7 +253,7 @@ def test_positivity_probe_small_grids():
     rng_seed = 11
     for kind in REGIME_CASES:
         p = params(kind)
-        rep = sw.positivity_probe(p, sw.classify(p), sw.Grid(1.0, 1.0, 24, 24), 30, rng_seed)
+        rep = sw.positivity_probe(p, sw.Grid(1.0, 1.0, 24, 24), 30, rng_seed)
         assert rep.passed, (kind, rep.min_quotient, rep.threshold)
         assert rep.n_samples == 30
 
@@ -262,7 +262,7 @@ def test_positivity_probe_small_grids():
 def test_positivity_probe_needs_a_sample(n_samples):
     p = params("super")
     with pytest.raises(InvalidValue, match="at least one sample"):
-        sw.positivity_probe(p, sw.classify(p), sw.Grid(1.0, 1.0, 8, 8), n_samples, 0)
+        sw.positivity_probe(p, sw.Grid(1.0, 1.0, 8, 8), n_samples, 0)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
@@ -270,7 +270,7 @@ def test_positivity_probe_rejects_seed_outside_64_bits(seed):
     # SplitMix64 masks its seed, so 2^64 would silently rerun seed 0's samples
     p = params("super")
     with pytest.raises(InvalidValue) as info:
-        sw.positivity_probe(p, sw.classify(p), sw.Grid(1.0, 1.0, 16, 16), 3, seed)
+        sw.positivity_probe(p, sw.Grid(1.0, 1.0, 16, 16), 3, seed)
     assert str(info.value) == f"seed must be in [0, 2^64), got {seed}"
 
 
@@ -404,7 +404,7 @@ def test_quadrature_rejects_fields_off_the_grid():
 def test_positivity_probe_rejects_sample_count_that_is_not_an_integer(n_samples):
     p = params("fhs")
     with pytest.raises(InvalidValue) as info:
-        sw.positivity_probe(p, sw.classify(p), sw.Grid(1.0, 1.0, 9, 9), n_samples, seed=1)
+        sw.positivity_probe(p, sw.Grid(1.0, 1.0, 9, 9), n_samples, seed=1)
     assert str(info.value) == f"positivity probe sample count must be an integer, got {n_samples!r}"
 
 
@@ -415,7 +415,7 @@ def test_seeds_must_be_integers(seed):
         SplitMix64(seed)
     assert str(info.value) == f"seed must be an integer, got {seed!r}"
     with pytest.raises(InvalidValue) as info:
-        sw.positivity_probe(p, sw.classify(p), sw.Grid(1.0, 1.0, 9, 9), 2, seed=seed)
+        sw.positivity_probe(p, sw.Grid(1.0, 1.0, 9, 9), 2, seed=seed)
     assert str(info.value) == f"seed must be an integer, got {seed!r}"
 
 

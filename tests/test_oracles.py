@@ -104,7 +104,7 @@ def test_golden_energy_homogeneous(key):
 def _manufactured_run(kind, f):
     p = sw.validate_params(*REGIME_CASES[kind], f)
     grid = sw.Grid(1.0, 1.0, 24, 24)
-    spec = sw.bc_catalog(sw.classify(p), p)
+    spec = sw.bc_catalog(p)
     return _run(p, grid, DEFAULT_SOLUTION.state(*grid.meshgrid(), 0.0),
                 forcing=DEFAULT_SOLUTION.forcing_on_grid(p, grid),
                 boundary_data=sw.BoundaryData.from_state_samples(spec, grid, DEFAULT_SOLUTION.state))
@@ -259,7 +259,7 @@ def _exact_run_digests(name):
         res = _run(p, grid, sw.band_limited_fields(sw.SplitMix64(5), 17, 13), snapshot_cadence=4)
     else:
         p = sw.validate_params(*REGIME_CASES["msub"], -2.0)
-        spec = sw.bc_catalog(sw.classify(p), p)
+        spec = sw.bc_catalog(p)
         res = _run(p, grid, DEFAULT_SOLUTION.state(*grid.meshgrid(), 0.0), snapshot_cadence=5,
                    forcing=DEFAULT_SOLUTION.forcing_on_grid(p, grid),
                    boundary_data=sw.BoundaryData.from_state_samples(spec, grid,
@@ -355,7 +355,7 @@ EXACT_LIFTED_FORCING = "40cfc96ce63cc597e573027a741ea36d430a192a69f220352da772e5
 @pytest.mark.parametrize("kind", sorted(EXACT_PROBE_QUOTIENTS))
 def test_exact_probe_quotients(kind):
     p = sw.validate_params(*REGIME_CASES[kind])
-    rep = sw.positivity_probe(p, sw.classify(p), sw.Grid(1.0, 1.5, 17, 23), 6, 11)
+    rep = sw.positivity_probe(p, sw.Grid(1.0, 1.5, 17, 23), 6, 11)
     assert rep.min_quotient.hex() == EXACT_PROBE_QUOTIENTS[kind]
 
 

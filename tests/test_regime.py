@@ -1,14 +1,15 @@
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
 import swerect as sw
-from swerect.errors import (DegenerateCase, InvalidValue, NonPositiveParameter, NotElliptic,
-                            NotHyperbolic)
+from swerect.errors import DegenerateCase, InvalidValue, NonPositiveParameter
 from swerect.rng import SplitMix64
 
-from helpers import REGIME_CASES, REGIME_NAMES, draw_params
+from helpers import (REGIME_CASES, REGIME_NAMES, draw_params, reference_classify, reference_delta,
+                     reference_kappa0, reference_kappa1)
 
 
 def test_classify_reference_states():
@@ -21,25 +22,9 @@ def test_kappa_reference_values():
     # kappa0 = sqrt(g*Delta/phi0) at (3,3,1,9.81); kappa1 = sqrt(-g*Delta/phi0)
     # at (1,1,1,9.81); both frozen from the closed forms evaluated exactly
     p = sw.validate_params(3.0, 3.0, 1.0, 9.81)
-    assert sw.kappa0(p) == pytest.approx(8.963475888292443, rel=1e-15)
+    assert p.kappa == pytest.approx(8.963475888292443, rel=1e-15)
     p = sw.validate_params(1.0, 1.0, 1.0, 9.81)
-    assert sw.kappa1(p) == pytest.approx(8.753062321267912, rel=1e-15)
-
-
-def test_kappa_dispatch():
-    p_h = sw.validate_params(3.0, 3.0, 1.0, 9.81)
-    k = sw.kappa(p_h)
-    assert not k.elliptic and k.value == sw.kappa0(p_h)
-    p_e = sw.validate_params(1.0, 1.0, 1.0, 9.81)
-    k = sw.kappa(p_e)
-    assert k.elliptic and k.value == sw.kappa1(p_e)
-
-
-def test_kappa_regime_guards():
-    with pytest.raises(NotHyperbolic):
-        sw.kappa0(sw.validate_params(1.0, 1.0, 1.0, 9.81))
-    with pytest.raises(NotElliptic):
-        sw.kappa1(sw.validate_params(2.5, 2.5, 1.0, 9.81))
+    assert p.kappa == pytest.approx(8.753062321267912, rel=1e-15)
 
 
 def test_nonpositive_parameters_rejected():
@@ -92,7 +77,7 @@ def test_delta_matches_definition_on_draws():
     for kind in REGIME_CASES:
         for _ in range(50):
             p = draw_params(kind, rng)
-            assert sw.delta(p) == pytest.approx(
+            assert p.delta == pytest.approx(
                 p.u0**2 + p.v0**2 - p.g * p.phi0, rel=1e-14
             )
 
@@ -103,6 +88,41 @@ def test_classification_matches_inequalities_on_draws():
         for _ in range(200):
             p = draw_params(kind, rng)
             assert str(sw.classify(p)) == want
+
+
+@pytest.mark.parametrize("seed, decades", [(7, 170), (8, 300), (9, 3)])
+def test_validation_derives_regime_delta_and_kappa_exactly(seed, decades):
+    """Validation keeps Delta, kappa and the regime its rules compute; on
+    log-uniform draws of (u0, v0, phi0, g) they equal the standalone
+    derivations bit for bit (kappa0 when Delta > 0, kappa1 when Delta < 0)."""
+    draws = 10.0 ** np.random.default_rng(seed).uniform(-decades, decades, size=(2000, 4))
+    seen = set()
+    for raw in draws:
+        try:
+            p = sw.validate_params(*raw)
+        except sw.SweRectError:
+            continue
+        assert p.delta == reference_delta(p), p
+        assert p.kappa == (reference_kappa0(p) if p.delta > 0 else reference_kappa1(p)), p
+        assert p.regime is reference_classify(p) and sw.classify(p) is p.regime, p
+        seen.add(p.regime)
+    assert len(seen) >= 4
+
+
+def test_derived_fields_stay_out_of_equality_hash_and_repr():
+    p, q = sw.validate_params(1, 1, 1, 9.81, 0.0), sw.validate_params(1, 1, 1, 9.81, -0.0)
+    assert p == q and hash(p) == hash(q)
+    assert repr(p) == "PhysicalConstants(u0=1.0, v0=1.0, phi0=1.0, g=9.81, f=0.0)"
+    assert repr(q) == "PhysicalConstants(u0=1.0, v0=1.0, phi0=1.0, g=9.81, f=-0.0)"
+
+
+def test_replace_derives_the_new_state():
+    p = sw.validate_params(1.0, 1.0, 1.0, 9.81)
+    q = dataclasses.replace(p, u0=4.0)
+    want = sw.validate_params(4.0, 1.0, 1.0, 9.81)
+    assert p.regime is sw.Regime.MIXED_SUBCRITICAL
+    assert q.regime is want.regime is sw.Regime.MIXED_HYPERBOLIC_II
+    assert (q.delta, q.kappa) == (want.delta, want.kappa) != (p.delta, p.kappa)
 
 
 def test_sound_speed():
