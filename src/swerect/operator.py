@@ -42,7 +42,12 @@ def flux_split(E: np.ndarray, S0: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return Ep, Em
 
 
-_MUL = "ab,bij->aij"  # one 3x3 matrix applied at every node of a (3, nx, ny) stack
+# matmul, unlike einsum, reports the floating-point flags of its products;
+# only the differences and the sums of the terms warn, as they did with einsum
+@np.errstate(over="ignore", invalid="ignore")
+def _gemm(M: np.ndarray, X: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """One 3x3 matrix applied at every node of a (3, n) view, as one GEMM."""
+    return np.matmul(M, X, out=out)
 
 
 class DiscreteOperator:
@@ -62,33 +67,46 @@ class DiscreteOperator:
         self.E1, self.E2, self.S0 = m.E1, m.E2, m.S0
         self.E1p, self.E1m = flux_split(m.E1, m.S0)
         self.E2p, self.E2m = flux_split(m.E2, m.S0)
+        dx, dy = grid.dx, grid.dy
+        # the split parts with 1/h folded in, in the order of the terms:
+        # x backward, x forward, y backward, y forward.  In the adjoint,
+        # (-E1)^± = -(E1^∓): transport reverses, upwind orientation flips
+        self._forward = (self.E1p / dx, self.E1m / dx, self.E2p / dy, self.E2m / dy)
+        self._adjoint = (-self.E1m / dx, -self.E1p / dx, -self.E2m / dy, -self.E2p / dy)
         nx, ny = grid.nx, grid.ny
         n = nx * ny
         # private scratch, reused by every apply (so one operator must not
         # be applied from two threads at once): the padded x differences,
-        # the flat y differences q[:, k] = (w[k] - w[k-1]) / dy of the
-        # flattened stack w, and one einsum term.  Viewed as (3, nx, ny),
-        # q[:, :n] holds the backward y differences and q[:, 1:] the
-        # forward ones; the cell between two rows is a row-crossing value
-        # that serves as the backward pad of one row, then as the forward
-        # pad of the row before it
+        # the flat y differences q[:, k] = w[k] - w[k-1] of the flattened
+        # stack w, and one product term, all unscaled.  Viewed as
+        # (3, nx, ny), q[:, :n] holds the backward y differences and
+        # q[:, 1:] the forward ones; the cell between two rows is a
+        # row-crossing value that serves as the backward pad of one row,
+        # then as the forward pad of the row before it.  Each term is one
+        # GEMM on a (3, n) view of these buffers
+        self._shape = (3, nx, ny)
         self._px = np.empty((3, nx + 1, ny))
         self._q = np.empty((3, n + 1))
-        self._qb = self._q[:, :n].reshape(3, nx, ny)
-        self._qf = self._q[:, 1:].reshape(3, nx, ny)
-        self._term = np.empty((3, nx, ny))
+        self._qb = self._q[:, :n].reshape(self._shape)
+        self._qf = self._q[:, 1:].reshape(self._shape)
+        self._flat = (self._px[:, :-1].reshape(3, n), self._px[:, 1:].reshape(3, n),
+                      self._q[:, :n], self._q[:, 1:])
+        self._term = np.empty((3, n))
 
-    def _upwind(self, W: np.ndarray, out: Optional[np.ndarray],
-                Exp, Exm, Eyp, Eym) -> np.ndarray:
-        shape = self._term.shape
-        if W.shape != shape:
-            raise ShapeMismatch(f"stack shape {W.shape} vs {shape}")
-        # padded x differences: P[k] = (W[k] - W[k-1]) / dx inside, the end
+    def _upwind(self, W: np.ndarray, out: Optional[np.ndarray], mats) -> np.ndarray:
+        shape = self._shape
+        for a in (W, out):
+            if a is not None and a.shape != shape:
+                raise ShapeMismatch(f"stack shape {a.shape} vs {shape}")
+        if out is not None and not out.flags.c_contiguous:
+            # the GEMMs write through a flat view of a C-ordered result
+            out[...] = self._upwind(W, None, mats)
+            return out
+        # padded x differences: P[k] = W[k] - W[k-1] inside, the end
         # differences repeated into the pad cells, so the backward and
         # forward one-sided differences are the views P[:-1] and P[1:]
         px, q, qb, qf, term = self._px, self._q, self._qb, self._qf, self._term
         np.subtract(W[:, 1:], W[:, :-1], out=px[:, 1:-1])
-        px[:, 1:-1] /= self.grid.dx
         px[:, 0], px[:, -1] = px[:, 1], px[:, -2]
         # one contiguous y difference over the flattened stack.  Its
         # row-crossing values are overwritten by the pads before any read,
@@ -100,29 +118,28 @@ class DiscreteOperator:
             with np.errstate(all="raise"):
                 Wf = W.reshape(3, -1)
                 np.subtract(Wf[:, 1:], Wf[:, :-1], out=q[:, 1:-1])
-                q[:, 1:-1] /= self.grid.dy
         except FloatingPointError:
             np.subtract(W[:, :, 1:], W[:, :, :-1], out=qf[:, :, :-1])
-            qf[:, :, :-1] /= self.grid.dy
         if out is None:
             out = np.empty(shape)
-        np.einsum(_MUL, Exp, px[:, :-1], out=out)
-        out += np.einsum(_MUL, Exm, px[:, 1:], out=term)
-        # the backward pads, read by the Eyp term, then the forward pads in
-        # the same cells, read by the Eym term
+        o = out.reshape(term.shape)
+        (Mxb, Mxf, Myb, Myf), (xb, xf, yb, yf) = mats, self._flat
+        _gemm(Mxb, xb, o)
+        o += _gemm(Mxf, xf, term)
+        # the backward pads, read by the Myb term, then the forward pads in
+        # the same cells, read by the Myf term
         qb[:, :, 0] = qb[:, :, 1]
-        out += np.einsum(_MUL, Eyp, qb, out=term)
+        o += _gemm(Myb, yb, term)
         qf[:, :, -1] = qf[:, :, -2]
-        out += np.einsum(_MUL, Eym, qf, out=term)
+        o += _gemm(Myf, yf, term)
         return out
 
     def apply_stack(self, W: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """A_h W for a (3, nx, ny) stack, into ``out`` when given."""
-        return self._upwind(W, out, self.E1p, self.E1m, self.E2p, self.E2m)
+        return self._upwind(W, out, self._forward)
 
     def apply_adjoint_stack(self, V: np.ndarray) -> np.ndarray:
-        # (-E1)^± = -(E1^∓): transport reverses, upwind orientation flips
-        return self._upwind(V, None, -self.E1m, -self.E1p, -self.E2m, -self.E2p)
+        return self._upwind(V, None, self._adjoint)
 
 
 def apply_B(W: np.ndarray, p: PhysicalConstants) -> np.ndarray:

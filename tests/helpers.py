@@ -378,10 +378,14 @@ def reference_solve(F, c, grid, bc_rows, sign):
 
 
 # The two one-sided differences and the two upwind bodies the shared kernel
-# of `operator.DiscreteOperator` must reproduce bit for bit.
+# of `operator.DiscreteOperator` must reproduce bit for bit: unscaled
+# differences, the split parts divided by the grid spacing, and one
+# (3, 3) x (3, nx*ny) matrix product per term.  `former_apply_stack` is the
+# formula before 1/h moved into the matrices, which the kernel must match
+# to round-off.
 
 
-def _dminus(W: np.ndarray, axis: int, h: float) -> np.ndarray:
+def _dminus(W: np.ndarray, axis: int, h: float = 1.0) -> np.ndarray:
     """Backward difference, one-sided (forward) at the low end."""
     d = np.empty_like(W)
     lo = [slice(None)] * W.ndim
@@ -399,7 +403,7 @@ def _dminus(W: np.ndarray, axis: int, h: float) -> np.ndarray:
     return d
 
 
-def _dplus(W: np.ndarray, axis: int, h: float) -> np.ndarray:
+def _dplus(W: np.ndarray, axis: int, h: float = 1.0) -> np.ndarray:
     """Forward difference, one-sided (backward) at the high end."""
     d = np.empty_like(W)
     lo = [slice(None)] * W.ndim
@@ -418,31 +422,44 @@ def _dplus(W: np.ndarray, axis: int, h: float) -> np.ndarray:
 
 
 def _mul(M: np.ndarray, W: np.ndarray) -> np.ndarray:
-    return np.einsum("ab,bij->aij", M, W)
+    # matmul reports the flags of its products; the kernel ignores them too
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.matmul(M, W.reshape(3, -1)).reshape(W.shape)
 
 
-def reference_apply_stack(op, W):
-    g = op.grid
-    dxm = _dminus(W, 1, g.dx)
-    dxp = _dplus(W, 1, g.dx)
-    dym = _dminus(W, 2, g.dy)
-    dyp = _dplus(W, 2, g.dy)
+def _upwind_sum(mats, W):
+    Mxb, Mxf, Myb, Myf = mats
     return (
-        _mul(op.E1p, dxm) + _mul(op.E1m, dxp)
-        + _mul(op.E2p, dym) + _mul(op.E2m, dyp)
+        _mul(Mxb, _dminus(W, 1)) + _mul(Mxf, _dplus(W, 1))
+        + _mul(Myb, _dminus(W, 2)) + _mul(Myf, _dplus(W, 2))
     )
 
 
+def reference_apply_stack(op, W):
+    dx, dy = op.grid.dx, op.grid.dy
+    return _upwind_sum((op.E1p / dx, op.E1m / dx, op.E2p / dy, op.E2m / dy), W)
+
+
 def reference_apply_adjoint_stack(op, V):
-    g = op.grid
-    dxm = _dminus(V, 1, g.dx)
-    dxp = _dplus(V, 1, g.dx)
-    dym = _dminus(V, 2, g.dy)
-    dyp = _dplus(V, 2, g.dy)
+    dx, dy = op.grid.dx, op.grid.dy
     # (-E1)^± = -(E1^∓): transport reverses, upwind orientation flips
+    return _upwind_sum((-op.E1m / dx, -op.E1p / dx, -op.E2m / dy, -op.E2p / dy), V)
+
+
+def _einsum(M: np.ndarray, W: np.ndarray) -> np.ndarray:
+    return np.einsum("ab,bij->aij", M, W)
+
+
+def former_apply_stack(op, W, adjoint=False):
+    """A_h W (or A*_h W) as differences divided by h, then one einsum per term."""
+    g = op.grid
+    if adjoint:
+        Mxb, Mxf, Myb, Myf = -op.E1m, -op.E1p, -op.E2m, -op.E2p
+    else:
+        Mxb, Mxf, Myb, Myf = op.E1p, op.E1m, op.E2p, op.E2m
     return (
-        _mul(-op.E1m, dxm) + _mul(-op.E1p, dxp)
-        + _mul(-op.E2m, dym) + _mul(-op.E2p, dyp)
+        _einsum(Mxb, _dminus(W, 1, g.dx)) + _einsum(Mxf, _dplus(W, 1, g.dx))
+        + _einsum(Myb, _dminus(W, 2, g.dy)) + _einsum(Myf, _dplus(W, 2, g.dy))
     )
 
 

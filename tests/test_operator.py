@@ -17,6 +17,7 @@ from helpers import (
     compatible_pair,
     draw_params,
     duality_residual,
+    former_apply_stack,
     params,
     reference_apply_adjoint_stack,
     reference_apply_stack,
@@ -114,6 +115,19 @@ def test_kernel_matches_reference_on_thin_grids(kind, grid_name):
     _assert_kernel_matches_reference(params(kind), grid, W)
 
 
+@pytest.mark.parametrize("grid_name", sorted(KERNEL_GRIDS) + sorted(THIN_GRIDS))
+@pytest.mark.parametrize("kind", sorted(REGIME_CASES))
+def test_kernel_matches_former_formula_to_round_off(kind, grid_name):
+    """1/h folded into the split matrices moves A_h W and A*_h W only at
+    round-off from differences divided by h, then one einsum per term."""
+    grid = {**KERNEL_GRIDS, **THIN_GRIDS}[grid_name]
+    op = DiscreteOperator(params(kind), grid)
+    W = sw.band_limited_fields(SplitMix64(29), grid.nx, grid.ny)
+    for got, adjoint in ((op.apply_stack(W), False), (op.apply_adjoint_stack(W), True)):
+        want = former_apply_stack(op, W, adjoint)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), adjoint
+
+
 @pytest.mark.parametrize("layout", ["fortran", "sliced", "reversed"])
 @pytest.mark.parametrize("kind", sorted(REGIME_CASES))
 def test_kernel_matches_reference_on_non_contiguous_stacks(kind, layout):
@@ -143,6 +157,21 @@ def test_kernel_out_path_matches_reference(kind):
     V = W.copy()
     assert op.apply_stack(V, out=V) is V
     _assert_same_bytes(V, want)
+
+
+def test_kernel_out_in_any_layout():
+    """A strided ``out`` gets the bytes a C-ordered one gets; an ``out`` of
+    another shape is refused, even one with as many elements."""
+    grid = KERNEL_GRIDS["5x9"]
+    op = DiscreteOperator(params("msub"), grid)
+    W = sw.band_limited_fields(SplitMix64(31), grid.nx, grid.ny)
+    want = reference_apply_stack(op, W)
+    for out in (np.empty(W.shape, order="F"), np.empty((3, 2 * grid.nx, grid.ny))[:, ::2]):
+        assert op.apply_stack(W, out=out) is out
+        _assert_same_bytes(np.ascontiguousarray(out), want)
+    for shape in ((3, grid.ny, grid.nx), (3, grid.nx, grid.ny + 1)):
+        with pytest.raises(ShapeMismatch):
+            op.apply_stack(W, out=np.empty(shape))
 
 
 # Warning parity with the per-row y difference.  On a 6x5 grid over

@@ -226,24 +226,25 @@ def test_exact_quadrature_values():
 # sha256 of every snapshot stack, the energy log and the final stack of two
 # seeded runs with snapshot_cadence > 0 on 17x13 over [0,1]x[0,1.3],
 # t_end = 0.05: a homogeneous fhs run (f = 3, seed 5, cadence 4) and an msub
-# run driven by the manufactured solution (f = -2, cadence 5)
+# run driven by the manufactured solution (f = -2, cadence 5); re-recorded
+# when each upwind term became one matrix product with 1/h in the matrix
 EXACT_RUN_DIGESTS = {
     "fhs-homogeneous": (
         ["763ccbc174f2277334ff1324a8b635576a03e0b30620a4ddf8dd537d5697261d",
-         "bfe9bea8028719d835fe9120467dc7cef648c22f96ed9658a5d6183e75d81483",
-         "2083c82ba0918c3c05d890b1ee2ae6accf1044534709a2885bb0e10e804bd1c7",
-         "8cb2b4ac47104ce17974ef0c7be4e61be64ceefcc14356c4d1483e2417de7f8c",
-         "eb3406114dccc8eaf3ca580d3dbc1484f1e7a1aee0d01f0287f61fdd0574482c"],
-        "2701061e247ee20528b2d68f293989a50bb93e1e10c84f4f6784aa08a952ed0b",
-        "eb3406114dccc8eaf3ca580d3dbc1484f1e7a1aee0d01f0287f61fdd0574482c",
+         "c5863169c7459e613a7122903c06b0d931ba4d1ed11df4b0e68f9c9700b0948e",
+         "0f4dcaf31b0f221fd248ef8b0da705d2da2362f886cc7f7efdf7330d64a50931",
+         "93bf53915ffbdbe1a8e5315b91fc4d0cf6a7b70c4a6b650320d4e7d44db292ce",
+         "83624e1fda6c5223874381d2df58091c463b21019bba791119c8c6fbc2b04792"],
+        "8c4efa1808b91e8d55e7b92b38da6bccc33d62a375d6eb6084a8de92bda67ac8",
+        "83624e1fda6c5223874381d2df58091c463b21019bba791119c8c6fbc2b04792",
     ),
     "msub-manufactured": (
         ["e7a6e21a00ee2397981a2959af318ccb355cac745c3fd78185b7d8696f1849c2",
-         "dde7c4db7692b7e943487bb43b661bba5f1d00bb3b42ea0cce86a35ab97e2233",
-         "deda3b07ef905707f51cd4e535020fc7e171172f26df0e76c5d6cf25d41710b0",
-         "4096ef46a2a25c0d2a8f0a597b54da47a4f0d1dee3d6339e43f4dd45dcac124d"],
-        "6fd8f3e9c7b2139c4a2b7935129ba47bfd0699d548fa325380f82be2b582d007",
-        "4096ef46a2a25c0d2a8f0a597b54da47a4f0d1dee3d6339e43f4dd45dcac124d",
+         "b9514a5b378eb61f65765cef2224c9b00d7bc85353d6ba48df7b075514775dea",
+         "522c932792981f76ed3f3614cecff02c0b71fd90bc549ae8ac637cccb55cf92a",
+         "f7f4051b6b9ff86668c60b8e54eb4ccd925695db8e6c40fc2c5aa04737a8167e"],
+        "10d5ff650f1963bebbec3ad2753be09772712f48aebf079b4f97a8cdd04b59e6",
+        "f7f4051b6b9ff86668c60b8e54eb4ccd925695db8e6c40fc2c5aa04737a8167e",
     ),
 }
 
@@ -278,28 +279,29 @@ def test_exact_run_digests(name):
 # manufactured boundary samplers replaced sampling through state(): they keep
 # every floating-point operation of that path, so these hold with ==.  The
 # non-supercritical entries were re-recorded with the energy-orthogonal
-# boundary projection
+# boundary projection, and all of them when each upwind term became one
+# matrix product with 1/h in the matrix
 EXACT_MMS_ERRORS = {
-    ("fhs", 0.0, "ssprk2"): ("0x1.f9ead776dc04cp-6", "0x1.0ffd2f46ea5e3p-6"),
-    ("fhs", 0.0, "euler"): ("0x1.03be0f46d6b05p-5", "0x1.1332b84479048p-6"),
-    ("fhs", 5.0, "ssprk2"): ("0x1.f8fb0ee40f980p-6", "0x1.0f7b93e595f41p-6"),
-    ("fhs", 5.0, "euler"): ("0x1.037bcfbaefeddp-5", "0x1.12d05f52658dcp-6"),
-    ("mix1", 0.0, "ssprk2"): ("0x1.13fd4fe9f3af5p-5", "0x1.294da78bbea10p-6"),
-    ("mix1", 0.0, "euler"): ("0x1.1d5445ac85d8ep-5", "0x1.2e19786a9b416p-6"),
-    ("mix1", 5.0, "ssprk2"): ("0x1.13676bd2c715cp-5", "0x1.289186f6e5003p-6"),
-    ("mix1", 5.0, "euler"): ("0x1.1d0877533f296p-5", "0x1.2d8890df01715p-6"),
-    ("mix2", 0.0, "ssprk2"): ("0x1.0deac694528f8p-5", "0x1.21471dc77d911p-6"),
-    ("mix2", 0.0, "euler"): ("0x1.14ef6fa003e51p-5", "0x1.243d862cc9a73p-6"),
-    ("mix2", 5.0, "ssprk2"): ("0x1.0dad8faf8fa10p-5", "0x1.2114b4bf870a4p-6"),
-    ("mix2", 5.0, "euler"): ("0x1.14cce99df0ac9p-5", "0x1.2416f3b1675c3p-6"),
-    ("msub", 0.0, "ssprk2"): ("0x1.ebf0eb1742a64p-6", "0x1.0a5770da3034ep-6"),
-    ("msub", 0.0, "euler"): ("0x1.f8113237f5289p-6", "0x1.0d8d9de62ef6ep-6"),
-    ("msub", 5.0, "ssprk2"): ("0x1.eae1cb1ab2015p-6", "0x1.09da1077b7c75p-6"),
-    ("msub", 5.0, "euler"): ("0x1.f77d74df50868p-6", "0x1.0d3101a3327d1p-6"),
-    ("super", 0.0, "ssprk2"): ("0x1.27f56a9376bcbp-5", "0x1.3d81bba39aa17p-6"),
-    ("super", 0.0, "euler"): ("0x1.303ff0e8bb180p-5", "0x1.41a962c1fbd32p-6"),
-    ("super", 5.0, "ssprk2"): ("0x1.2784388e45d39p-5", "0x1.3cf9d2386cb15p-6"),
-    ("super", 5.0, "euler"): ("0x1.2ff604002ed5fp-5", "0x1.4136bd92bf1c5p-6"),
+    ("fhs", 0.0, "ssprk2"): ("0x1.f9ead776dc050p-6", "0x1.0ffd2f46ea5e3p-6"),
+    ("fhs", 0.0, "euler"): ("0x1.03be0f46d6b06p-5", "0x1.1332b8447904ap-6"),
+    ("fhs", 5.0, "ssprk2"): ("0x1.f8fb0ee40f983p-6", "0x1.0f7b93e595f41p-6"),
+    ("fhs", 5.0, "euler"): ("0x1.037bcfbaefeddp-5", "0x1.12d05f52658ddp-6"),
+    ("mix1", 0.0, "ssprk2"): ("0x1.13fd4fe9f3af8p-5", "0x1.294da78bbea11p-6"),
+    ("mix1", 0.0, "euler"): ("0x1.1d5445ac85d92p-5", "0x1.2e19786a9b419p-6"),
+    ("mix1", 5.0, "ssprk2"): ("0x1.13676bd2c7162p-5", "0x1.289186f6e5003p-6"),
+    ("mix1", 5.0, "euler"): ("0x1.1d0877533f298p-5", "0x1.2d8890df0171ap-6"),
+    ("mix2", 0.0, "ssprk2"): ("0x1.0deac694528fap-5", "0x1.21471dc77d915p-6"),
+    ("mix2", 0.0, "euler"): ("0x1.14ef6fa003e54p-5", "0x1.243d862cc9a72p-6"),
+    ("mix2", 5.0, "ssprk2"): ("0x1.0dad8faf8fa10p-5", "0x1.2114b4bf870afp-6"),
+    ("mix2", 5.0, "euler"): ("0x1.14cce99df0acap-5", "0x1.2416f3b1675c6p-6"),
+    ("msub", 0.0, "ssprk2"): ("0x1.ebf0eb1742a63p-6", "0x1.0a5770da30349p-6"),
+    ("msub", 0.0, "euler"): ("0x1.f8113237f528ap-6", "0x1.0d8d9de62ef6dp-6"),
+    ("msub", 5.0, "ssprk2"): ("0x1.eae1cb1ab2016p-6", "0x1.09da1077b7c77p-6"),
+    ("msub", 5.0, "euler"): ("0x1.f77d74df50866p-6", "0x1.0d3101a3327d5p-6"),
+    ("super", 0.0, "ssprk2"): ("0x1.27f56a9376bc9p-5", "0x1.3d81bba39aa1dp-6"),
+    ("super", 0.0, "euler"): ("0x1.303ff0e8bb185p-5", "0x1.41a962c1fbd3cp-6"),
+    ("super", 5.0, "ssprk2"): ("0x1.2784388e45d39p-5", "0x1.3cf9d2386cb19p-6"),
+    ("super", 5.0, "euler"): ("0x1.2ff604002ed62p-5", "0x1.4136bd92bf1c9p-6"),
 }
 
 
@@ -341,15 +343,17 @@ def test_superposition_under_homogeneous_data(kind, f):
 # the manufactured solution as lifting field on 17x17 (fhs), recorded before
 # the probe and the lift moved onto (3, nx, ny) stacks; the quotients were
 # re-recorded when the probe took the stepper's projection, which leaves
-# sides without rows untouched
+# sides without rows untouched; the lift and the mix1, mix2 and msub
+# quotients again when each upwind term became one matrix product with 1/h
+# in the matrix
 EXACT_PROBE_QUOTIENTS = {
     "fhs": "0x1.9ed0274c87ae6p+4",
-    "mix1": "0x1.ce35f17d4af7cp+4",
-    "mix2": "0x1.ef6c8d2fb9049p+4",
-    "msub": "0x1.82c3569f2e260p+4",
+    "mix1": "0x1.ce35f17d4af7bp+4",
+    "mix2": "0x1.ef6c8d2fb904ap+4",
+    "msub": "0x1.82c3569f2e262p+4",
     "super": "0x1.10d2e5920ea89p+5",
 }
-EXACT_LIFTED_FORCING = "40cfc96ce63cc597e573027a741ea36d430a192a69f220352da772e57810cc33"
+EXACT_LIFTED_FORCING = "3300a0190ffc2ee92e0bd77891a9f40556dcf108d8cc61496013e190bf999a0e"
 
 
 @pytest.mark.parametrize("kind", sorted(EXACT_PROBE_QUOTIENTS))
