@@ -18,7 +18,7 @@ import numpy as np
 
 from .boundary import BcEnforcer, BoundaryData, bc_catalog
 from .errors import InvalidValue, NonFinite, ShapeMismatch
-from .fields import EnergyLog, Grid, StateField, is_integer, is_real
+from .fields import EnergyLog, Grid, StateField, is_integer, is_real, row_blocks
 from .manufactured import ManufacturedSolution
 from .operator import DiscreteOperator, energy_value
 from .regime import PhysicalConstants
@@ -71,11 +71,18 @@ class RunConfig:
 class _Stepper:
     """Bound operator + enforcer for one run; reused across steps/stages.
 
-    The stage arithmetic runs in place on two buffers the stepper owns; the
-    state it returns is always a fresh array, so callers may keep it across
-    steps.  The forcing, like the boundary data in the enforcer, is
-    evaluated once per distinct stage time: stage 2 of a step and stage 1 of
-    the next ask for the same t whenever k*dt rounds like (k-1)*dt + dt.
+    Each stage is one sweep over fields.row_blocks: a block's slope, its
+    stage arithmetic and its share of the stage result are done while the
+    block is in cache, and only the boundary projection runs on the whole
+    stack.  No block reads a row that an earlier block changed: stage 1
+    writes a stack it does not read, and stage 2, which sums in place on
+    the stage 1 result as a whole-grid step did, keeps the one row the
+    next block still reads.  The state a step returns is always a fresh
+    array, so callers may keep it across steps.
+
+    The forcing, like the boundary data in the enforcer, is evaluated once
+    per distinct stage time: stage 2 of a step and stage 1 of the next ask
+    for the same t whenever k*dt rounds like (k-1)*dt + dt.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -83,49 +90,86 @@ class _Stepper:
         self.enforcer = BcEnforcer(bc_catalog(cfg.p), cfg.p, cfg.grid)
         self.op = DiscreteOperator(cfg.p, cfg.grid)
         self.f = cfg.p.f
-        shape = (3, cfg.grid.nx, cfg.grid.ny)
-        self._k = np.empty(shape)   # stage 1, then the stage sum
-        self._s = np.empty(shape)   # the stage 2 slope
+        nx, ny = cfg.grid.nx, cfg.grid.ny
+        blocks = row_blocks(nx, ny)
+        slope = np.empty(3 * max(r1 - r0 for r0, r1 in blocks) * ny)
+        # each block with its view of the stage 2 slope buffer
+        self._blocks = [(r0, r1, slope[:3 * (r1 - r0) * ny].reshape(3, r1 - r0, ny))
+                        for r0, r1 in blocks]
+        self._k = np.empty((3, nx, ny))  # the stage 1 result, then the stage sum
+        self._row = np.empty((3, ny))    # the stage 1 result's row before a block
         self._forcing_t = self._forcing = None
 
     def enforce(self, W: np.ndarray, t: float) -> np.ndarray:
         return self.enforcer.apply(W, self.cfg.boundary_data, t)
 
-    def rhs(self, W: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
-        """-(A + B) W + F(t) into ``out``."""
-        R = self.op.apply_stack(W, out=out)
-        np.negative(R, out=R)
-        if self.f != 0.0:
-            R[0] += self.f * W[1]
-            R[1] -= self.f * W[0]
-        if self.cfg.forcing is not None:
-            if t != self._forcing_t:
-                F = self.cfg.forcing(t)
-                if np.shape(F) != R.shape:
-                    raise ShapeMismatch(f"forcing at t={t} has shape {np.shape(F)}, "
-                                        f"need {R.shape}")
-                self._forcing, self._forcing_t = F, t
-            R += self._forcing
-        return R
+    def forcing_at(self, t: float) -> Optional[np.ndarray]:
+        if self.cfg.forcing is None:
+            return None
+        if t != self._forcing_t:
+            F = self.cfg.forcing(t)
+            shape = (3, self.cfg.grid.nx, self.cfg.grid.ny)
+            if np.shape(F) != shape:
+                raise ShapeMismatch(f"forcing at t={t} has shape {np.shape(F)}, need {shape}")
+            self._forcing, self._forcing_t = np.asarray(F), t
+        return self._forcing
+
+    def stage(self, X: np.ndarray, t: float, dt: float, out: Optional[np.ndarray] = None,
+              W: Optional[np.ndarray] = None) -> np.ndarray:
+        """With S = -(A + B) X + F(t), out = X + dt*S, or, when W is given,
+        out = 0.5*(X + W + dt*S) with X overwritten by X + W + dt*S; out is
+        a fresh array when None.
+
+        Each in-place sequence rounds exactly like these formulas.  Without
+        W the slope is formed in out itself; with W it is formed in block
+        scratch and the sum in X, so a block's last row, which the next
+        block differences against, is kept in self._row first.
+        """
+        F = self.forcing_at(t)
+        # a fresh result is allocated after the forcing and, in stage 2,
+        # after the first slope, as the whole-grid step allocated it;
+        # allocated before the forcing, it cost ~50 page faults a step at
+        # 129^2 (glibc returned freed pages and the next step faulted them)
+        if out is None and W is None:
+            out = np.empty(X.shape)
+        nx = X.shape[1]
+        for r0, r1, slope in self._blocks:
+            Xb = X[:, r0:r1]
+            if W is None:
+                S, west = out[:, r0:r1], X[:, r0 - 1] if r0 else None
+            else:
+                S, west = slope, self._row if r0 else None
+            self.op.apply_stack(Xb, S, west=west, east=X[:, r1] if r1 < nx else None)
+            np.negative(S, out=S)
+            if self.f != 0.0:
+                S[0] += self.f * Xb[1]
+                S[1] -= self.f * Xb[0]
+            if F is not None:
+                S += F[:, r0:r1]
+            S *= dt
+            if W is None:
+                S += Xb
+            else:
+                if r1 < nx:
+                    self._row[...] = Xb[:, -1]
+                Xb += W[:, r0:r1]
+                Xb += S
+                if out is None:
+                    out = np.empty(X.shape)
+                np.multiply(Xb, 0.5, out=out[:, r0:r1])
+        return out
 
     def advance(self, W: np.ndarray, dt: float, t: float) -> np.ndarray:
         """One step from t to t + dt; W must already satisfy the catalog
         (run() enforces the initial state before its first step)."""
-        # each in-place sequence rounds exactly like W + dt*K1 and
-        # 0.5*(W + W1 + dt*K2)
-        K = self.rhs(W, t, self._k)
-        K *= dt
-        K += W
+        data = self.cfg.boundary_data
         if self.cfg.scheme == "euler":
-            return self.enforce(K, t + dt)
-        # stage 1 projects in place: each node reads only itself
-        W1 = self.enforcer.apply(K, self.cfg.boundary_data, t + dt, out=K)
-        K2 = self.rhs(W1, t + dt, self._s)
-        K2 *= dt
-        W1 += W
-        W1 += K2
-        W2 = np.multiply(W1, 0.5)  # the fresh result, projected in place
-        return self.enforcer.apply(W2, self.cfg.boundary_data, t + dt, out=W2)
+            W1 = self.stage(W, t, dt)
+            return self.enforcer.apply(W1, data, t + dt, out=W1)
+        # each projection runs in place: each node reads only itself
+        W1 = self.enforcer.apply(self.stage(W, t, dt, self._k), data, t + dt, out=self._k)
+        W2 = self.stage(W1, t + dt, dt, W=W)
+        return self.enforcer.apply(W2, data, t + dt, out=W2)
 
 
 @dataclass
@@ -158,14 +202,22 @@ def run(cfg: RunConfig) -> RunResult:
         if k > 0:  # step 0 checks, logs and snapshots the projected initial state
             W = stepper.advance(W, dt, t)
         t = k * dt
-        if not np.all(np.isfinite(W)):
-            c, i, j = np.argwhere(~np.isfinite(W))[0]
-            raise NonFinite(
-                f"non-finite state at step {k} (t={t:.6g}, regime {cfg.p.regime}): "
-                f"first in field '{('u', 'v', 'phi')[c]}' at node ({i}, {j})"
-            )
-        # advance returns a fresh W that nothing writes into later: a view will do
-        log.append(t, energy_value(StateField(*W), cfg.grid, cfg.p))
+        # advance returns a fresh W that nothing writes into later: a view
+        # will do.  A non-finite node makes the energy non-finite; only
+        # then is the state searched, and the energy of a finite state
+        # recomputed under the caller's error state, for its warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = energy_value(StateField(*W), cfg.grid, cfg.p)
+        if not math.isfinite(e):
+            bad = np.argwhere(~np.isfinite(W))
+            if len(bad):
+                c, i, j = bad[0]
+                raise NonFinite(
+                    f"non-finite state at step {k} (t={t:.6g}, regime {cfg.p.regime}): "
+                    f"first in field '{('u', 'v', 'phi')[c]}' at node ({i}, {j})"
+                )
+            e = energy_value(StateField(*W), cfg.grid, cfg.p)
+        log.append(t, e)
         if cfg.snapshot_cadence > 0 and (k % cfg.snapshot_cadence == 0 or k == n_steps):
             snapshots.append((t, StateField.from_stack(W)))
     return RunResult(StateField.from_stack(W), log, snapshots, n_steps, dt)

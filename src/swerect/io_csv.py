@@ -4,17 +4,22 @@ Field files carry the header ``x,y,u,v,phi`` and one row per grid node in
 x-major order (all y for the first x, then the next x, ...).  Energy logs
 carry ``t,energy``.  Values are written with ``%.17g``-style formatting by
 default, which round-trips IEEE doubles exactly, so a rerun with the same
-seed produces byte-identical files.  Field files are streamed row by row in
-both directions, so no whole-file text or per-row Python lists are held.
+seed produces byte-identical files.  Field files are written one x-row at a
+time.  A field file is read by NumPy's tokenizer (np.loadtxt), which holds
+the (n, 5) values and one chunk of text, after a first pass that scans the
+bytes 1 MiB at a time; a file that pass or the tokenizer does not take is
+read line by line by the streaming reader, which holds the values and one
+line.  Neither path holds the whole text or a Python list per row.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from array import array
 from contextlib import contextmanager
 from itertools import chain
-from typing import Iterator, List, TextIO, Tuple
+from typing import Iterator, List, Optional, TextIO, Tuple
 
 import numpy as np
 
@@ -61,18 +66,9 @@ def write_field_csv(x, y, state: StateField, path, precision: int = 17) -> None:
 
 
 def read_field_csv(path) -> Tuple[np.ndarray, np.ndarray, StateField]:
-    values = array("d")
-    for lineno, parts in _records(path, FIELD_HEADER, 5):
-        try:
-            row = [float(p) for p in parts]
-        except ValueError:
-            raise IoError(f"'{path}' line {lineno}: malformed number") from None
-        if not all(map(math.isfinite, row)):
-            raise IoError(f"'{path}' line {lineno}: non-finite value")
-        values.extend(row)
-    if not values:
-        raise IoError(f"'{path}': no data rows")
-    data = np.frombuffer(values, dtype=float).reshape(-1, 5)
+    data = _tokenized(path)
+    if data is None:
+        data = _parsed(path)
     x, x_first = np.unique(data[:, 0], return_index=True)
     x = data[np.sort(x_first), 0]  # preserve file order
     y, y_first = np.unique(data[:, 1], return_index=True)
@@ -87,6 +83,56 @@ def read_field_csv(path) -> Tuple[np.ndarray, np.ndarray, StateField]:
     v = data[:, 3].reshape(nx, ny)
     phi = data[:, 4].reshape(nx, ny)
     return x, y, StateField(u, v, phi)
+
+
+# ASCII characters other than "\n" and "\r" at which str.splitlines, and
+# so _records, breaks a line, while the tokenizer reads them as whitespace
+_LINE_BREAKS = tuple(c.encode() for c in "\x0b\x0c\x1c\x1d\x1e")
+
+
+def _tokenized(path) -> Optional[np.ndarray]:
+    """The (n, 5) data rows of a field file as np.loadtxt reads them, or
+    None when it may read them otherwise than _parsed would.
+
+    On ASCII text without the breaks above the tokenizer sees the lines
+    _records sees, and it parses a number with the routine float() uses;
+    what it does not take (underscores, blank lines with spaces, a bad
+    field count, no data) it refuses, and so does every non-finite value
+    here.  None sends the file to _parsed, which reads it as before and
+    raises the error that names the line.
+    """
+    try:
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                if not chunk.isascii() or any(c in chunk for c in _LINE_BREAKS):
+                    return None
+        with open(path, "r", encoding="utf-8") as fh:
+            if fh.readline().strip() != FIELD_HEADER:
+                return None
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # "input contained no data"
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    except Exception:
+        return None
+    if data.shape[1:] != (5,) or not data.size or not np.isfinite(data).all():
+        return None
+    return data
+
+
+def _parsed(path) -> np.ndarray:
+    """The (n, 5) data rows of a field file, read by _records."""
+    values = array("d")
+    for lineno, parts in _records(path, FIELD_HEADER, 5):
+        try:
+            row = [float(p) for p in parts]
+        except ValueError:
+            raise IoError(f"'{path}' line {lineno}: malformed number") from None
+        if not all(map(math.isfinite, row)):
+            raise IoError(f"'{path}' line {lineno}: non-finite value")
+        values.extend(row)
+    if not values:
+        raise IoError(f"'{path}': no data rows")
+    return np.frombuffer(values, dtype=float).reshape(-1, 5)
 
 
 def write_energy_csv(log: EnergyLog, path, precision: int = 17) -> None:

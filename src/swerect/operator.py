@@ -13,7 +13,7 @@ from .algebra import coefficient_matrices, flux_forms
 from .boundary import (BcEnforcer, BoundaryData, Side, SIDES, _check_regime, adjoint_bc_catalog,
                        bc_catalog)
 from .errors import InvalidValue, ShapeMismatch
-from .fields import Grid, StateField, inner_product, is_integer
+from .fields import Grid, StateField, inner_product, is_integer, row_blocks
 from .regime import PhysicalConstants, Regime
 from .rng import SplitMix64, check_seed
 
@@ -58,6 +58,11 @@ class DiscreteOperator:
     differences coincide, which amounts to a full-matrix one-sided stencil
     there.  The adjoint applies -E1 d/dx - E2 d/dy with the orientation of
     every split part mirrored.
+
+    A whole stack is applied in fields.row_blocks, so each block's
+    differences and products stay in cache; apply_stack also takes one
+    block of rows with the rows beside it, which is how the time stepper
+    sweeps a stage.  Every node's result is the same bits either way.
     """
 
     def __init__(self, p: PhysicalConstants, grid: Grid):
@@ -73,42 +78,90 @@ class DiscreteOperator:
         # (-E1)^± = -(E1^∓): transport reverses, upwind orientation flips
         self._forward = (self.E1p / dx, self.E1m / dx, self.E2p / dy, self.E2m / dy)
         self._adjoint = (-self.E1m / dx, -self.E1p / dx, -self.E2m / dy, -self.E2p / dy)
-        nx, ny = grid.nx, grid.ny
-        n = nx * ny
-        # private scratch, reused by every apply (so one operator must not
-        # be applied from two threads at once): the padded x differences,
-        # the flat y differences q[:, k] = w[k] - w[k-1] of the flattened
-        # stack w, and one product term, all unscaled.  Viewed as
-        # (3, nx, ny), q[:, :n] holds the backward y differences and
-        # q[:, 1:] the forward ones; the cell between two rows is a
-        # row-crossing value that serves as the backward pad of one row,
-        # then as the forward pad of the row before it.  Each term is one
-        # GEMM on a (3, n) view of these buffers
-        self._shape = (3, nx, ny)
-        self._px = np.empty((3, nx + 1, ny))
-        self._q = np.empty((3, n + 1))
-        self._qb = self._q[:, :n].reshape(self._shape)
-        self._qf = self._q[:, 1:].reshape(self._shape)
-        self._flat = (self._px[:, :-1].reshape(3, n), self._px[:, 1:].reshape(3, n),
-                      self._q[:, :n], self._q[:, 1:])
-        self._term = np.empty((3, n))
+        self._shape = (3, grid.nx, grid.ny)
+        self._blocks = row_blocks(grid.nx, grid.ny)
+        self._rows, self._views = 0, {}
+        self._scratch(max(r1 - r0 for r0, r1 in self._blocks))
 
-    def _upwind(self, W: np.ndarray, out: Optional[np.ndarray], mats) -> np.ndarray:
+    def _scratch(self, m: int):
+        """Private scratch for a block of m rows, reused by every apply (so
+        one operator must not be applied from two threads at once): the
+        padded x differences px, the flat y differences q[:, k] = w[k] -
+        w[k-1] of the flattened block w, and one product term, all unscaled
+        and each C-ordered, with the views the terms read.  Viewed as
+        (3, m, ny), q[:, :n] holds the backward y differences and q[:, 1:]
+        the forward ones; the cell between two rows is a row-crossing value
+        that serves as the backward pad of one row, then as the forward pad
+        of the row before it.  Each term is one GEMM on a (3, n) view."""
+        views = self._views.get(m)
+        if views is None:
+            ny = self._shape[2]
+            n = m * ny
+            if m > self._rows:
+                self._buffers = [np.empty(3 * k) for k in (n + ny, n + 1, n)]
+                self._rows, self._views = m, {}
+            bx, bq, bt = self._buffers
+            px = bx[:3 * (n + ny)].reshape(3, n + ny)
+            q = bq[:3 * (n + 1)].reshape(3, n + 1)
+            views = self._views[m] = (
+                px.reshape(3, m + 1, ny), q, bt[:3 * n].reshape(3, n),
+                q[:, :n].reshape(3, m, ny), q[:, 1:].reshape(3, m, ny),
+                (px[:, :n], px[:, ny:], q[:, :n], q[:, 1:]))
+        return views
+
+    def _upwind(self, W: np.ndarray, out: Optional[np.ndarray], mats,
+                west: Optional[np.ndarray] = None,
+                east: Optional[np.ndarray] = None) -> np.ndarray:
+        _, nx, ny = self._shape
+        sides = (west is not None) + (east is not None)
         shape = self._shape
+        if sides:
+            m = W.shape[1] if W.ndim == 3 else 0
+            if not 1 <= m <= nx - sides:
+                raise ShapeMismatch(f"a block of shape {W.shape} with {sides} neighbor "
+                                    f"rows vs a grid of {nx} rows")
+            shape = (3, m, ny)
         for a in (W, out):
             if a is not None and a.shape != shape:
                 raise ShapeMismatch(f"stack shape {a.shape} vs {shape}")
-        if out is not None and not out.flags.c_contiguous:
-            # the GEMMs write through a flat view of a C-ordered result
-            out[...] = self._upwind(W, None, mats)
+        for a in (west, east):
+            if a is not None and a.shape != (3, ny):
+                raise ShapeMismatch(f"neighbor row shape {a.shape} vs {(3, ny)}")
+        if out is None:
+            out = np.empty(shape)
+        elif (out.strides[2] != out.itemsize or out.strides[1] != ny * out.itemsize
+              or (not sides and len(self._blocks) > 1 and np.may_share_memory(out, W))):
+            # the GEMMs write through a flat (3, rows * ny) view of each
+            # block of the result, and no block may overwrite rows that a
+            # later block still reads
+            out[...] = self._upwind(W, None, mats, west, east)
             return out
+        if sides:
+            return self._block(W, out, mats, west, east)
+        for r0, r1 in self._blocks:
+            self._block(W[:, r0:r1], out[:, r0:r1], mats,
+                        W[:, r0 - 1] if r0 else None, W[:, r1] if r1 < nx else None)
+        return out
+
+    def _block(self, W, out, mats, west, east) -> np.ndarray:
+        """A_h on one block of rows into ``out``, whose rows of each
+        component are contiguous; west/east are the rows beside the block,
+        None at a side."""
+        px, q, term, qb, qf, (xb, xf, yb, yf) = self._scratch(W.shape[1])
         # padded x differences: P[k] = W[k] - W[k-1] inside, the end
-        # differences repeated into the pad cells, so the backward and
-        # forward one-sided differences are the views P[:-1] and P[1:]
-        px, q, qb, qf, term = self._px, self._q, self._qb, self._qf, self._term
+        # differences repeated into the pad cells at the West and East
+        # sides, so the backward and forward one-sided differences are the
+        # views P[:-1] and P[1:]
         np.subtract(W[:, 1:], W[:, :-1], out=px[:, 1:-1])
-        px[:, 0], px[:, -1] = px[:, 1], px[:, -2]
-        # one contiguous y difference over the flattened stack.  Its
+        if west is not None:
+            np.subtract(W[:, 0], west, out=px[:, 0])
+        if east is not None:
+            np.subtract(east, W[:, -1], out=px[:, -1])
+        if west is None:
+            px[:, 0] = px[:, 1]
+        if east is None:
+            px[:, -1] = px[:, -2]
+        # one contiguous y difference over the flattened block.  Its
         # row-crossing values are overwritten by the pads before any read,
         # but they can overflow where no real difference does; any
         # floating-point flag therefore recomputes only the real
@@ -120,10 +173,8 @@ class DiscreteOperator:
                 np.subtract(Wf[:, 1:], Wf[:, :-1], out=q[:, 1:-1])
         except FloatingPointError:
             np.subtract(W[:, :, 1:], W[:, :, :-1], out=qf[:, :, :-1])
-        if out is None:
-            out = np.empty(shape)
         o = out.reshape(term.shape)
-        (Mxb, Mxf, Myb, Myf), (xb, xf, yb, yf) = mats, self._flat
+        Mxb, Mxf, Myb, Myf = mats
         _gemm(Mxb, xb, o)
         o += _gemm(Mxf, xf, term)
         # the backward pads, read by the Myb term, then the forward pads in
@@ -134,9 +185,17 @@ class DiscreteOperator:
         o += _gemm(Myf, yf, term)
         return out
 
-    def apply_stack(self, W: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """A_h W for a (3, nx, ny) stack, into ``out`` when given."""
-        return self._upwind(W, out, self._forward)
+    def apply_stack(self, W: np.ndarray, out: Optional[np.ndarray] = None, *,
+                    west: Optional[np.ndarray] = None,
+                    east: Optional[np.ndarray] = None) -> np.ndarray:
+        """A_h W for a (3, nx, ny) stack, into ``out`` when given.
+
+        With ``west`` or ``east``, W is a block of consecutive rows of a
+        stack and west/east are the (3, ny) rows just before and after it
+        (None where the block reaches the West or East side); the result
+        is those rows of A_h applied to the whole stack.
+        """
+        return self._upwind(W, out, self._forward, west, east)
 
     def apply_adjoint_stack(self, V: np.ndarray) -> np.ndarray:
         return self._upwind(V, None, self._adjoint)

@@ -135,7 +135,10 @@ def _corrupt(lines, kind, k, token):
 KINDS = ["none", "fields-short", "fields-long", "token", "blank", "header", "no-header",
          "header-only", "empty", "swap", "drop", "separator"]
 TOKENS = ["nan", "inf", "-inf", "abc", "1.2.3", "", " ", "1e999", "\t", " 0.5 ", "1_0",
-          "\x0c", "\x0b", "\x1c", "\x85", " "]
+          "\x0c", "\x0b", "\x1c", "\x85", " ",
+          # read differently by NumPy's tokenizer and float(), or breaking a
+          # line only for str.splitlines: the reader must fall back on them
+          "#", "\u2028", "\u2029", "\x1d", "\x1e", "0x1p3", "\uff11", "1e-400"]
 ENDINGS = {"LF": "\n", "CRLF": "\r\n", "CR": "\r"}
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import swerect as sw
 from swerect.errors import InvalidValue, NonFinite, ShapeMismatch
 from swerect.evolve import _Stepper
+from swerect.fields import trapezoid
 from swerect.manufactured import DEFAULT_SOLUTION
 
 from helpers import REGIME_CASES, params, reference_advance
@@ -227,6 +229,9 @@ STEPPER_GRIDS = {
     "4x4": sw.Grid(1.0, 1.0, 4, 4),
     "5x9": sw.Grid(1.0, 1.5, 5, 9),
     "65x33": sw.Grid(2.0, 1.0, 65, 33),
+    # over the row-block budget: 2 blocks (257^2 and 100x300 are in
+    # test_operator's KERNEL_GRIDS; more blocks in the small-block test)
+    "300x100": sw.Grid(3.0, 1.0, 300, 100),
 }
 
 
@@ -261,6 +266,26 @@ def test_advance_matches_reference(kind, grid_name):
                     assert np.array_equal(W, before)
                     assert np.array_equal(new, reference_advance(stepper, W, dt, k * dt))
                     W = new
+
+
+@pytest.mark.parametrize("budget", [1, 20, 40])
+@pytest.mark.parametrize("kind", ["fhs", "msub"])
+def test_advance_matches_reference_in_small_blocks(kind, budget, monkeypatch):
+    """Blocks of one row, of a few rows and of uneven size, with first,
+    middle and last blocks, give the bits of the whole-grid stages."""
+    monkeypatch.setattr(sw.fields, "_BLOCK_NODES", budget)
+    grid = sw.Grid(1.0, 1.5, 11, 9)
+    assert len(sw.fields.row_blocks(grid.nx, grid.ny)) >= 3
+    for forced in (False, True):
+        for scheme in ("ssprk2", "euler"):
+            cfg = _stepper_config(kind, 3.0, grid, forced, scheme)
+            stepper = _Stepper(cfg)
+            dt = sw.cfl_dt(cfg.p, grid, cfg.cfl)
+            W = stepper.enforce(cfg.initial.stack(), 0.0)
+            for k in range(3):
+                new = stepper.advance(W, dt, k * dt)
+                assert np.array_equal(new, reference_advance(stepper, W, dt, k * dt))
+                W = new
 
 
 @pytest.mark.parametrize("forced", [False, True])
@@ -360,6 +385,70 @@ def test_non_finite_initial_state_reported_as_step_0(kind, c, node):
     name = ("u", "v", "phi")[c]
     assert str(info.value) == (f"non-finite state at step 0 (t=0, regime {sw.classify(p)}): "
                                f"first in field '{name}' at node {node}")
+
+
+# 257^2 runs in four blocks of rows: 0-63, 64-127, 128-191 and 192-256
+BLOCKED = sw.Grid(1.0, 1.0, 257, 257)
+NODE = (150, 100)  # in the third block
+
+
+def _first_non_finite(W):
+    c, i, j = np.argwhere(~np.isfinite(W))[0]
+    return f"first in field '{('u', 'v', 'phi')[c]}' at node ({i}, {j})"
+
+
+def test_non_finite_node_in_a_later_block_is_named():
+    """The energy finds a NaN anywhere in the grid; the search then names
+    the node the whole-grid check named, at step 0 and after a step, and
+    no RuntimeWarning is emitted on the way (warnings are errors here)."""
+    p = params("fhs")
+    assert sw.fields.row_blocks(BLOCKED.nx, BLOCKED.ny)[2] == (128, 192)
+    W = seeded_state(BLOCKED).stack()
+    W[(1, *NODE)] = np.nan
+    cfg = sw.RunConfig(p=p, grid=BLOCKED, t_end=0.01, initial=sw.StateField(*W))
+    with pytest.raises(NonFinite) as info:
+        sw.run(cfg)
+    assert str(info.value) == (f"non-finite state at step 0 (t=0, regime {p.regime}): "
+                               f"first in field 'v' at node {NODE}")
+    # a NaN forcing at one node spreads through the stencil in stage 2
+    bad = np.zeros((3, BLOCKED.nx, BLOCKED.ny))
+    bad[(1, *NODE)] = np.nan
+    cfg = sw.RunConfig(p=p, grid=BLOCKED, t_end=0.01, initial=seeded_state(BLOCKED),
+                       forcing=lambda t: bad)
+    stepper = _Stepper(cfg)
+    W0 = stepper.enforce(cfg.initial.stack(), 0.0)
+    dt = cfg.t_end / math.ceil(cfg.t_end / sw.cfl_dt(p, BLOCKED, cfg.cfl) - 1e-12)
+    want = _first_non_finite(reference_advance(stepper, W0, dt, 0.0))
+    assert want != f"first in field 'v' at node {NODE}"
+    with pytest.raises(NonFinite) as info:
+        sw.run(cfg)
+    assert str(info.value).startswith("non-finite state at step 1 (t=")
+    assert str(info.value).endswith(": " + want)
+
+
+def test_finite_state_whose_energy_overflows():
+    """A finite state whose energy overflows fails as non-finite energy,
+    with the overflow warnings of the whole-grid quadrature; when warnings
+    are errors, the first of them is raised, as before."""
+    p = params("fhs")
+    W = seeded_state(BLOCKED).stack()
+    W[(0, *NODE)] = 1e200
+    cfg = sw.RunConfig(p=p, grid=BLOCKED, t_end=0.01, initial=sw.StateField(*W))
+    with warnings.catch_warnings(record=True) as want:
+        warnings.simplefilter("always")
+        dens = W[0] * W[0] + W[1] * W[1] + ((p.g / p.phi0) * W[2]) * W[2]
+        integral = trapezoid(trapezoid(dens, dx=BLOCKED.dx, axis=0), dx=BLOCKED.dy)
+    assert integral == np.inf and want
+    with warnings.catch_warnings(record=True) as got:
+        warnings.simplefilter("always")
+        with pytest.raises(NonFinite, match=r"^non-finite energy at t=0\.0$"):
+            sw.run(cfg)
+    assert ({(w.category, str(w.message)) for w in got}
+            == {(w.category, str(w.message)) for w in want})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match=str(want[0].message)):
+            sw.run(cfg)
 
 
 @pytest.mark.parametrize("cadence", [2.5, 2.0, True])

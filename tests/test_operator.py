@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import swerect as sw
 from swerect.algebra import coefficient_matrices
 from swerect.errors import DegenerateCase, InvalidValue, ShapeMismatch
-from swerect.fields import StateField, inner_product
+from swerect.fields import StateField, inner_product, trapezoid
 from swerect.operator import DiscreteOperator, flux_split
 from swerect.rng import SplitMix64
 
@@ -78,6 +78,10 @@ KERNEL_GRIDS = {
     "5x9": sw.Grid(1.0, 1.5, 5, 9),
     "33x33": sw.Grid(1.0, 1.0, 33, 33),
     "65x33": sw.Grid(1.0, 1.0, 65, 33),
+    # over the row-block budget: 4, 2 and 2 blocks
+    "257x257": sw.Grid(1.0, 1.0, 257, 257),
+    "300x100": sw.Grid(3.0, 1.0, 300, 100),
+    "100x300": sw.Grid(1.0, 3.0, 100, 300),
 }
 
 
@@ -104,6 +108,8 @@ def test_kernel_matches_reference(kind, grid_name):
 THIN_GRIDS = {
     "4x23": sw.Grid(1.0, 2.0, 4, 23),
     "23x4": sw.Grid(2.0, 1.0, 23, 4),
+    "5x4001": sw.Grid(1.0, 8.0, 5, 4001),
+    "4001x5": sw.Grid(8.0, 1.0, 4001, 5),
 }
 
 
@@ -200,6 +206,26 @@ def test_kernel_ignores_overflow_between_rows(kind):
         _assert_same_bytes(b, c)
 
 
+@pytest.mark.parametrize("kind", sorted(REGIME_CASES))
+def test_kernel_ignores_overflow_between_blocks(kind):
+    """The one overflowing row-crossing pair straddles a block edge: only
+    the whole-grid difference would compute it, and neither warns."""
+    grid = sw.Grid(1e4, 1e4, 257, 257)
+    edge = sw.fields.row_blocks(grid.nx, grid.ny)[1][0]
+    op = DiscreteOperator(params(kind), grid)
+    W = np.zeros((3, grid.nx, grid.ny))
+    W[:, edge - 1, -1], W[:, edge, 0] = -1e308, 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = op.apply_stack(W), op.apply_adjoint_stack(W)
+        with np.errstate(all="raise"):
+            raised = op.apply_stack(W), op.apply_adjoint_stack(W)
+    want = reference_apply_stack(op, W), reference_apply_adjoint_stack(op, W)
+    for a, b, c in zip(got, raised, want):
+        _assert_same_bytes(a, c)
+        _assert_same_bytes(b, c)
+
+
 def test_kernel_warns_on_a_real_y_overflow():
     op = DiscreteOperator(params("fhs"), sw.Grid(10.0, 10.0, 6, 5))
     W = np.zeros((3, 6, 5))
@@ -228,6 +254,61 @@ def test_kernel_matches_reference_property(kind, nx, ny, l1, l2, seed):
     p = draw_params(kind, rng)
     W = rng.doubles(3 * nx * ny).reshape(3, nx, ny) - 0.5
     _assert_kernel_matches_reference(p, sw.Grid(l1, l2, nx, ny), W)
+
+
+def _whole_grid_quadrature(a, b, grid, g, phi0):
+    dens = a.u * b.u + a.v * b.v + ((g / phi0) * a.phi) * b.phi
+    return float(trapezoid(trapezoid(dens, dx=grid.dx, axis=0), dx=grid.dy))
+
+
+@pytest.mark.parametrize("grid_name", sorted(KERNEL_GRIDS) + sorted(THIN_GRIDS))
+def test_inner_product_matches_whole_grid_quadrature(grid_name):
+    grid = {**KERNEL_GRIDS, **THIN_GRIDS}[grid_name]
+    rng = SplitMix64(37)
+    a, b = (StateField(*sw.band_limited_fields(rng, grid.nx, grid.ny)) for _ in range(2))
+    for u, v in ((a, b), (a, a)):
+        want = _whole_grid_quadrature(u, v, grid, 9.81, 1.5)
+        assert inner_product(u, v, grid, 9.81, 1.5) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(REGIME_CASES)),
+    nx=st.integers(4, 12), ny=st.integers(4, 12),
+    budget=st.integers(1, 150),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocks_of_any_size_give_the_whole_grid_bits(kind, nx, ny, budget, seed):
+    """Any row-block budget, one-row blocks included, keeps the bits of
+    the kernel against the reference and of the energy quadrature."""
+    rng = SplitMix64(seed)
+    grid = sw.Grid(1.0, 1.3, nx, ny)
+    W, V = (rng.doubles(3 * nx * ny).reshape(3, nx, ny) - 0.5 for _ in range(2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sw.fields, "_BLOCK_NODES", budget)
+        _assert_kernel_matches_reference(params(kind), grid, W)
+        a, b = StateField(*W), StateField(*V)
+        want = _whole_grid_quadrature(a, b, grid, 9.81, 1.5)
+        assert inner_product(a, b, grid, 9.81, 1.5) == want
+
+
+def test_block_apply_with_neighbor_rows():
+    """A block of rows with the rows beside it gives those rows of the
+    whole apply; a block needs its neighbors and must fit the grid."""
+    grid = KERNEL_GRIDS["65x33"]
+    op = DiscreteOperator(params("mix1"), grid)
+    W = sw.band_limited_fields(SplitMix64(41), grid.nx, grid.ny)
+    want = reference_apply_stack(op, W)
+    for r0, r1 in ((0, 1), (0, 20), (20, 21), (20, 64), (64, 65)):
+        out = np.full((3, r1 - r0, grid.ny), np.nan)
+        got = op.apply_stack(W[:, r0:r1], out, west=W[:, r0 - 1] if r0 else None,
+                             east=W[:, r1] if r1 < grid.nx else None)
+        assert got is out
+        _assert_same_bytes(out, np.ascontiguousarray(want[:, r0:r1]))
+    for block, west, east in ((W[:, :3], None, None), (W[:, :64], W[:, 0], W[:, 64]),
+                              (W[:, 1:4], W[:, 0, :-1], W[:, 4])):
+        with pytest.raises(ShapeMismatch):
+            op.apply_stack(block, west=west, east=east)
 
 
 def test_apply_returns_a_new_array_each_call():
