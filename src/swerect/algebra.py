@@ -28,6 +28,7 @@ from typing import Dict, List, Union
 import numpy as np
 
 from .errors import InvalidValue, NotElliptic, NotHyperbolic
+from .fields import is_real
 from .regime import PhysicalConstants, Regime
 
 
@@ -245,7 +246,12 @@ def verify_diagonalization(p: PhysicalConstants, tol: float = 1e-10) -> Diagnost
 
     Elliptic case: the same congruences against the 2x2-block targets.
     All residuals are max-norm, relative to the product's own magnitude.
+    Raises InvalidValue unless tol is a finite nonnegative real number.
     """
+    if not is_real(tol):
+        raise InvalidValue(f"tol must be a real number, got {tol!r}")
+    if not 0.0 <= tol < np.inf:
+        raise InvalidValue(f"tol must be nonnegative and finite, got {tol}")
     m, ff = coefficient_matrices(p), flux_forms(p)
     rep = DiagnosticReport(regime=p.regime, tol=tol)
     s = p.u0**2 + p.v0**2

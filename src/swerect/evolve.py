@@ -74,10 +74,8 @@ class _Stepper:
     Each stage is one sweep over fields.row_blocks: a block's slope, its
     stage arithmetic and its share of the stage result are done while the
     block is in cache, and only the boundary projection runs on the whole
-    stack.  No block reads a row that an earlier block changed: stage 1
-    writes a stack it does not read, and stage 2, which sums in place on
-    the stage 1 result as a whole-grid step did, keeps the one row the
-    next block still reads.  The state a step returns is always a fresh
+    stack.  A stage writes only its result, so no block reads a row that
+    an earlier block changed.  The state a step returns is always a fresh
     array, so callers may keep it across steps.
 
     The forcing, like the boundary data in the enforcer, is evaluated once
@@ -92,12 +90,11 @@ class _Stepper:
         self.f = cfg.p.f
         nx, ny = cfg.grid.nx, cfg.grid.ny
         blocks = row_blocks(nx, ny)
-        slope = np.empty(3 * max(r1 - r0 for r0, r1 in blocks) * ny)
-        # each block with its view of the stage 2 slope buffer
-        self._blocks = [(r0, r1, slope[:3 * (r1 - r0) * ny].reshape(3, r1 - r0, ny))
+        tmp = np.empty(3 * max(r1 - r0 for r0, r1 in blocks) * ny)
+        # each block with its view of the stage 2 scratch for X + W
+        self._blocks = [(r0, r1, tmp[:3 * (r1 - r0) * ny].reshape(3, r1 - r0, ny))
                         for r0, r1 in blocks]
-        self._k = np.empty((3, nx, ny))  # the stage 1 result, then the stage sum
-        self._row = np.empty((3, ny))    # the stage 1 result's row before a block
+        self._k = np.empty((3, nx, ny))  # the stage 1 result
         self._forcing_t = self._forcing = None
 
     def enforce(self, W: np.ndarray, t: float) -> np.ndarray:
@@ -117,29 +114,24 @@ class _Stepper:
     def stage(self, X: np.ndarray, t: float, dt: float, out: Optional[np.ndarray] = None,
               W: Optional[np.ndarray] = None) -> np.ndarray:
         """With S = -(A + B) X + F(t), out = X + dt*S, or, when W is given,
-        out = 0.5*(X + W + dt*S) with X overwritten by X + W + dt*S; out is
-        a fresh array when None.
+        out = 0.5*(X + W + dt*S); out is a fresh array when None.
 
-        Each in-place sequence rounds exactly like these formulas.  Without
-        W the slope is formed in out itself; with W it is formed in block
-        scratch and the sum in X, so a block's last row, which the next
-        block differences against, is kept in self._row first.
+        The slope of a block is formed in its rows of out.  Each in-place
+        sequence rounds like these formulas at every finite value: with W,
+        X + W is formed in block scratch and added to dt*S, and IEEE
+        addition commutes.
         """
         F = self.forcing_at(t)
-        # a fresh result is allocated after the forcing and, in stage 2,
-        # after the first slope, as the whole-grid step allocated it;
-        # allocated before the forcing, it cost ~50 page faults a step at
-        # 129^2 (glibc returned freed pages and the next step faulted them)
-        if out is None and W is None:
+        # a fresh result is allocated after the forcing; allocated before
+        # it, it cost ~50 page faults a step at 129^2 (glibc returned freed
+        # pages and the next step faulted them)
+        if out is None:
             out = np.empty(X.shape)
         nx = X.shape[1]
-        for r0, r1, slope in self._blocks:
-            Xb = X[:, r0:r1]
-            if W is None:
-                S, west = out[:, r0:r1], X[:, r0 - 1] if r0 else None
-            else:
-                S, west = slope, self._row if r0 else None
-            self.op.apply_stack(Xb, S, west=west, east=X[:, r1] if r1 < nx else None)
+        for r0, r1, tmp in self._blocks:
+            Xb, S = X[:, r0:r1], out[:, r0:r1]
+            self.op.apply_stack(Xb, S, west=X[:, r0 - 1] if r0 else None,
+                                east=X[:, r1] if r1 < nx else None)
             np.negative(S, out=S)
             if self.f != 0.0:
                 S[0] += self.f * Xb[1]
@@ -150,13 +142,8 @@ class _Stepper:
             if W is None:
                 S += Xb
             else:
-                if r1 < nx:
-                    self._row[...] = Xb[:, -1]
-                Xb += W[:, r0:r1]
-                Xb += S
-                if out is None:
-                    out = np.empty(X.shape)
-                np.multiply(Xb, 0.5, out=out[:, r0:r1])
+                S += np.add(Xb, W[:, r0:r1], out=tmp)
+                S *= 0.5
         return out
 
     def advance(self, W: np.ndarray, dt: float, t: float) -> np.ndarray:
@@ -202,22 +189,14 @@ def run(cfg: RunConfig) -> RunResult:
         if k > 0:  # step 0 checks, logs and snapshots the projected initial state
             W = stepper.advance(W, dt, t)
         t = k * dt
-        # advance returns a fresh W that nothing writes into later: a view
-        # will do.  A non-finite node makes the energy non-finite; only
-        # then is the state searched, and the energy of a finite state
-        # recomputed under the caller's error state, for its warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            e = energy_value(StateField(*W), cfg.grid, cfg.p)
-        if not math.isfinite(e):
-            bad = np.argwhere(~np.isfinite(W))
-            if len(bad):
-                c, i, j = bad[0]
-                raise NonFinite(
-                    f"non-finite state at step {k} (t={t:.6g}, regime {cfg.p.regime}): "
-                    f"first in field '{('u', 'v', 'phi')[c]}' at node ({i}, {j})"
-                )
-            e = energy_value(StateField(*W), cfg.grid, cfg.p)
-        log.append(t, e)
+        if not np.all(np.isfinite(W)):
+            c, i, j = np.argwhere(~np.isfinite(W))[0]
+            raise NonFinite(
+                f"non-finite state at step {k} (t={t:.6g}, regime {cfg.p.regime}): "
+                f"first in field '{('u', 'v', 'phi')[c]}' at node ({i}, {j})"
+            )
+        # advance returns a fresh W that nothing writes into later: a view will do
+        log.append(t, energy_value(StateField(*W), cfg.grid, cfg.p))
         if cfg.snapshot_cadence > 0 and (k % cfg.snapshot_cadence == 0 or k == n_steps):
             snapshots.append((t, StateField.from_stack(W)))
     return RunResult(StateField.from_stack(W), log, snapshots, n_steps, dt)

@@ -12,7 +12,6 @@ checked; dataclasses.replace makes a view with a component changed.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,8 +35,9 @@ def is_real(value) -> bool:
 
 
 # A time-step stage touches about five (3, nx, ny) stacks of doubles per
-# node, 5 * 24 bytes; the kernels sweep the rows in blocks whose stage data
-# fit a 2 MiB L2 cache.  A grid of at most this many nodes is one block.
+# node, 5 * 24 bytes; the stepper sweeps a stage's rows in blocks whose
+# stage data fit a 2 MiB L2 cache.  A grid of at most this many nodes is
+# one block.
 _L2_BYTES = 2 * 1024 * 1024
 _BLOCK_NODES = _L2_BYTES // (5 * 24)
 
@@ -119,63 +119,19 @@ def inner_product(a: StateField, b: StateField, grid: Grid, g: float, phi0: floa
 
     This is the weighted inner product in which the evolution semigroup is
     contractive; inner_product(U, U) is the energy the run log records.
-    It rounds exactly like integrate() of the density
-    (u u' + v v') + ((g/phi0) phi) phi', but sweeps the rows in
-    row_blocks: each block's x-trapezoid terms are summed row after row
-    onto the sum of the blocks before, which is the order of NumPy's
-    axis-0 sum over the whole grid.
+    The density is formed in two buffers and rounds exactly like
+    (u u' + v v') + ((g/phi0) phi) phi'.
     """
     if a.u.shape != b.u.shape:
         raise ShapeMismatch(f"operand shapes {a.u.shape} vs {b.u.shape}")
-    check_field_shape(a.u, grid)
-    # dens[1:] holds a block's density and dens[0] the last row of the
-    # block before; terms[0] holds the running x sum, terms[1:] the terms
-    blocks, dens, tmp, terms = _energy_scratch(grid.nx, grid.ny)
-    w, dx, dy = g / phi0, grid.dx, grid.dy
-    acc = None
-    for r0, r1 in blocks:
-        m = r1 - r0
-        d, t = dens[1:m + 1], tmp[:m]
-        np.multiply(a.u[r0:r1], b.u[r0:r1], out=d)
-        np.multiply(a.v[r0:r1], b.v[r0:r1], out=t)
-        d += t
-        np.multiply(w, a.phi[r0:r1], out=t)
-        t *= b.phi[r0:r1]
-        d += t
-        # NumPy's trapezoid terms dx * (f[i] + f[i-1]) / 2.0, for the
-        # block's rows i > 0
-        lo = 1 if r0 == 0 else 0
-        s = terms[1:m + 1 - lo]
-        np.add(dens[lo + 1:m + 1], dens[lo:m], out=s)
-        s *= dx
-        s /= 2.0
-        if acc is not None:
-            terms[0] = acc
-            acc = terms[:m + 1 - lo].sum(axis=0)
-        elif len(s):
-            acc = s.sum(axis=0)
-        if r1 < grid.nx:
-            dens[0] = dens[m]
-    return float((dy * (acc[1:] + acc[:-1]) / 2.0).sum())
-
-
-_scratch = threading.local()
-
-
-def _energy_scratch(nx: int, ny: int):
-    """inner_product's row blocks for an nx x ny grid and three
-    (rows + 1, ny) buffers, rows the largest block's.  They are kept per
-    thread for the last grid seen, so repeated calls reuse the same pages
-    instead of faulting in new ones."""
-    key = (nx, ny, _BLOCK_NODES)
-    memo = getattr(_scratch, "energy", None)
-    if memo is None or memo[0] != key:
-        blocks = row_blocks(nx, ny)
-        size = (max(r1 - r0 for r0, r1 in blocks) + 1) * ny
-        bufs = (memo[1] if memo is not None and memo[1][0].size >= size
-                else tuple(np.empty(size) for _ in range(3)))
-        memo = _scratch.energy = (key, bufs, blocks, *(b[:size].reshape(-1, ny) for b in bufs))
-    return memo[2:]
+    dens = np.multiply(a.u, b.u)
+    tmp = np.multiply(a.v, b.v)
+    dens += tmp
+    np.multiply(g / phi0, a.phi, out=tmp)
+    tmp *= b.phi
+    dens += tmp
+    del tmp  # the quadrature's own temporaries can take its memory
+    return integrate(dens, grid)
 
 
 def check_field_shape(f: np.ndarray, grid: Grid) -> None:

@@ -13,7 +13,7 @@ from .algebra import coefficient_matrices, flux_forms
 from .boundary import (BcEnforcer, BoundaryData, Side, SIDES, _check_regime, adjoint_bc_catalog,
                        bc_catalog)
 from .errors import InvalidValue, ShapeMismatch
-from .fields import Grid, StateField, inner_product, is_integer, row_blocks
+from .fields import Grid, StateField, inner_product, is_integer
 from .regime import PhysicalConstants, Regime
 from .rng import SplitMix64, check_seed
 
@@ -59,10 +59,10 @@ class DiscreteOperator:
     there.  The adjoint applies -E1 d/dx - E2 d/dy with the orientation of
     every split part mirrored.
 
-    A whole stack is applied in fields.row_blocks, so each block's
-    differences and products stay in cache; apply_stack also takes one
-    block of rows with the rows beside it, which is how the time stepper
-    sweeps a stage.  Every node's result is the same bits either way.
+    A whole stack is applied in one pass; apply_stack also takes one block
+    of rows with the rows beside it, which is how the time stepper sweeps
+    a stage in fields.row_blocks.  Every node's result is the same bits
+    either way.
     """
 
     def __init__(self, p: PhysicalConstants, grid: Grid):
@@ -79,9 +79,7 @@ class DiscreteOperator:
         self._forward = (self.E1p / dx, self.E1m / dx, self.E2p / dy, self.E2m / dy)
         self._adjoint = (-self.E1m / dx, -self.E1p / dx, -self.E2m / dy, -self.E2p / dy)
         self._shape = (3, grid.nx, grid.ny)
-        self._blocks = row_blocks(grid.nx, grid.ny)
         self._rows, self._views = 0, {}
-        self._scratch(max(r1 - r0 for r0, r1 in self._blocks))
 
     def _scratch(self, m: int):
         """Private scratch for a block of m rows, reused by every apply (so
@@ -129,25 +127,11 @@ class DiscreteOperator:
                 raise ShapeMismatch(f"neighbor row shape {a.shape} vs {(3, ny)}")
         if out is None:
             out = np.empty(shape)
-        elif (out.strides[2] != out.itemsize or out.strides[1] != ny * out.itemsize
-              or (not sides and len(self._blocks) > 1 and np.may_share_memory(out, W))):
-            # the GEMMs write through a flat (3, rows * ny) view of each
-            # block of the result, and no block may overwrite rows that a
-            # later block still reads
+        elif out.strides[2] != out.itemsize or out.strides[1] != ny * out.itemsize:
+            # the GEMMs write through a flat (3, rows * ny) view of the result
             out[...] = self._upwind(W, None, mats, west, east)
             return out
-        if sides:
-            return self._block(W, out, mats, west, east)
-        for r0, r1 in self._blocks:
-            self._block(W[:, r0:r1], out[:, r0:r1], mats,
-                        W[:, r0 - 1] if r0 else None, W[:, r1] if r1 < nx else None)
-        return out
-
-    def _block(self, W, out, mats, west, east) -> np.ndarray:
-        """A_h on one block of rows into ``out``, whose rows of each
-        component are contiguous; west/east are the rows beside the block,
-        None at a side."""
-        px, q, term, qb, qf, (xb, xf, yb, yf) = self._scratch(W.shape[1])
+        px, q, term, qb, qf, (xb, xf, yb, yf) = self._scratch(shape[1])
         # padded x differences: P[k] = W[k] - W[k-1] inside, the end
         # differences repeated into the pad cells at the West and East
         # sides, so the backward and forward one-sided differences are the
@@ -173,6 +157,8 @@ class DiscreteOperator:
                 np.subtract(Wf[:, 1:], Wf[:, :-1], out=q[:, 1:-1])
         except FloatingPointError:
             np.subtract(W[:, :, 1:], W[:, :, :-1], out=qf[:, :, :-1])
+        # every difference is in the scratch before out is written, so out
+        # may be W itself
         o = out.reshape(term.shape)
         Mxb, Mxf, Myb, Myf = mats
         _gemm(Mxb, xb, o)

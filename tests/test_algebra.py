@@ -139,6 +139,14 @@ def test_verify_diagonalization_all_regimes():
         assert rep.max_residual < 1e-12
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, True])
+def test_verify_diagonalization_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tol):
+    """A nan tolerance failed every state, inf passed every state and -1
+    failed every state; True counted as 1."""
+    with pytest.raises(InvalidValue, match="^tol must be "):
+        sw.verify_diagonalization(params("fhs"), tol=tol)
+
+
 def test_similarity_check_solves_nothing():
     """The similarity residual compares E1 P with E2 P diag(lam).  At this
     state E2's entries span 1e-64 to 1e101, and the former check through

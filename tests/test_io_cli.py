@@ -408,6 +408,18 @@ def test_cli_verify_algebra(tmp_path, capsys):
     assert "incoming counts (W,E,S,N): (3, 0, 3, 0) expected (3, 0, 3, 0)" in out
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "True"])
+def test_cli_verify_algebra_rejects_a_bad_tolerance(tmp_path, capsys, tol):
+    """--tol nan and -1 failed every state (exit 1) and inf passed every
+    state; like every other bad setting, they exit 2 before any check."""
+    cfg = write_cfg(tmp_path, MINIMAL)
+    assert cli.main(["verify-algebra", "--config", cfg, "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if tol != "True":  # not a float at all: argparse's usage error
+        assert captured.err == f"error: tol must be nonnegative and finite, got {float(tol)}\n"
+
+
 def test_cli_missing_key_message(tmp_path, capsys):
     cfg = write_cfg(tmp_path, MINIMAL.replace("g = 9.81\n", ""))
     code = cli.main(["verify-algebra", "--config", cfg])

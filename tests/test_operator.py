@@ -97,6 +97,17 @@ def _assert_kernel_matches_reference(p, grid, W):
     _assert_same_bytes(op.apply_adjoint_stack(W), reference_apply_adjoint_stack(op, W))
 
 
+def _block_sweep(op, W):
+    """A_h W from one block apply per fields.row_blocks block, each with
+    the rows beside it, as the time stepper sweeps a stage."""
+    _, nx, ny = W.shape
+    out = np.full(W.shape, np.nan)
+    for r0, r1 in sw.fields.row_blocks(nx, ny):
+        op.apply_stack(W[:, r0:r1], out[:, r0:r1], west=W[:, r0 - 1] if r0 else None,
+                       east=W[:, r1] if r1 < nx else None)
+    return out
+
+
 @pytest.mark.parametrize("grid_name", sorted(KERNEL_GRIDS))
 @pytest.mark.parametrize("kind", sorted(REGIME_CASES))
 def test_kernel_matches_reference(kind, grid_name):
@@ -152,17 +163,20 @@ def test_kernel_matches_reference_on_non_contiguous_stacks(kind, layout):
 
 @pytest.mark.parametrize("kind", sorted(REGIME_CASES))
 def test_kernel_out_path_matches_reference(kind):
-    grid = KERNEL_GRIDS["65x33"]
-    op = DiscreteOperator(params(kind), grid)
-    W = sw.band_limited_fields(SplitMix64(23), grid.nx, grid.ny)
-    want = reference_apply_stack(op, W)
-    out = np.full_like(W, np.nan)
-    assert op.apply_stack(W, out=out) is out
-    _assert_same_bytes(out, want)
-    # every difference is taken before out is written, so out may be W itself
-    V = W.copy()
-    assert op.apply_stack(V, out=V) is V
-    _assert_same_bytes(V, want)
+    # 300x100 is over the row-block budget, so the stepper sweeps it in
+    # two blocks; the whole-stack apply is one pass on either grid
+    for grid_name in ("65x33", "300x100"):
+        grid = KERNEL_GRIDS[grid_name]
+        op = DiscreteOperator(params(kind), grid)
+        W = sw.band_limited_fields(SplitMix64(23), grid.nx, grid.ny)
+        want = reference_apply_stack(op, W)
+        out = np.full_like(W, np.nan)
+        assert op.apply_stack(W, out=out) is out
+        _assert_same_bytes(out, want)
+        # every difference is taken before out is written, so out may be W itself
+        V = W.copy()
+        assert op.apply_stack(V, out=V) is V
+        _assert_same_bytes(V, want)
 
 
 def test_kernel_out_in_any_layout():
@@ -224,6 +238,15 @@ def test_kernel_ignores_overflow_between_blocks(kind):
     for a, b, c in zip(got, raised, want):
         _assert_same_bytes(a, c)
         _assert_same_bytes(b, c)
+    # the stepper's sweep: each block's flat y difference ends at its own
+    # last row, so no block computes the straddling pair either
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        swept = _block_sweep(op, W)
+        with np.errstate(all="raise"):
+            swept_raised = _block_sweep(op, W)
+    _assert_same_bytes(swept, want[0])
+    _assert_same_bytes(swept_raised, want[0])
 
 
 def test_kernel_warns_on_a_real_y_overflow():
@@ -290,6 +313,8 @@ def test_blocks_of_any_size_give_the_whole_grid_bits(kind, nx, ny, budget, seed)
         a, b = StateField(*W), StateField(*V)
         want = _whole_grid_quadrature(a, b, grid, 9.81, 1.5)
         assert inner_product(a, b, grid, 9.81, 1.5) == want
+        op = DiscreteOperator(params(kind), grid)
+        _assert_same_bytes(_block_sweep(op, W), reference_apply_stack(op, W))
 
 
 def test_block_apply_with_neighbor_rows():
