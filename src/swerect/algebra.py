@@ -148,7 +148,9 @@ def hyperbolic_transform(p: PhysicalConstants) -> CharTransform:
 @dataclass(frozen=True)
 class EllipticTransform:
     """Delta < 0 transform: modes 0-1 form an indefinite symmetric pair,
-    mode 2 is transported with velocity zeta_speed."""
+    blockX = [[a1, b1], [b1, -a1]] and blockY = [[a2, b2], [b2, -a2]] (the
+    pair the elliptic solvers take), and mode 2 is transported with
+    velocity zeta_speed = (a1, a2)."""
 
     Pinv: np.ndarray
     P: np.ndarray
@@ -177,9 +179,10 @@ def elliptic_transform(p: PhysicalConstants) -> EllipticTransform:
     P = np.array([[v0 / s, -g * u0 / q, u0 / s],
                   [-u0 / s, -g * v0 / q, v0 / s],
                   [0.0, 1.0 / k1, 0.0]])
-    blockX = np.array([[u0, g * v0 / k1], [g * v0 / k1, -u0]]) / s
-    blockY = np.array([[v0, -g * u0 / k1], [-g * u0 / k1, -v0]]) / s
-    return EllipticTransform(Pinv, P, blockX, blockY, np.array([u0 / s, v0 / s]))
+    a1, a2, b1, b2 = u0 / s, v0 / s, g * v0 / q, -g * u0 / q
+    blockX = np.array([[a1, b1], [b1, -a1]])
+    blockY = np.array([[a2, b2], [b2, -a2]])
+    return EllipticTransform(Pinv, P, blockX, blockY, np.array([a1, a2]))
 
 
 Transform = Union[CharTransform, EllipticTransform]
@@ -254,15 +257,14 @@ def verify_diagonalization(p: PhysicalConstants, tol: float = 1e-10) -> Diagnost
         raise InvalidValue(f"tol must be nonnegative and finite, got {tol}")
     m, ff = coefficient_matrices(p), flux_forms(p)
     rep = DiagnosticReport(regime=p.regime, tol=tol)
-    s = p.u0**2 + p.v0**2
     t = transform_for(p)
     if isinstance(t, EllipticTransform):
         tx = np.zeros((3, 3))
         tx[:2, :2] = t.blockX
-        tx[2, 2] = p.u0 / s
+        tx[2, 2] = t.zeta_speed[0]
         ty = np.zeros((3, 3))
         ty[:2, :2] = t.blockY
-        ty[2, 2] = p.v0 / s
+        ty[2, 2] = t.zeta_speed[1]
         rep.residuals["congruence_x"] = _rel_residual(t.P.T @ ff.S0E1 @ t.P, tx)
         rep.residuals["congruence_y"] = _rel_residual(t.P.T @ ff.S0E2 @ t.P, ty)
     else:

@@ -4,8 +4,8 @@ Each regime admits a specific set of constraint rows c with c . (u, v, phi) =
 data on each side of the rectangle; the row count per side equals the number
 of characteristics entering through that side, which is what makes the
 resulting problem well posed.  In the hyperbolic regimes both catalogs follow
-from that one rule (_entering_rows); the mixed subcritical rows are
-closed-form.
+from that one rule (_entering_rows); the mixed subcritical forward rows
+are rows of the elliptic transform, and its adjoint rows are closed-form.
 
 Enforcement projects each constrained boundary node onto its rows' data,
 orthogonally in the energy inner product (Olsson's projection method): the
@@ -21,7 +21,8 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .algebra import coefficient_matrices, hyperbolic_transform, independent_rows
+from .algebra import (coefficient_matrices, elliptic_transform, hyperbolic_transform,
+                      independent_rows)
 from .errors import RegimeMismatch, ShapeMismatch
 from .fields import Grid
 from .regime import PhysicalConstants, Regime
@@ -114,16 +115,15 @@ def bc_catalog(p: PhysicalConstants) -> BoundarySpec:
 
     In the hyperbolic regimes each side constrains exactly the
     characteristics entering through it (the sign law of _entering_rows);
-    the mixed subcritical regime constrains the shear and energy-flux
-    combinations on West/South and phi alone on East/North.
+    the mixed subcritical regime constrains rows 0 and 2 of the elliptic
+    transform (theta1, zeta) on West/South and phi alone on East/North.
     """
     if p.regime is not Regime.MIXED_SUBCRITICAL:
         return BoundarySpec(_entering_rows(p, 1.0))
-    u0, v0, g = p.u0, p.v0, p.g
-    ws = _rows((v0, -u0, 0.0), (u0, v0, g))
+    Pinv = elliptic_transform(p).Pinv
     side_rows = {
-        Side.WEST: ws,
-        Side.SOUTH: ws.copy(),
+        Side.WEST: Pinv.take([0, 2], axis=0),
+        Side.SOUTH: Pinv.take([0, 2], axis=0),
         # the elliptic pair leaves a single Dirichlet trace; stored as
         # phi = 0 (any positive rescaling of the row is the same set)
         Side.EAST: _rows((0.0, 0.0, 1.0)),

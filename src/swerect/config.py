@@ -22,6 +22,8 @@ import os.path
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional, Tuple
 
+import numpy as np
+
 from .boundary import BoundaryData, bc_catalog
 from .errors import InvalidValue, IoError, MissingKey, ParseError, UnknownKey
 from .evolve import SCHEMES, RunConfig, check_run_settings
@@ -196,11 +198,20 @@ def _resolve(doc: ConfigDocument, name: str) -> str:
 
 
 def _field_on_grid(path, grid: Grid):
+    """The state of a field file on the run grid: each x (y) within 1e-9*L1
+    (1e-9*L2) of grid.x (grid.y), which a file written at precision >= 10
+    meets; InvalidValue names the file and its first coordinate off it."""
     x, y, state = read_field_csv(path)
     if (x.size, y.size) != (grid.nx, grid.ny):
         raise InvalidValue(
             f"field file '{path}' is {x.size}x{y.size}, run grid is {grid.nx}x{grid.ny}"
         )
+    for name, got, want, length in (("x", x, grid.x, grid.l1), ("y", y, grid.y, grid.l2)):
+        off = np.flatnonzero(~(np.abs(got - want) <= 1e-9 * length))
+        if off.size:
+            i = off[0]
+            raise InvalidValue(f"field file '{path}' has {name}[{i}] = {float(got[i])!r}, "
+                               f"run grid has {float(want[i])!r}")
     return state
 
 

@@ -48,7 +48,7 @@ from .errors import (
 from .boundary import _NODE_CLASSES, SIDES, Side, node_line
 from .fields import Grid, check_field_shape, integrate
 from .regime import PhysicalConstants, Regime
-from .algebra import independent_rows
+from .algebra import elliptic_transform, independent_rows
 
 
 @dataclass(frozen=True)
@@ -101,15 +101,16 @@ def build_coeffs(alpha1: float, alpha2: float, beta1: float, beta2: float) -> El
 
 
 def swe_elliptic_block(p: PhysicalConstants) -> EllipticCoeffs:
-    """Coefficients of the shear/pressure pair in the mixed subcritical regime.
+    """Coefficients of the shear/pressure pair in the mixed subcritical
+    regime, read from the blocks that verify_diagonalization certifies.
 
     The determinant is g/(kappa1*(u0^2+v0^2)) > 0, so the condition holds for
     every admissible base state.
     """
     if p.regime is not Regime.MIXED_SUBCRITICAL:
         raise RegimeMismatch("swe_elliptic_block requires the mixed subcritical regime")
-    s = p.u0**2 + p.v0**2
-    return build_coeffs(p.u0 / s, p.v0 / s, p.g * p.v0 / (p.kappa * s), -p.g * p.u0 / (p.kappa * s))
+    t = elliptic_transform(p)
+    return build_coeffs(t.blockX[0, 0], t.blockY[0, 0], t.blockX[0, 1], t.blockY[0, 1])
 
 
 @dataclass(frozen=True)

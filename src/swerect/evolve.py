@@ -64,6 +64,11 @@ class RunConfig:
 
     def __post_init__(self):
         check_run_settings(self.t_end, self.cfl, self.scheme, self.snapshot_cadence)
+        if not isinstance(self.initial, StateField):
+            raise InvalidValue(f"initial state must be a StateField, "
+                               f"got {type(self.initial).__name__}")
+        if any(map(np.iscomplexobj, (self.initial.u, self.initial.v, self.initial.phi))):
+            raise InvalidValue("initial state must be real, got a complex component")
         if self.initial.u.shape != (self.grid.nx, self.grid.ny):
             raise InvalidValue("initial state shape does not match grid")
 
@@ -180,8 +185,9 @@ def run(cfg: RunConfig) -> RunResult:
     n_steps = max(1, math.ceil(cfg.t_end / dt_max - 1e-12))
     dt = cfg.t_end / n_steps
 
-    # stack() copies cfg.initial, so the projection can run in place on it
-    W = cfg.initial.stack()
+    # stack() copies cfg.initial, so the projection can run in place on it;
+    # an integer state is computed on as a float copy of its values
+    W = np.asarray(cfg.initial.stack(), dtype=float)
     stepper.enforcer.apply(W, cfg.boundary_data, 0.0, out=W)
     log = EnergyLog()
     snapshots: List[Tuple[float, StateField]] = []

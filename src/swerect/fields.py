@@ -119,13 +119,13 @@ def inner_product(a: StateField, b: StateField, grid: Grid, g: float, phi0: floa
 
     This is the weighted inner product in which the evolution semigroup is
     contractive; inner_product(U, U) is the energy the run log records.
-    The density is formed in two buffers and rounds exactly like
+    The density is formed in two float64 buffers and rounds exactly like
     (u u' + v v') + ((g/phi0) phi) phi'.
     """
     if a.u.shape != b.u.shape:
         raise ShapeMismatch(f"operand shapes {a.u.shape} vs {b.u.shape}")
-    dens = np.multiply(a.u, b.u)
-    tmp = np.multiply(a.v, b.v)
+    dens = np.multiply(a.u, b.u, dtype=float)
+    tmp = np.multiply(a.v, b.v, dtype=float)
     dens += tmp
     np.multiply(g / phi0, a.phi, out=tmp)
     tmp *= b.phi

@@ -32,18 +32,14 @@ _LAG_COLUMN = np.reshape(_LAG, (3, 1))
 
 @dataclass(frozen=True)
 class ManufacturedSolution:
-    kx: tuple = _KX
-    ky: tuple = _KY
     ph: tuple = _PH
-    om: tuple = _OM
-    am: tuple = _AM
 
     def _phases(self, x, y, t: float):
         """kx, ky, om, am and the phases of X, Y and T as (3, ...) arrays; the
         X and Y phases follow x and y, the rest are (3, 1, ..., 1) columns."""
         x, y = np.asarray(x, float), np.asarray(y, float)
         kx, ky, ph, om, am, lag = np.reshape(
-            (self.kx, self.ky, self.ph, self.om, self.am, _LAG),
+            (_KX, _KY, self.ph, _OM, _AM, _LAG),
             (6, 3) + (1,) * max(x.ndim, y.ndim))
         return kx, ky, om, am, kx * x + ph, ky * y + 0.5 * ph, om * t + lag
 
@@ -80,8 +76,7 @@ class ManufacturedSolution:
         """E1, E2, B and the om, am and lag vectors of the forcing's time mix."""
         m = coefficient_matrices(p)
         B = np.array([[0.0, -p.f, 0.0], [p.f, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        return (m.E1, m.E2, B, np.asarray(self.om, float), np.asarray(self.am, float),
-                np.asarray(_LAG))
+        return m.E1, m.E2, B, np.asarray(_OM, float), np.asarray(_AM, float), np.asarray(_LAG)
 
     def forcing(self, x, y, t: float, p: PhysicalConstants, *, _bound=None) -> np.ndarray:
         """Analytic dU/dt + E1 U_x + E2 U_y + B U at the given positions: the

@@ -171,13 +171,6 @@ def duality_residual(p, grid, U, V):
     return abs(lhs - rhs) / (nU * nV)
 
 
-def state_error(a, b, grid, p):
-    from swerect.fields import StateField
-
-    d = StateField(a.u - b.u, a.v - b.v, a.phi - b.phi)
-    return float(np.sqrt(sw.energy_value(d, grid, p)))
-
-
 def boundary_flat_theta(grid, scale=400.0):
     """theta1 = theta2 = psi with psi, grad psi = 0 on East+North and
     psi = 0 on West+South; used where the cross-derivative identities need

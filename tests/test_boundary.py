@@ -83,6 +83,13 @@ def test_forward_rows_are_characteristic_rows():
                            else np.array([named[n] for n in want.split()]).reshape(-1, 3))
                     got = spec.rows[MIRROR[side] if adjoint else side]
                     assert np.array_equal(got, ref), (kind, adjoint, side, got, ref)
+    # the mixed subcritical forward West/South rows are theta1 and zeta: rows
+    # 0 and 2 of the elliptic transform's Pinv
+    rng = SplitMix64(53)
+    for _ in range(200):
+        p = draw_params("msub", rng)
+        Pinv, spec = sw.elliptic_transform(p).Pinv, sw.bc_catalog(p)
+        assert all(np.array_equal(spec.rows[side], Pinv[[0, 2]]) for side in (W, S)), p
 
 
 def test_msub_adjoint_rows_closed_form():

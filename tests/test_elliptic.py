@@ -21,7 +21,8 @@ from swerect.errors import (
     ViolatesCondition,
 )
 
-from helpers import boundary_flat_theta, params, reference_assemble, reference_solve
+from helpers import (boundary_flat_theta, draw_params, params, reference_assemble,
+                     reference_solve)
 
 P_MSUB = params("msub")
 C_SWE = sw.swe_elliptic_block(P_MSUB)
@@ -64,6 +65,16 @@ def test_swe_block_closed_form():
     assert c.beta2 == pytest.approx(-p.g * p.u0 / (k1 * s), rel=1e-15)
     # frozen determinant at (1, 1, 1, 9.81): g / (kappa1 * s)
     assert c.det == pytest.approx(0.5603753086599176, rel=1e-14)
+
+
+def test_solved_pair_is_the_certified_pair():
+    """The pair the solvers take is the transform's blocks, bit for bit, so
+    verify_diagonalization certifies the pair solve_T solves."""
+    rng = sw.SplitMix64(5)
+    for _ in range(2000):
+        p = draw_params("msub", rng)
+        c, t = sw.swe_elliptic_block(p), sw.elliptic_transform(p)
+        assert np.array_equal(c.T1, t.blockX) and np.array_equal(c.T2, t.blockY), p
 
 
 def test_swe_block_regime_guard():

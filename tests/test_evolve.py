@@ -49,6 +49,25 @@ def test_run_config_validation():
     with pytest.raises(InvalidValue):
         sw.RunConfig(p=p, grid=grid, t_end=1.0,
                      initial=sw.StateField.zeros(sw.Grid(1.0, 1.0, 8, 8)))
+    W = seeded_state(grid).stack()
+    with pytest.raises(InvalidValue, match="must be real"):
+        sw.RunConfig(p=p, grid=grid, t_end=1.0, initial=sw.StateField(*(W + 0j)))
+    with pytest.raises(InvalidValue, match="must be a StateField, got ndarray"):
+        sw.RunConfig(p=p, grid=grid, t_end=1.0, initial=W)
+
+
+def test_integer_initial_state_runs_as_its_float_values():
+    """An integer state is computed on as a float copy: the projection no
+    longer truncates it in place, and the run has the bits of the same
+    values given as float64."""
+    p, grid = params("fhs"), sw.Grid(1.0, 1.0, 9, 9)
+    ints = np.rint(1000 * seeded_state(grid).stack()).astype(np.int64)
+    runs = [sw.run(sw.RunConfig(p=p, grid=grid, t_end=0.05, initial=sw.StateField(*W)))
+            for W in (ints, ints.astype(float))]
+    assert runs[0].log.energies == runs[1].log.energies
+    assert np.array_equal(runs[0].final.stack(), runs[1].final.stack())
+    assert sw.inner_product(sw.StateField(*ints), sw.StateField(*ints), grid, p.g, p.phi0) == \
+        sw.energy_value(sw.StateField(*ints.astype(float)), grid, p)
 
 
 @pytest.mark.parametrize("l1, l2", [(math.inf, 1.0), (1.0, math.nan), (-math.inf, 2.0)])
@@ -549,3 +568,17 @@ def test_worst_admissible_state_contracts_through_run(kind):
     rep = sw.contraction_check(res.log)
     assert res.n_steps == 10 and rep.passed, (gain, rep)
     assert res.log.energies[1] / res.log.energies[0] == pytest.approx(gain**2, rel=1e-9)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="known gap, ROADMAP item 1: off the reference states a "
+                          "homogeneous step can gain energy (sigma_max 1.0231 here)")
+def test_homogeneous_step_contracts_off_the_reference_states():
+    """The certificate at a mixed subcritical state (Delta = 0.17 - 9.81)
+    that is not one of REGIME_CASES.  A_h is not coercive on range(P)
+    there, so one step gains energy; when the closure of ROADMAP item 1
+    lands this passes, and the strict marker turns the pass into a failure
+    until the marker is dropped."""
+    p, grid = sw.validate_params(0.1, 0.4, 1.0, 9.81), sw.Grid(1.0, 1.0, 9, 9)
+    gain = np.linalg.norm(_one_step(p, grid, 0.45, "ssprk2", _admissible_basis(p, grid))[0], 2)
+    assert gain <= 1.0 + 1e-12, gain - 1.0

@@ -121,6 +121,39 @@ def test_boundary_file_rejects_y_major_trace(tmp_path):
         sw.build_run_config(doc)
 
 
+@pytest.mark.parametrize("section", ["forcing", "boundary"])
+@pytest.mark.parametrize("axes, message", [
+    (lambda g: (7.0 * g.x, 3.0 * g.y), r"has x\[1\] = 0\.4666"),
+    (lambda g: (g.x[::-1], g.y), r"has x\[0\] = 1\.0, run grid has 0\.0"),
+], ids=["scaled", "reversed"])
+def test_field_file_off_the_run_grid_is_rejected(section, axes, message, tmp_path, capsys):
+    """A file with the run's node counts but other coordinates (written on
+    [0, 7] x [0, 3], or with its x column reversed) is rejected, naming the
+    file and the first coordinate off the grid."""
+    grid = sw.Grid(1.0, 1.0, 16, 16)
+    x, y = axes(grid)
+    sw.write_field_csv(x, y, sw.StateField.zeros(grid), tmp_path / "f.csv")
+    cfg = write_cfg(tmp_path, MINIMAL + f"\n[{section}]\nkind = file\nfile = f.csv\n")
+    with pytest.raises(InvalidValue, match="field file '.*f.csv' " + message):
+        sw.build_run_config(sw.load_config(cfg))
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "f.csv' has x[" in capsys.readouterr().err
+
+
+def test_field_file_written_at_ten_digits_is_on_the_grid(tmp_path):
+    """What swerect writes at precision 10, on lengths whose nodes %.10g
+    rounds, is read as the run grid."""
+    grid = sw.Grid(7.123456789123, 0.0031415926535, 37, 23)
+    sw.write_field_csv(grid.x, grid.y, sw.StateField.zeros(grid), tmp_path / "f.csv",
+                       precision=10)
+    assert not np.array_equal(sw.read_field_csv(tmp_path / "f.csv")[0], grid.x)
+    text = (MINIMAL.replace("L1 = 1.0", f"L1 = {grid.l1!r}")
+            .replace("L2 = 1.0", f"L2 = {grid.l2!r}")
+            .replace("nx = 16\nny = 16", "nx = 37\nny = 23")
+            + "\n[forcing]\nkind = file\nfile = f.csv\n")
+    sw.build_run_config(sw.load_config(write_cfg(tmp_path, text)))
+
+
 # the constrained sides of a file-backed run on 13x9 over [0, 1] x [0, 1.3],
 # and the sha256 of the supercritical run's final stack (re-recorded when
 # each upwind term became one matrix product with 1/h in the matrix)
