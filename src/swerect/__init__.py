@@ -29,7 +29,6 @@ from .algebra import (
     from_characteristic,
     hyperbolic_transform,
     to_characteristic,
-    transform_for,
     verify_diagonalization,
 )
 from .boundary import (

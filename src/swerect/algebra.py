@@ -188,23 +188,20 @@ def elliptic_transform(p: PhysicalConstants) -> EllipticTransform:
 Transform = Union[CharTransform, EllipticTransform]
 
 
-def transform_for(p: PhysicalConstants) -> Transform:
-    """The elliptic transform in the mixed subcritical regime, the
-    characteristic one in the four hyperbolic regimes."""
-    if p.regime is Regime.MIXED_SUBCRITICAL:
-        return elliptic_transform(p)
-    return hyperbolic_transform(p)
-
-
 def independent_rows(rows: np.ndarray) -> List[int]:
     """Indices of the rows that, in order, raise the rank of the rows kept
-    before them."""
+    before them.  The rank is tested on each row scaled to max-abs 1, since
+    the rank tolerance grows with the largest row: a row small next to the
+    others is kept for its direction, and a zero row is never kept."""
     stack = np.zeros((0, rows.shape[1]))
     kept: List[int] = []
     for i in range(rows.shape[0]):
         if stack.shape[0] == rows.shape[1]:
             break  # square: no further row can raise the rank
-        trial = np.vstack([stack, rows[i]])
+        scale = np.abs(rows[i]).max()
+        if scale == 0.0:
+            continue
+        trial = np.vstack([stack, rows[i] / scale])
         if np.linalg.matrix_rank(trial) > stack.shape[0]:
             kept.append(i)
             stack = trial
@@ -257,8 +254,8 @@ def verify_diagonalization(p: PhysicalConstants, tol: float = 1e-10) -> Diagnost
         raise InvalidValue(f"tol must be nonnegative and finite, got {tol}")
     m, ff = coefficient_matrices(p), flux_forms(p)
     rep = DiagnosticReport(regime=p.regime, tol=tol)
-    t = transform_for(p)
-    if isinstance(t, EllipticTransform):
+    if p.regime is Regime.MIXED_SUBCRITICAL:
+        t = elliptic_transform(p)
         tx = np.zeros((3, 3))
         tx[:2, :2] = t.blockX
         tx[2, 2] = t.zeta_speed[0]
@@ -268,6 +265,7 @@ def verify_diagonalization(p: PhysicalConstants, tol: float = 1e-10) -> Diagnost
         rep.residuals["congruence_x"] = _rel_residual(t.P.T @ ff.S0E1 @ t.P, tx)
         rep.residuals["congruence_y"] = _rel_residual(t.P.T @ ff.S0E2 @ t.P, ty)
     else:
+        t = hyperbolic_transform(p)
         rep.residuals["congruence_x"] = _rel_residual(t.P.T @ ff.S0E1 @ t.P, np.diag(t.a))
         rep.residuals["congruence_y"] = _rel_residual(t.P.T @ ff.S0E2 @ t.P, np.diag(t.b))
         rep.residuals["similarity"] = _rel_residual(m.E1 @ t.P, (m.E2 @ t.P) * t.lam)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .algebra import (coefficient_matrices, elliptic_transform, hyperbolic_transform,
                       independent_rows)
-from .errors import RegimeMismatch, ShapeMismatch
+from .errors import InvalidValue, RegimeMismatch, ShapeMismatch
 from .fields import Grid
 from .regime import PhysicalConstants, Regime
 
@@ -254,7 +254,8 @@ class BcEnforcer:
     are left untouched, so outflow sides evolve under the one-sided stencils.
     The projection is orthogonal in the energy inner product, which is what
     lets a homogeneous step contract.  Each node reads only its own value,
-    so the projection can run in place.
+    so the projection can run in place.  A node class whose K or I - K R is
+    not finite, a singular R S0^-1 R^T included, is an InvalidValue.
     """
 
     def __init__(self, spec: BoundarySpec, p: PhysicalConstants, grid: Grid):
@@ -273,12 +274,20 @@ class BcEnforcer:
                 continue
             keep = independent_rows(rows)
             R = rows[keep]
-            if len(keep) == 3:
-                K, Pm = np.linalg.inv(R), np.zeros((3, 3))
-            else:
-                SR = s_inv[:, None] * R.T
-                K = SR @ np.linalg.inv(R @ SR)
-                Pm = np.eye(3) - K @ R
+            try:
+                with np.errstate(all="ignore"):
+                    if len(keep) == 3:
+                        K, Pm = np.linalg.inv(R), np.zeros((3, 3))
+                    else:
+                        SR = s_inv[:, None] * R.T
+                        K = SR @ np.linalg.inv(R @ SR)
+                        Pm = np.eye(3) - K @ R
+                finite = np.isfinite(K).all() and np.isfinite(Pm).all()
+            except np.linalg.LinAlgError:
+                finite = False
+            if not finite:
+                raise InvalidValue(f"the boundary projection at the {'-'.join(map(str, sides))} "
+                                   f"nodes is singular or overflows a float for this base state")
             node = node_line(sides)
             along = tuple((s, node[2 - s.axis]) for s in sides)
             targets.append((K, Pm, keep, along, node))

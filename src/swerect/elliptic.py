@@ -38,6 +38,7 @@ import numpy as np
 
 from .errors import (
     BcViolation,
+    InvalidValue,
     NonConvergence,
     NonFinite,
     RegimeMismatch,
@@ -46,7 +47,7 @@ from .errors import (
     ViolatesCondition,
 )
 from .boundary import _NODE_CLASSES, SIDES, Side, node_line
-from .fields import Grid, check_field_shape, integrate
+from .fields import Grid, check_field_shape, integrate, l2_norm
 from .regime import PhysicalConstants, Regime
 from .algebra import elliptic_transform, independent_rows
 
@@ -65,7 +66,15 @@ class EllipticCoeffs:
                 raise ViolatesCondition(f"{name} must be finite, got {value}")
         if not (self.alpha1 > 0 and self.alpha2 > 0):
             raise ViolatesCondition(f"need alpha1, alpha2 > 0, got ({self.alpha1}, {self.alpha2})")
-        if abs(self.det) <= 1e-12 * max(map(abs, values)) ** 2:
+        with np.errstate(over="ignore"):
+            try:
+                scale = max(map(abs, values)) ** 2
+            except OverflowError:  # a float's square raises, a NumPy float's is inf
+                scale = math.inf
+        if math.isinf(scale):
+            raise InvalidValue(f"the largest coefficient magnitude squared overflows a float: "
+                               f"max |alpha1, alpha2, beta1, beta2| = {max(map(abs, values))}")
+        if abs(self.det) <= 1e-12 * scale:
             raise ViolatesCondition(f"alpha2*beta1 - alpha1*beta2 = {self.det} too close to zero")
 
     @property
@@ -224,16 +233,12 @@ def apriori_check(theta: ThetaField, c: EllipticCoeffs, grid: Grid) -> AprioriRe
     """
     partials = _partials(theta, grid)
     _check_in_V(theta)
-
-    def l2(*fs):
-        return float(np.sqrt(integrate(sum(f * f for f in fs), grid)))
-
-    grad_norm = l2(*partials)
-    T_norm = l2(*_T_rows(c, *partials))
+    grad_norm = l2_norm(np.stack(partials), grid)
+    T_norm = l2_norm(np.stack(_T_rows(c, *partials)), grid)
     # H2-like curvature proxy: second differences of both fields
     seconds = [d for f in partials for d in _grads(f, grid)]
     h = max(grid.dx, grid.dy)
-    slack = 2.0 * (c.c2 + 1.0 / c.c1) * h * l2(*seconds)
+    slack = 2.0 * (c.c2 + 1.0 / c.c1) * h * l2_norm(np.stack(seconds), grid)
     return AprioriReport(grad_norm, T_norm, c.c1, c.c2, slack)
 
 
@@ -431,6 +436,25 @@ def manufactured_solution_T(c: EllipticCoeffs, grid: Grid) -> Tuple[ThetaField, 
     return ThetaField(t1, t2), ThetaField(*_T_rows(c, t1x, t1y, t2x, t2y))
 
 
+# each side's envelope of manufactured_solution_T_star is a product of one
+# factor per axis, trig(k * pi * z / length) for z = x, y
+_ENVELOPES = {
+    Side.WEST: ((0.5, np.cos), (1.0, np.sin)),
+    Side.EAST: ((0.5, np.sin), (1.0, np.sin)),
+    Side.SOUTH: ((1.0, np.sin), (0.5, np.cos)),
+    Side.NORTH: ((1.0, np.sin), (0.5, np.sin)),
+}
+
+
+def _envelope_factor(k: float, trig, z: np.ndarray, length: float):
+    """trig(k*pi*z/length), its derivative's coefficient and the trig
+    function the derivative multiplies."""
+    arg = k * np.pi * z / length
+    if trig is np.sin:
+        return np.sin(arg), k * np.pi / length, np.cos(arg)
+    return np.cos(arg), -k * np.pi / length, np.sin(arg)
+
+
 def manufactured_solution_T_star(c: EllipticCoeffs, grid: Grid) -> Tuple[ThetaField, ThetaField]:
     """A pair satisfying the adjoint side conditions and Psi = T* Theta.
 
@@ -438,28 +462,13 @@ def manufactured_solution_T_star(c: EllipticCoeffs, grid: Grid) -> Tuple[ThetaFi
     direction its side's single constraint row annihilates.
     """
     X, Y = grid.meshgrid()
-    pi = np.pi
-    l1, l2 = grid.l1, grid.l2
     # each side's row r annihilates (r[1], -r[0]); orient it outward
     dirs = {side: side.outward * np.array([r[1], -r[0]]) for side, r in _adjoint_bc(c).items()}
-    g = {
-        Side.WEST: np.cos(0.5 * pi * X / l1) * np.sin(pi * Y / l2),
-        Side.EAST: np.sin(0.5 * pi * X / l1) * np.sin(pi * Y / l2),
-        Side.SOUTH: np.sin(pi * X / l1) * np.cos(0.5 * pi * Y / l2),
-        Side.NORTH: np.sin(pi * X / l1) * np.sin(0.5 * pi * Y / l2),
-    }
-    gx = {
-        Side.WEST: -0.5 * pi / l1 * np.sin(0.5 * pi * X / l1) * np.sin(pi * Y / l2),
-        Side.EAST: 0.5 * pi / l1 * np.cos(0.5 * pi * X / l1) * np.sin(pi * Y / l2),
-        Side.SOUTH: pi / l1 * np.cos(pi * X / l1) * np.cos(0.5 * pi * Y / l2),
-        Side.NORTH: pi / l1 * np.cos(pi * X / l1) * np.sin(0.5 * pi * Y / l2),
-    }
-    gy = {
-        Side.WEST: pi / l2 * np.cos(0.5 * pi * X / l1) * np.cos(pi * Y / l2),
-        Side.EAST: pi / l2 * np.sin(0.5 * pi * X / l1) * np.cos(pi * Y / l2),
-        Side.SOUTH: -0.5 * pi / l2 * np.sin(pi * X / l1) * np.sin(0.5 * pi * Y / l2),
-        Side.NORTH: 0.5 * pi / l2 * np.sin(pi * X / l1) * np.cos(0.5 * pi * Y / l2),
-    }
+    g, gx, gy = {}, {}, {}
+    for side, ((kx, fx), (ky, fy)) in _ENVELOPES.items():
+        vx, cx, ox = _envelope_factor(kx, fx, X, grid.l1)
+        vy, cy, oy = _envelope_factor(ky, fy, Y, grid.l2)
+        g[side], gx[side], gy[side] = vx * vy, cx * ox * vy, cy * vx * oy
     t1 = sum(g[s] * dirs[s][0] for s in SIDES)
     t2 = sum(g[s] * dirs[s][1] for s in SIDES)
     t1x = sum(gx[s] * dirs[s][0] for s in SIDES)

@@ -179,9 +179,16 @@ def run(cfg: RunConfig) -> RunResult:
     Energy is logged every step; a NaN/Inf in the initial state (step 0) or a
     step's result aborts with NonFinite naming the regime, the step, and the
     first bad field and node (u before v before phi, then row-major (i, j)).
+    A CFL step that underflows to 0, or a step count that overflows a float,
+    is an InvalidValue.
     """
     stepper = _Stepper(cfg)
     dt_max = cfl_dt(cfg.p, cfg.grid, cfg.cfl)
+    if dt_max == 0.0:
+        raise InvalidValue("the CFL step underflows to 0 on this grid")
+    if math.isinf(cfg.t_end / dt_max):
+        raise InvalidValue(f"the step count t_end / dt = {cfg.t_end:.6g} / {dt_max:.6g} "
+                           f"overflows a float")
     n_steps = max(1, math.ceil(cfg.t_end / dt_max - 1e-12))
     dt = cfg.t_end / n_steps
 

@@ -12,7 +12,7 @@ import numpy as np
 from .algebra import coefficient_matrices, flux_forms
 from .boundary import (BcEnforcer, BoundaryData, Side, SIDES, _check_regime, adjoint_bc_catalog,
                        bc_catalog)
-from .errors import InvalidValue, ShapeMismatch
+from .errors import InvalidValue, NonFinite, ShapeMismatch
 from .fields import Grid, StateField, inner_product, is_integer
 from .regime import PhysicalConstants, Regime
 from .rng import SplitMix64, check_seed
@@ -62,21 +62,24 @@ class DiscreteOperator:
     A whole stack is applied in one pass; apply_stack also takes one block
     of rows with the rows beside it, which is how the time stepper sweeps
     a stage in fields.row_blocks.  Every node's result is the same bits
-    either way.
+    either way.  Split matrices that overflow over the grid spacing are an
+    InvalidValue.
     """
 
     def __init__(self, p: PhysicalConstants, grid: Grid):
-        self.p = p
         self.grid = grid
         m = coefficient_matrices(p)
-        self.E1, self.E2, self.S0 = m.E1, m.E2, m.S0
         self.E1p, self.E1m = flux_split(m.E1, m.S0)
         self.E2p, self.E2m = flux_split(m.E2, m.S0)
         dx, dy = grid.dx, grid.dy
         # the split parts with 1/h folded in, in the order of the terms:
         # x backward, x forward, y backward, y forward.  In the adjoint,
         # (-E1)^± = -(E1^∓): transport reverses, upwind orientation flips
-        self._forward = (self.E1p / dx, self.E1m / dx, self.E2p / dy, self.E2m / dy)
+        with np.errstate(over="ignore"):
+            self._forward = (self.E1p / dx, self.E1m / dx, self.E2p / dy, self.E2m / dy)
+        if not all(np.isfinite(M).all() for M in self._forward):
+            raise InvalidValue(f"the split matrices over the grid spacing (dx, dy) = "
+                               f"({dx:.6g}, {dy:.6g}) overflow a float")
         self._adjoint = (-self.E1m / dx, -self.E1p / dx, -self.E2m / dy, -self.E2p / dy)
         self._shape = (3, grid.nx, grid.ny)
         self._rows, self._views = 0, {}
@@ -260,7 +263,8 @@ def positivity_probe(p: PhysicalConstants, grid: Grid, n_samples: int, seed: int
     The samples are projected onto the catalog by the stepper's own
     enforcer.  The continuous quadratic form is nonnegative on the domain of
     the operator; discretely, upwind dissipation keeps the quotient above a
-    small negative floor.
+    small negative floor.  A sample of norm 0 is skipped; a quotient that is
+    not finite, or no sample of nonzero norm, raises NonFinite.
     """
     if not is_integer(n_samples):
         raise InvalidValue(f"positivity probe sample count must be an integer, got {n_samples!r}")
@@ -274,14 +278,19 @@ def positivity_probe(p: PhysicalConstants, grid: Grid, n_samples: int, seed: int
     threshold = -1e-6 * (p.u0 + p.v0 + p.sound_speed) / min(grid.dx, grid.dy)
 
     qmin = np.inf
-    for _ in range(n_samples):
+    for k in range(n_samples):
         W = enforcer.apply(band_limited_fields(rng, grid.nx, grid.ny), data)
         U = StateField(*W)
         denom = inner_product(U, U, grid, p.g, p.phi0)
-        if denom <= 1e-28:  # zero fields carry no information
+        if denom == 0.0:  # a zero field carries no information
             continue
-        q = inner_product(StateField(*op.apply_stack(W)), U, grid, p.g, p.phi0) / denom
+        with np.errstate(all="ignore"):  # a non-finite quotient raises below
+            q = inner_product(StateField(*op.apply_stack(W)), U, grid, p.g, p.phi0) / denom
+        if not np.isfinite(q):
+            raise NonFinite(f"positivity probe sample {k}: the quotient is {q}")
         qmin = min(qmin, q)
+    if qmin == np.inf:
+        raise NonFinite(f"positivity probe: all {n_samples} samples have zero norm")
     return ProbeReport(float(qmin), threshold, n_samples)
 
 

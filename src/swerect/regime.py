@@ -57,9 +57,9 @@ def _square(name: str, value: float) -> float:
 class PhysicalConstants:
     """Validated base state; construction enforces positivity, genericity and
     float range: u0^2, v0^2, g*phi0, u0^2 + v0^2, kappa^2 = g*|Delta|/phi0
-    and the energy weight g/phi0 must all be finite, and kappa*(u0^2 + v0^2),
+    and the energy weight g/phi0 must all be finite, kappa*(u0^2 + v0^2),
     |det Pinv| up to a factor 2, must not underflow to 0 nor overflow when
-    doubled.
+    doubled, and g/phi0 must not underflow to 0 nor phi0/g overflow.
 
     The rules' own Delta = u0^2 + v0^2 - g*phi0, kappa = sqrt(g*|Delta|/phi0)
     (kappa0 when Delta > 0, kappa1 when Delta < 0) and the regime their
@@ -101,6 +101,12 @@ class PhysicalConstants:
             raise DegenerateCase("u0^2 + v0^2 ~ g*phi0 within genericity tolerance")
         if ks == 0.0:
             raise InvalidValue("kappa*(u0^2 + v0^2) underflows to 0 for this base state")
+        # the energy weight, which the operator's flux split takes the root
+        # of, and its inverse, which the boundary projection multiplies by
+        if self.g / self.phi0 == 0.0:
+            raise InvalidValue("g/phi0 underflows to 0 for this base state")
+        if math.isinf(self.phi0 / self.g):
+            raise InvalidValue("phi0/g overflows a float for this base state")
         if u2 > gp:
             regime = Regime.SUPERCRITICAL if v2 > gp else Regime.MIXED_HYPERBOLIC_II
         elif v2 > gp:

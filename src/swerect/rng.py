@@ -29,6 +29,14 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _D53 = 2.0**-53
 
 
+def _mix(z):
+    """The output function of one draw, on a uint64 scalar or array; the
+    caller ignores overflow, which is the wrapping arithmetic."""
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    return z ^ (z >> np.uint64(31))
+
+
 def check_seed(seed: int, name: str) -> None:
     """Reject a seed that is not an integer in [0, 2^64); SplitMix64 itself
     would mask it."""
@@ -49,11 +57,7 @@ class SplitMix64:
     def next_uint64(self) -> int:
         with np.errstate(over="ignore"):
             self._state = self._state + _GAMMA
-            z = self._state
-            z = (z ^ (z >> np.uint64(30))) * _MIX1
-            z = (z ^ (z >> np.uint64(27))) * _MIX2
-            z = z ^ (z >> np.uint64(31))
-        return int(z)
+            return int(_mix(self._state))
 
     def next_double(self) -> float:
         return (self.next_uint64() >> 11) * _D53
@@ -65,9 +69,6 @@ class SplitMix64:
         # wrapping uint64 arithmetic; numpy warns on overflow, which is the point
         with np.errstate(over="ignore"):
             idx = np.arange(1, n + 1, dtype=np.uint64)
-            z = self._state + idx * _GAMMA
+            z = _mix(self._state + idx * _GAMMA)
             self._state = self._state + np.uint64(n) * _GAMMA
-            z = (z ^ (z >> np.uint64(30))) * _MIX1
-            z = (z ^ (z >> np.uint64(27))) * _MIX2
-            z = z ^ (z >> np.uint64(31))
         return (z >> np.uint64(11)).astype(np.float64) * _D53

@@ -395,3 +395,64 @@ def test_enforcer_rejects_a_stack_of_another_shape(shape):
     with pytest.raises(ShapeMismatch) as info:
         enforcer.apply(np.zeros((3, 16, 16)), data, out=np.zeros(shape))
     assert str(info.value) == want
+
+
+# catalogs whose rows at one node class differ in scale by many decades:
+# msub at u0 = v0 = 1e-20, whose West/South theta1 row (v0, -u0, 0) sits
+# next to the zeta row (u0, v0, g), and a state whose North-West and
+# East-South corner rows span 1e-3 to 1e7
+SCALE_SPREAD_STATES = [(1e-20, 1e-20, 1.0, 9.81), (0.029, 0.00083, 0.26, 9.1e6)]
+
+
+def _unit_rows(spec):
+    """spec with every row scaled to max-abs 1."""
+    return sw.BoundarySpec({s: r / np.abs(r).max(axis=1, keepdims=True)
+                            for s, r in spec.rows.items()})
+
+
+@pytest.mark.parametrize("args", SCALE_SPREAD_STATES)
+def test_projection_imposes_every_catalog_row_whatever_its_scale(args):
+    """After a homogeneous projection every catalog row, scaled to max-abs
+    1, vanishes to round-off at its side's nodes, corners included.  When
+    the rank was tested on the raw rows, a row small next to the others
+    was dropped and never imposed: residual 0.59 (zeta on West, South and
+    three corners) and 2.2e-9 (the North-West corner) on these states."""
+    p = sw.validate_params(*args)
+    grid = sw.Grid(1.0, 1.0, 17, 17)
+    spec = sw.bc_catalog(p)
+    U = sw.BcEnforcer(spec, p, grid).apply(sw.band_limited_fields(SplitMix64(5), 17, 17),
+                                           sw.BoundaryData.homogeneous())
+    assert boundary_row_residual(U, _unit_rows(spec), grid) < 1e-15
+
+
+def test_row_rule_tests_rank_on_unit_rows():
+    """Over 500 states log-uniform in [1e-8, 1e8]^4, every edge and corner
+    stack of the forward catalog keeps the rows the reference rule keeps
+    on the rows scaled to max-abs 1 (15 catalogs differed when the rank
+    was tested on the raw rows).  A zero row is never kept."""
+    rng = SplitMix64(2028)
+    differ = 0
+    for _ in range(500):
+        rows = sw.bc_catalog(sw.validate_params(*(10.0 ** (16.0 * rng.doubles(4) - 8.0)))).rows
+        stacks = [rows[s] for s in SIDES]
+        stacks += [np.vstack([rows[sx], rows[sy]]) for sx in (W, E) for sy in (S, N)]
+        differ += any(independent_rows(C) != reference_independent_rows(
+            C / np.abs(C).max(axis=1, keepdims=True)) for C in stacks)
+    assert differ == 0
+    assert independent_rows(np.array([[0.0, 0.0, 0.0], [0.0, 1e-300, 0.0]])) == [1]
+
+
+def test_enforcer_rejects_a_projection_out_of_float_range():
+    """msub at u0 = v0 = 1e-155: the theta1 row's Gram entry (~2e-310) has
+    no finite inverse, so K came out NaN and a run stopped at step 0 with
+    NonFinite.  A 1e-200 row beside a unit row makes the Gram matrix
+    singular (its entry underflows to 0)."""
+    grid = sw.Grid(1.0, 1.0, 9, 9)
+    p = sw.validate_params(1e-155, 1e-155, 1.0, 9.81)
+    with pytest.raises(InvalidValue, match="^the boundary projection at the West nodes is "
+                                           "singular or overflows a float for this base state$"):
+        sw.BcEnforcer(sw.bc_catalog(p), p, grid)
+    rows = {s: np.zeros((0, 3)) for s in SIDES}
+    rows[S] = np.array([[1e-200, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    with pytest.raises(InvalidValue, match="^the boundary projection at the South nodes"):
+        sw.BcEnforcer(sw.BoundarySpec(rows), params("fhs"), grid)

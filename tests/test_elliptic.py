@@ -437,3 +437,14 @@ def test_field_views_are_frozen(view, component):
     assert getattr(field, component).shape == (9, 9)
     with pytest.raises(ShapeMismatch):
         dataclasses.replace(field, **{component: np.ones((1, 9))})
+
+
+def test_coefficients_whose_square_overflows_are_rejected():
+    """The degeneracy test squares the largest coefficient; msub at
+    u0 = v0 = 1e-155 gives coefficients ~5e154, whose square raised a bare
+    OverflowError.  NumPy floats take the same path, without a warning."""
+    message = "^the largest coefficient magnitude squared overflows a float: max "
+    with pytest.raises(InvalidValue, match=message):
+        sw.swe_elliptic_block(sw.validate_params(1e-155, 1e-155, 1.0, 9.81))
+    with pytest.raises(InvalidValue, match=message):
+        sw.EllipticCoeffs(*np.array([5e154, 5e154, 5e154, -5e154]))

@@ -582,3 +582,18 @@ def test_homogeneous_step_contracts_off_the_reference_states():
     p, grid = sw.validate_params(0.1, 0.4, 1.0, 9.81), sw.Grid(1.0, 1.0, 9, 9)
     gain = np.linalg.norm(_one_step(p, grid, 0.45, "ssprk2", _admissible_basis(p, grid))[0], 2)
     assert gain <= 1.0 + 1e-12, gain - 1.0
+
+
+def test_run_rejects_a_cfl_step_out_of_float_range():
+    """Supercritical (100, 100, 1, 9.81) with finite scaled split matrices:
+    over dx = 5.65e-307, (u0 + c)/dx overflows and the CFL step is 0 (the
+    run divided by it); over dx = 1e-306, t_end / dt overflows (math.ceil
+    raised OverflowError)."""
+    p = sw.validate_params(100.0, 100.0, 1.0, 9.81)
+    for l1, t_end, message in ((7 * 5.65e-307, 0.05, "the CFL step underflows to 0 on this grid"),
+                               (7e-306, 1.0, "the step count t_end / dt = 1 / 4.36334e-309 "
+                                             "overflows a float")):
+        grid = sw.Grid(l1, 1.0, 8, 8)
+        cfg = sw.RunConfig(p=p, grid=grid, t_end=t_end, initial=sw.StateField.zeros(grid))
+        with pytest.raises(InvalidValue, match="^" + message + "$"):
+            sw.run(cfg)

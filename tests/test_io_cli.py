@@ -629,3 +629,54 @@ def test_cli_verdict_lines_and_exit_codes(passed, monkeypatch, tmp_path, capsys)
         verdict = f"{' '.join(args)}: {'PASS' if passed else 'FAIL'}\n"
         assert (code, *capsys.readouterr()) == ((0, out + verdict, "") if passed
                                                  else (1, out, verdict)), args
+
+
+def _physics_cfg(tmp_path, u0, v0, phi0, g, l1="1.0", n="8"):
+    text = (MINIMAL.replace("u0 = 4.0", f"u0 = {u0}").replace("v0 = 4.0", f"v0 = {v0}")
+            .replace("phi0 = 1.0", f"phi0 = {phi0}").replace("g = 9.81", f"g = {g}")
+            .replace("L1 = 1.0", f"L1 = {l1}").replace("= 16", f"= {n}"))
+    return write_cfg(tmp_path, text)
+
+
+# configs the parser accepts that set-up must reject (exit 2), with the
+# first line each command prints: an energy weight that underflows, split
+# matrices that overflow over the grid spacing, and a boundary projection
+# with no finite inverse
+SETUP_REJECTED = {
+    "energy weight": (("1e153", "1e153", "1e300", "1e-290"), "1.0", "8",
+                      "g/phi0 underflows to 0 for this base state"),
+    "grid spacing": (("2.5", "2.5", "1.0", "9.81"), "1e-320", "8",
+                     "the split matrices over the grid spacing (dx, dy)"),
+    "projection": (("1e-155", "1e-155", "1.0", "9.81"), "1.0", "9",
+                   "the boundary projection at the West nodes"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "probe-positivity"])
+@pytest.mark.parametrize("case", sorted(SETUP_REJECTED))
+def test_cli_rejects_a_config_set_up_cannot_represent(case, command, tmp_path, capsys):
+    """These ended in a LAPACK LinAlgError, a ZeroDivisionError or a NaN
+    projection (stopping the run at step 0, or a probe PASS on inf)."""
+    physics, l1, n, message = SETUP_REJECTED[case]
+    cfg = _physics_cfg(tmp_path, *physics, l1=l1, n=n)
+    args = ["--out", str(tmp_path / "out")] if command == "run" else ["--samples", "2"]
+    code = cli.main([command, "--config", cfg, *args])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: " + message)
+
+
+def test_cli_solve_elliptic_rejects_coefficients_whose_square_overflows(tmp_path, capsys):
+    cfg = _physics_cfg(tmp_path, "1e-155", "1e-155", "1.0", "9.81", n="9")
+    code = cli.main(["solve-elliptic", "--config", cfg])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "error: the largest coefficient magnitude squared overflows a float")
+
+
+def test_cli_probe_positivity_fails_on_a_non_finite_quotient(tmp_path, capsys):
+    """It printed 'min quotient inf over 2 samples' and PASS."""
+    cfg = _physics_cfg(tmp_path, "100.0", "100.0", "1.0", "9.81", l1="7e-306")
+    code = cli.main(["probe-positivity", "--config", cfg, "--samples", "2"])
+    captured = capsys.readouterr()
+    assert code == 1 and "PASS" not in captured.out
+    assert captured.err == "error: positivity probe sample 0: the quotient is nan\n"

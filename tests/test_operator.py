@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import swerect as sw
 from swerect.algebra import coefficient_matrices
-from swerect.errors import DegenerateCase, InvalidValue, ShapeMismatch
+from swerect.errors import DegenerateCase, InvalidValue, NonFinite, ShapeMismatch
 from swerect.fields import StateField, inner_product, trapezoid
 from swerect.operator import DiscreteOperator, flux_split
 from swerect.rng import SplitMix64
@@ -585,3 +585,40 @@ def test_quadrature_compares_its_operands_shapes():
     with pytest.raises(ShapeMismatch) as info:
         sw.theta_inner(A, B, grid)
     assert str(info.value) == "operand shapes (9, 9) vs (9, 1)"
+
+
+def test_operator_rejects_split_matrices_that_overflow_over_the_spacing():
+    """fhs on [0, 1e-320] x [0, 1]: the split matrices over dx ~ 1.4e-321
+    overflow.  They used to warn and leave inf in the operator, and a run
+    then divided by a CFL step of 0."""
+    with pytest.raises(InvalidValue, match=r"^the split matrices over the grid spacing \(dx, dy\) "
+                                           r"= \(1\.42785e-321, 0\.142857\) overflow a float$"):
+        DiscreteOperator(params("fhs"), sw.Grid(1e-320, 1.0, 8, 8))
+
+
+SUPER_100 = (100.0, 100.0, 1.0, 9.81)
+
+
+def test_positivity_probe_raises_on_a_non_finite_quotient():
+    """Supercritical (100, 100, 1, 9.81) on [0, 7e-306] x [0, 1] has finite
+    scaled split matrices, but <A_h U, U> overflows and the quotient is
+    NaN.  The probe used to skip every sample (its norm was below a fixed
+    1e-28) and report a minimum of inf as a PASS."""
+    p = sw.validate_params(*SUPER_100)
+    with pytest.raises(NonFinite, match="^positivity probe sample 0: the quotient is nan$"):
+        sw.positivity_probe(p, sw.Grid(7e-306, 1.0, 8, 8), 2, 0)
+
+
+def test_positivity_probe_on_a_small_domain_counts_every_sample():
+    """On [0, 1e-15]^2 a sample's squared norm is ~1e-30: a sample, not a
+    zero field, so the minimum quotient is finite."""
+    rep = sw.positivity_probe(params("super"), sw.Grid(1e-15, 1e-15, 8, 8), 4, 0)
+    assert np.isfinite(rep.min_quotient) and rep.passed
+
+
+def test_positivity_probe_with_only_zero_norm_samples_raises():
+    """On [0, 1e-170]^2 every squared norm underflows to 0; no sample
+    carries information, which is not a PASS."""
+    p = sw.validate_params(*SUPER_100)
+    with pytest.raises(NonFinite, match="^positivity probe: all 2 samples have zero norm$"):
+        sw.positivity_probe(p, sw.Grid(1e-170, 1e-170, 8, 8), 2, 0)

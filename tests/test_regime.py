@@ -63,6 +63,19 @@ def test_out_of_range_base_states_rejected(args, name):
         sw.validate_params(*args)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((1e153, 1e153, 1e300, 1e-290), "g/phi0 underflows to 0 for this base state"),
+    ((2.0, 2.0, 1e155, 1e-155), "phi0/g overflows a float for this base state"),
+])
+def test_energy_weight_out_of_float_range_rejected(args, message):
+    """The energy weight g/phi0 must be nonzero and its inverse finite.  The
+    first state validated as Supercritical although g/phi0 underflowed to
+    0, and its flux split then failed inside LAPACK; a subnormal weight
+    such as 1e-310 overflows the projection's 1/S0."""
+    with pytest.raises(InvalidValue, match="^" + re.escape(message) + "$"):
+        sw.validate_params(*args)
+
+
 def test_genericity_tolerance_is_relative():
     g, phi0 = 9.81, 1.0
     c = np.sqrt(g * phi0)
