@@ -131,23 +131,32 @@ def _cmd_solve_elliptic(args) -> int:
 def _cmd_run(args) -> int:
     doc = load_config(args.config)
     cfg = build_run_config(doc)
-    result = run(cfg)
     outdir = os.path.join(args.out, doc.output_dir)
-    os.makedirs(outdir, exist_ok=True)
     grid = cfg.grid
+    names: List[str] = []
+
+    def write_snapshot(t: float, state: StateField) -> None:
+        # the directory comes with the first snapshot: a run refused at
+        # set-up creates nothing
+        if not names:
+            os.makedirs(outdir, exist_ok=True)
+        names.append(os.path.join(outdir, f"field_{len(names):06d}.csv"))
+        write_field_csv(grid.x, grid.y, state, names[-1], precision=doc.precision)
+
+    cfg.on_snapshot = write_snapshot
+    result = run(cfg)
+    os.makedirs(outdir, exist_ok=True)
     final = os.path.join(outdir, "field_final.csv")
-    write_field_csv(grid.x, grid.y, result.final, final, precision=doc.precision)
+    if names:
+        # run() always snapshots the last step: the final field is its copy
+        try:
+            shutil.copyfile(names[-1], final)
+        except OSError as exc:
+            raise IoError(f"cannot write '{final}': {exc}") from None
+    else:
+        write_field_csv(grid.x, grid.y, result.final, final, precision=doc.precision)
     write_energy_csv(result.log, os.path.join(outdir, "energy.csv"),
                      precision=doc.precision)
-    names = [os.path.join(outdir, f"field_{k:06d}.csv") for k in range(len(result.snapshots))]
-    for name, (_, snap) in zip(names[:-1], result.snapshots):
-        write_field_csv(grid.x, grid.y, snap, name, precision=doc.precision)
-    if names:
-        # run() always snapshots the last step: the final field, already written
-        try:
-            shutil.copyfile(final, names[-1])
-        except OSError as exc:
-            raise IoError(f"cannot write '{names[-1]}': {exc}") from None
     print(f"ran {result.n_steps} steps (dt={result.dt:.6g}); "
           f"final energy {result.log.energies[-1]:.12g}")
     return 0

@@ -61,6 +61,7 @@ class RunConfig:
     forcing: Optional[Callable[[float], np.ndarray]] = None
     boundary_data: BoundaryData = field(default_factory=BoundaryData.homogeneous)
     snapshot_cadence: int = 0
+    on_snapshot: Optional[Callable[[float, StateField], None]] = None
 
     def __post_init__(self):
         check_run_settings(self.t_end, self.cfl, self.scheme, self.snapshot_cadence)
@@ -76,12 +77,18 @@ class RunConfig:
 class _Stepper:
     """Bound operator + enforcer for one run; reused across steps/stages.
 
+    A step works in two (3, nx, ny) stacks, the state it is given and the
+    stepper's scratch, and allocates nothing: SSP-RK2 writes stage 1 into
+    the scratch and sums stage 2 into the state in place, and forward Euler
+    writes the scratch and takes the old state as its next scratch, so a
+    run alternates between the two.  A later step overwrites the state a
+    step returns: a caller that keeps a state copies it.
+
     Each stage is one sweep over fields.row_blocks: a block's slope, its
     stage arithmetic and its share of the stage result are done while the
     block is in cache, and only the boundary projection runs on the whole
-    stack.  A stage writes only its result, so no block reads a row that
-    an earlier block changed.  The state a step returns is always a fresh
-    array, so callers may keep it across steps.
+    stack.  A block's slope reads only rows of the stage's input, which no
+    stage writes, so no block reads a row that an earlier block changed.
 
     The forcing, like the boundary data in the enforcer, is evaluated once
     per distinct stage time: stage 2 of a step and stage 1 of the next ask
@@ -99,7 +106,7 @@ class _Stepper:
         # each block with its view of the stage 2 scratch for X + W
         self._blocks = [(r0, r1, tmp[:3 * (r1 - r0) * ny].reshape(3, r1 - r0, ny))
                         for r0, r1 in blocks]
-        self._k = np.empty((3, nx, ny))  # the stage 1 result
+        self._k = np.empty((3, nx, ny))  # the scratch: a stage result
         self._forcing_t = self._forcing = None
 
     def enforce(self, W: np.ndarray, t: float) -> np.ndarray:
@@ -116,25 +123,23 @@ class _Stepper:
             self._forcing, self._forcing_t = np.asarray(F), t
         return self._forcing
 
-    def stage(self, X: np.ndarray, t: float, dt: float, out: Optional[np.ndarray] = None,
-              W: Optional[np.ndarray] = None) -> np.ndarray:
-        """With S = -(A + B) X + F(t), out = X + dt*S, or, when W is given,
-        out = 0.5*(X + W + dt*S); out is a fresh array when None.
+    def stage(self, X: np.ndarray, t: float, dt: float, out: np.ndarray,
+              average: bool = False) -> np.ndarray:
+        """With S = -(A + B) X + F(t), out = X + dt*S, or, with average,
+        out = 0.5*(X + W + dt*S) where W is out on entry (SSP-RK2's stage 2
+        sums into W in place); out must not be X.
 
         The slope of a block is formed in its rows of out.  Each in-place
-        sequence rounds like these formulas at every finite value: with W,
-        X + W is formed in block scratch and added to dt*S, and IEEE
-        addition commutes.
+        sequence rounds like these formulas at every finite value: with
+        average, X + W is formed in block scratch before the slope
+        overwrites W's rows, then added to dt*S, and IEEE addition commutes.
         """
         F = self.forcing_at(t)
-        # a fresh result is allocated after the forcing; allocated before
-        # it, it cost ~50 page faults a step at 129^2 (glibc returned freed
-        # pages and the next step faulted them)
-        if out is None:
-            out = np.empty(X.shape)
         nx = X.shape[1]
         for r0, r1, tmp in self._blocks:
             Xb, S = X[:, r0:r1], out[:, r0:r1]
+            if average:
+                np.add(Xb, S, out=tmp)
             self.op.apply_stack(Xb, S, west=X[:, r0 - 1] if r0 else None,
                                 east=X[:, r1] if r1 < nx else None)
             np.negative(S, out=S)
@@ -144,33 +149,39 @@ class _Stepper:
             if F is not None:
                 S += F[:, r0:r1]
             S *= dt
-            if W is None:
-                S += Xb
-            else:
-                S += np.add(Xb, W[:, r0:r1], out=tmp)
+            if average:
+                S += tmp
                 S *= 0.5
+            else:
+                S += Xb
         return out
 
     def advance(self, W: np.ndarray, dt: float, t: float) -> np.ndarray:
-        """One step from t to t + dt; W must already satisfy the catalog
-        (run() enforces the initial state before its first step)."""
+        """One step from t to t + dt.  W must be a float (3, nx, ny) stack
+        that satisfies the catalog (run() enforces the initial state before
+        its first step).  SSP-RK2 returns W, updated in place; forward Euler
+        returns the scratch and keeps W as its next scratch."""
         data = self.cfg.boundary_data
-        if self.cfg.scheme == "euler":
-            W1 = self.stage(W, t, dt)
-            return self.enforcer.apply(W1, data, t + dt, out=W1)
+        K = self._k
         # each projection runs in place: each node reads only itself
-        W1 = self.enforcer.apply(self.stage(W, t, dt, self._k), data, t + dt, out=self._k)
-        W2 = self.stage(W1, t + dt, dt, W=W)
-        return self.enforcer.apply(W2, data, t + dt, out=W2)
+        self.enforcer.apply(self.stage(W, t, dt, K), data, t + dt, out=K)
+        if self.cfg.scheme == "euler":
+            self._k = W
+            return K
+        self.stage(K, t + dt, dt, W, average=True)
+        return self.enforcer.apply(W, data, t + dt, out=W)
 
 
 @dataclass
 class RunResult:
     final: StateField
     log: EnergyLog
-    snapshots: List[Tuple[float, StateField]]
     n_steps: int
     dt: float
+
+
+# the most steps run() takes: a config that asks for more is refused
+MAX_STEPS = 10**8
 
 
 def run(cfg: RunConfig) -> RunResult:
@@ -179,8 +190,15 @@ def run(cfg: RunConfig) -> RunResult:
     Energy is logged every step; a NaN/Inf in the initial state (step 0) or a
     step's result aborts with NonFinite naming the regime, the step, and the
     first bad field and node (u before v before phi, then row-major (i, j)).
-    A CFL step that underflows to 0, or a step count that overflows a float,
-    is an InvalidValue.
+    A CFL step that underflows to 0, or a step count that overflows a float
+    or exceeds MAX_STEPS, is an InvalidValue raised before any step.
+
+    With snapshot_cadence > 0, the state at step 0, at every cadence-th
+    step and at the last step is passed, as its own copy, to
+    cfg.on_snapshot(t, state) once its energy is logged.  run() keeps
+    none of them and copies no other state, so it holds the stepper's two
+    stacks however long it runs; a run that fails has handed out the
+    snapshots of the steps before the failure.
     """
     stepper = _Stepper(cfg)
     dt_max = cfl_dt(cfg.p, cfg.grid, cfg.cfl)
@@ -190,6 +208,9 @@ def run(cfg: RunConfig) -> RunResult:
         raise InvalidValue(f"the step count t_end / dt = {cfg.t_end:.6g} / {dt_max:.6g} "
                            f"overflows a float")
     n_steps = max(1, math.ceil(cfg.t_end / dt_max - 1e-12))
+    if n_steps > MAX_STEPS:
+        raise InvalidValue(f"the step count t_end / dt = {cfg.t_end:.6g} / {dt_max:.6g} "
+                           f"= {n_steps:.9g} exceeds the cap of {MAX_STEPS} steps")
     dt = cfg.t_end / n_steps
 
     # stack() copies cfg.initial, so the projection can run in place on it;
@@ -197,7 +218,7 @@ def run(cfg: RunConfig) -> RunResult:
     W = np.asarray(cfg.initial.stack(), dtype=float)
     stepper.enforcer.apply(W, cfg.boundary_data, 0.0, out=W)
     log = EnergyLog()
-    snapshots: List[Tuple[float, StateField]] = []
+    cadence = cfg.snapshot_cadence if cfg.on_snapshot is not None else 0
     for k in range(n_steps + 1):
         if k > 0:  # step 0 checks, logs and snapshots the projected initial state
             W = stepper.advance(W, dt, t)
@@ -208,11 +229,11 @@ def run(cfg: RunConfig) -> RunResult:
                 f"non-finite state at step {k} (t={t:.6g}, regime {cfg.p.regime}): "
                 f"first in field '{('u', 'v', 'phi')[c]}' at node ({i}, {j})"
             )
-        # advance returns a fresh W that nothing writes into later: a view will do
+        # the next step writes W only after this energy is taken: a view will do
         log.append(t, energy_value(StateField(*W), cfg.grid, cfg.p))
-        if cfg.snapshot_cadence > 0 and (k % cfg.snapshot_cadence == 0 or k == n_steps):
-            snapshots.append((t, StateField.from_stack(W)))
-    return RunResult(StateField.from_stack(W), log, snapshots, n_steps, dt)
+        if cadence > 0 and (k % cadence == 0 or k == n_steps):
+            cfg.on_snapshot(t, StateField.from_stack(W))
+    return RunResult(StateField.from_stack(W), log, n_steps, dt)
 
 
 @dataclass

@@ -45,8 +45,9 @@ def _fmt(value: float, precision: int) -> str:
 def write_field_csv(x, y, state: StateField, path, precision: int = 17) -> None:
     """Write a state on the tensor grid ``x`` (outer) by ``y`` (inner).
 
-    Streamed one x-row at a time: each row of ``ny`` nodes is one
-    %-template with the y column already formatted in it.
+    Streamed one x-row at a time: each row of ``ny`` nodes is stacked on
+    its own and formatted by one %-template with the y column already in
+    it, so the writer holds one row's values, never a copy of the state.
     """
     check_precision(precision)
     x = np.asarray(x, dtype=float)
@@ -58,10 +59,10 @@ def write_field_csv(x, y, state: StateField, path, precision: int = 17) -> None:
     node = f"%.{precision}g"
     # "X" marks the x column; no formatted number contains it
     row = "".join(f"X,{_fmt(yj, precision)},{node},{node},{node}\n" for yj in y.tolist())
-    values = np.stack((state.u, state.v, state.phi), axis=-1)  # (nx, ny, 3)
     with _writing(path) as fh:
         fh.write(FIELD_HEADER + "\n")
-        for xi, vals in zip(x.tolist(), values):
+        for xi, u, v, phi in zip(x.tolist(), state.u, state.v, state.phi):
+            vals = np.stack((u, v, phi), axis=-1)  # (ny, 3): one x row
             fh.write(row.replace("X", _fmt(xi, precision)) % tuple(vals.ravel().tolist()))
 
 

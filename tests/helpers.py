@@ -4,6 +4,7 @@ enforcement tests), and reference implementations of the kernels, the
 stepper and the field CSV I/O that the package must reproduce exactly."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -454,6 +455,12 @@ def former_apply_stack(op, W, adjoint=False):
         _einsum(Mxb, _dminus(W, 1, g.dx)) + _einsum(Mxf, _dplus(W, 1, g.dx))
         + _einsum(Myb, _dminus(W, 2, g.dy)) + _einsum(Myf, _dplus(W, 2, g.dy))
     )
+
+
+def run_with_snapshots(cfg):
+    """sw.run(cfg) and the (t, state) pairs it hands to on_snapshot, in order."""
+    snapshots = []
+    return sw.run(replace(cfg, on_snapshot=lambda t, s: snapshots.append((t, s)))), snapshots
 
 
 # The stepper stage arithmetic, CSV writer and CSV reader as they were before

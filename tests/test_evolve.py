@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +12,7 @@ from swerect.evolve import _Stepper
 from swerect.fields import trapezoid
 from swerect.manufactured import DEFAULT_SOLUTION
 
-from helpers import REGIME_CASES, params, reference_advance
+from helpers import REGIME_CASES, params, reference_advance, run_with_snapshots
 
 
 def seeded_state(grid, seed=7):
@@ -116,11 +118,11 @@ def test_run_leaves_the_initial_state_untouched(kind):
     grid = sw.Grid(1.0, 1.0, 12, 10)
     initial = seeded_state(grid, seed=29)
     kept = [a.copy() for a in (initial.u, initial.v, initial.phi)]
-    res = sw.run(sw.RunConfig(p=p, grid=grid, t_end=0.02, initial=initial,
-                              snapshot_cadence=1))
+    _, snapshots = run_with_snapshots(sw.RunConfig(p=p, grid=grid, t_end=0.02,
+                                                   initial=initial, snapshot_cadence=1))
     for a, b in zip((initial.u, initial.v, initial.phi), kept):
         assert a.tobytes() == b.tobytes()
-    first = res.snapshots[0][1]
+    first = snapshots[0][1]
     assert not any(np.shares_memory(a, b) for a in (initial.u, initial.v, initial.phi)
                    for b in (first.u, first.v, first.phi))
     assert not np.array_equal(first.stack(), initial.stack())  # the projection did write
@@ -132,13 +134,13 @@ def test_snapshot_cadence():
     dt_max = sw.cfl_dt(p, grid, 0.45)
     cfg = sw.RunConfig(p=p, grid=grid, t_end=9.5 * dt_max, initial=seeded_state(grid),
                        snapshot_cadence=3)
-    res = sw.run(cfg)
+    res, snapshots = run_with_snapshots(cfg)
     assert res.n_steps == 10
-    ks = [round(t / res.dt) for t, _ in res.snapshots]
+    ks = [round(t / res.dt) for t, _ in snapshots]
     assert ks == [0, 3, 6, 9, 10]
     # cadence 0 means no snapshots at all
     cfg0 = sw.RunConfig(p=p, grid=grid, t_end=9.5 * dt_max, initial=seeded_state(grid))
-    assert sw.run(cfg0).snapshots == []
+    assert run_with_snapshots(cfg0)[1] == []
 
 
 @pytest.mark.parametrize("kind", sorted(REGIME_CASES))
@@ -281,10 +283,8 @@ def test_advance_matches_reference(kind, grid_name):
                 W = stepper.enforce(cfg.initial.stack(), 0.0)
                 for k in range(3):
                     before = W.copy()
-                    new = stepper.advance(W, dt, k * dt)
-                    assert np.array_equal(W, before)
-                    assert np.array_equal(new, reference_advance(stepper, W, dt, k * dt))
-                    W = new
+                    W = stepper.advance(W, dt, k * dt)
+                    assert np.array_equal(W, reference_advance(stepper, before, dt, k * dt))
 
 
 @pytest.mark.parametrize("budget", [1, 20, 40])
@@ -302,9 +302,9 @@ def test_advance_matches_reference_in_small_blocks(kind, budget, monkeypatch):
             dt = sw.cfl_dt(cfg.p, grid, cfg.cfl)
             W = stepper.enforce(cfg.initial.stack(), 0.0)
             for k in range(3):
-                new = stepper.advance(W, dt, k * dt)
-                assert np.array_equal(new, reference_advance(stepper, W, dt, k * dt))
-                W = new
+                before = W.copy()
+                W = stepper.advance(W, dt, k * dt)
+                assert np.array_equal(W, reference_advance(stepper, before, dt, k * dt))
 
 
 @pytest.mark.parametrize("forced", [False, True])
@@ -313,7 +313,7 @@ def test_run_results_survive_later_steps(forced):
     state every step: no step writes into a state run() handed out."""
     grid = STEPPER_GRIDS["5x9"]
     cfg = _stepper_config("fhs", 3.0, grid, forced, snapshot_cadence=1)
-    res = sw.run(cfg)
+    res, snapshots = run_with_snapshots(cfg)
     stepper = _Stepper(cfg)
     W = stepper.enforce(cfg.initial.stack(), 0.0).copy()
     states, energies = [W.copy()], [sw.energy_value(sw.StateField(*W), grid, cfg.p)]
@@ -321,8 +321,8 @@ def test_run_results_survive_later_steps(forced):
         W = reference_advance(stepper, W, res.dt, k * res.dt).copy()
         states.append(W.copy())
         energies.append(sw.energy_value(sw.StateField(*W), grid, cfg.p))
-    assert len(res.snapshots) == len(states) == res.n_steps + 1
-    for (t, snap), (k, want) in zip(res.snapshots, enumerate(states)):
+    assert len(snapshots) == len(states) == res.n_steps + 1
+    for (t, snap), (k, want) in zip(snapshots, enumerate(states)):
         assert t == k * res.dt
         assert np.array_equal(snap.stack(), want)
     assert res.log.energies == energies
@@ -597,3 +597,72 @@ def test_run_rejects_a_cfl_step_out_of_float_range():
         cfg = sw.RunConfig(p=p, grid=grid, t_end=t_end, initial=sw.StateField.zeros(grid))
         with pytest.raises(InvalidValue, match="^" + message + "$"):
             sw.run(cfg)
+
+
+def test_run_refuses_more_steps_than_the_cap(monkeypatch):
+    """Supercritical (100, 100, 1, 9.81) over dx = 1e-306 asks for about
+    1.1e307 steps at t_end = 0.05, a finite count that never finished; the
+    cap refuses it before any step, and a run of exactly the cap is taken."""
+    p = sw.validate_params(100.0, 100.0, 1.0, 9.81)
+    grid = sw.Grid(7e-306, 1.0, 8, 8)
+    cfg = sw.RunConfig(p=p, grid=grid, t_end=0.05, initial=sw.StateField.zeros(grid))
+    with pytest.raises(InvalidValue) as info:
+        sw.run(cfg)
+    assert str(info.value) == ("the step count t_end / dt = 0.05 / 4.36334e-309 = "
+                               "1.14591213e+307 exceeds the cap of 100000000 steps")
+    # the boundary, with the cap lowered to keep the runs short
+    p, grid = params("fhs"), sw.Grid(1.0, 1.0, 8, 8)
+    dt_max = sw.cfl_dt(p, grid, 0.45)
+    monkeypatch.setattr(sw.evolve, "MAX_STEPS", 5)
+    cfg = sw.RunConfig(p=p, grid=grid, t_end=4.5 * dt_max, initial=seeded_state(grid))
+    assert sw.run(cfg).n_steps == 5
+    with pytest.raises(InvalidValue, match=r"= 6 exceeds the cap of 5 steps$"):
+        sw.run(dataclasses.replace(cfg, t_end=5.5 * dt_max))
+
+
+def test_run_memory_does_not_grow_with_the_snapshot_count():
+    """At cadence 1 a 65^2 run of 30+ steps hands out a copy per step; with
+    a callback that drops each one, its traced peak is within one state
+    stack of the same run at cadence 0.  Keeping every copy, or a fresh
+    array per step that outlives it, would add a stack per step."""
+    p, grid = params("fhs"), sw.Grid(1.0, 1.0, 65, 65)
+    t_end = 29.5 * sw.cfl_dt(p, grid, 0.45)
+    stack_bytes = 3 * grid.nx * grid.ny * 8
+    peaks, calls = {}, []
+    tracemalloc.start()
+    try:
+        for cadence in (0, 1, 0, 1):  # the first pair warms every cache
+            cfg = sw.RunConfig(p=p, grid=grid, t_end=t_end, initial=seeded_state(grid),
+                               snapshot_cadence=cadence,
+                               on_snapshot=lambda t, state: calls.append(t))
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            sw.run(cfg)
+            peaks[cadence] = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(calls) == 2 * 31
+    assert abs(peaks[1] - peaks[0]) < stack_bytes, (peaks, stack_bytes)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_failed_run_hands_out_the_snapshots_before_the_failure():
+    """A constant forcing of 3e155 makes the energy overflow at step 5 of a
+    16^2 supercritical run: at cadence 1 the callback has received the
+    states of steps 0-4, with the bits of a reference step, when run()
+    raises NonFinite."""
+    p, grid = params("super"), sw.Grid(1.0, 1.0, 16, 16)
+    F = np.full((3, grid.nx, grid.ny), 3e155)
+    cfg = sw.RunConfig(p=p, grid=grid, t_end=0.05, initial=seeded_state(grid),
+                       forcing=lambda t: F, snapshot_cadence=1)
+    snapshots = []
+    with pytest.raises(NonFinite, match=r"^non-finite energy at t="):
+        sw.run(dataclasses.replace(cfg, on_snapshot=lambda t, s: snapshots.append((t, s))))
+    stepper = _Stepper(cfg)
+    dt = cfg.t_end / math.ceil(cfg.t_end / sw.cfl_dt(p, grid, cfg.cfl) - 1e-12)
+    W = stepper.enforce(cfg.initial.stack(), 0.0)
+    assert [t for t, _ in snapshots] == [k * dt for k in range(5)]
+    for k, (_, snap) in enumerate(snapshots):
+        assert np.array_equal(snap.stack(), W)
+        W = reference_advance(stepper, W, dt, k * dt).copy()
+    assert not np.isfinite(sw.energy_value(sw.StateField(*W), grid, p))

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import swerect as sw
 from swerect import cli
-from swerect.errors import InvalidValue, IoError, MissingKey, ParseError, UnknownKey
+from swerect.errors import InvalidValue, IoError, MissingKey, NonFinite, ParseError, UnknownKey
 
 from helpers import REGIME_CASES
 
@@ -478,6 +479,45 @@ def test_cli_run_energy_nonincreasing(tmp_path, capsys):
     assert np.all(drops <= 1e-12 * np.array(e.energies[:-1]))
     x, y, final = sw.read_field_csv(out / "field_final.csv")
     assert final.u.shape == (16, 16)
+
+
+def test_cli_run_over_the_step_cap_exits_2_and_creates_nothing(tmp_path, capsys):
+    """Supercritical (100, 100, 1, 9.81) over dx = 1e-306 asks for about
+    1.1e307 steps; `swerect run` on it never returned, and now it is
+    refused at set-up, before the output directory exists."""
+    text = (MINIMAL.replace("= 4.0", "= 100.0").replace("L1 = 1.0", "L1 = 7e-306")
+            .replace("= 16", "= 8") + "\n[output]\ncadence = 1\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: the step count t_end / dt = 0.05 / 4.36334e-309 "
+                                       "= 1.14591213e+307 exceeds the cap of 100000000 steps\n")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_cli_failed_run_leaves_the_snapshots_it_took(tmp_path, capsys):
+    """A constant forcing file of 3e155 makes the energy overflow at step 5:
+    `swerect run` at cadence 1 exits 1 and leaves the snapshots of steps
+    0-4, the library's states byte for byte, and no field_final.csv or
+    energy.csv."""
+    grid = sw.Grid(1.0, 1.0, 16, 16)
+    sw.write_field_csv(grid.x, grid.y, sw.StateField(*np.full((3, 16, 16), 3e155)),
+                       tmp_path / "forcing.csv")
+    text = MINIMAL + "[forcing]\nkind = file\nfile = forcing.csv\n[output]\ndir = run\ncadence = 1\n"
+    cfg = write_cfg(tmp_path, text)
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: non-finite energy at t=")
+    names = sorted(os.listdir(tmp_path / "run"))
+    assert names == [f"field_{k:06d}.csv" for k in range(5)]
+    snapshots = []
+    run_cfg = sw.build_run_config(sw.load_config(cfg))
+    with pytest.raises(NonFinite):
+        sw.run(dataclasses.replace(run_cfg, on_snapshot=lambda t, s: snapshots.append(s)))
+    assert len(snapshots) == len(names)
+    for name, snap in zip(names, snapshots):
+        assert np.array_equal(sw.read_field_csv(tmp_path / "run" / name)[2].stack(),
+                              snap.stack())
 
 
 def test_cli_probe_positivity(tmp_path, capsys):

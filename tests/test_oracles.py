@@ -19,7 +19,7 @@ import pytest
 import swerect as sw
 from swerect.manufactured import DEFAULT_SOLUTION
 
-from helpers import REGIME_CASES, draw_params
+from helpers import REGIME_CASES, draw_params, run_with_snapshots
 
 
 def _swapped(W):
@@ -30,6 +30,11 @@ def _swapped(W):
 def _run(p, grid, initial, **kw):
     return sw.run(sw.RunConfig(p=p, grid=grid, t_end=0.05,
                                initial=sw.StateField.from_stack(initial), **kw))
+
+
+def _run_with_snapshots(p, grid, initial, **kw):
+    return run_with_snapshots(sw.RunConfig(p=p, grid=grid, t_end=0.05,
+                                           initial=sw.StateField.from_stack(initial), **kw))
 
 
 @pytest.mark.parametrize("f", [0.0, 3.0])
@@ -257,15 +262,16 @@ def _exact_run_digests(name):
     grid = sw.Grid(1.0, 1.3, 17, 13)
     if name == "fhs-homogeneous":
         p = sw.validate_params(*REGIME_CASES["fhs"], 3.0)
-        res = _run(p, grid, sw.band_limited_fields(sw.SplitMix64(5), 17, 13), snapshot_cadence=4)
+        res, snapshots = _run_with_snapshots(
+            p, grid, sw.band_limited_fields(sw.SplitMix64(5), 17, 13), snapshot_cadence=4)
     else:
         p = sw.validate_params(*REGIME_CASES["msub"], -2.0)
         spec = sw.bc_catalog(p)
-        res = _run(p, grid, DEFAULT_SOLUTION.state(*grid.meshgrid(), 0.0), snapshot_cadence=5,
-                   forcing=DEFAULT_SOLUTION.forcing_on_grid(p, grid),
-                   boundary_data=sw.BoundaryData.from_state_samples(spec, grid,
-                                                                    DEFAULT_SOLUTION.state))
-    return ([_digest(s.stack()) for _, s in res.snapshots],
+        res, snapshots = _run_with_snapshots(
+            p, grid, DEFAULT_SOLUTION.state(*grid.meshgrid(), 0.0), snapshot_cadence=5,
+            forcing=DEFAULT_SOLUTION.forcing_on_grid(p, grid),
+            boundary_data=sw.BoundaryData.from_state_samples(spec, grid, DEFAULT_SOLUTION.state))
+    return ([_digest(s.stack()) for _, s in snapshots],
             _digest(res.log.energies), _digest(res.final.stack()))
 
 
@@ -329,9 +335,10 @@ def test_superposition_under_homogeneous_data(kind, f):
     U, V = sw.band_limited_fields(sw.SplitMix64(41), grid.nx, grid.ny, n_fields=6).reshape(
         2, 3, grid.nx, grid.ny)
     a, b = 0.7, -1.9
-    ru, rv, rw = (_run(p, grid, W, snapshot_cadence=4) for W in (U, V, a * U + b * V))
-    assert len(rw.snapshots) == len(ru.snapshots) == len(rv.snapshots) > 2
-    for (t, su), (_, sv), (_, sw_) in zip(ru.snapshots, rv.snapshots, rw.snapshots):
+    ru, rv, rw = (_run_with_snapshots(p, grid, W, snapshot_cadence=4)[1]
+                  for W in (U, V, a * U + b * V))
+    assert len(rw) == len(ru) == len(rv) > 2
+    for (t, su), (_, sv), (_, sw_) in zip(ru, rv, rw):
         want = a * su.stack() + b * sv.stack()
         assert np.max(np.abs(sw_.stack() - want)) <= 1e-13 * np.max(np.abs(want)), t
 
