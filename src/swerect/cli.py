@@ -2,13 +2,15 @@
 
 Exit codes: 0 success / verification passed, 1 verification failed or the
 computation broke down, 2 usage or configuration error.  Diagnostics go to
-stderr; results to stdout.  All output paths resolve relative to --out.
+stderr; results to stdout.  A nonzero exit's first stderr line is
+"error: ..." or "<name>: FAIL".  All output paths resolve relative to --out.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import shutil
 import sys
 from typing import List, Optional
@@ -56,6 +58,14 @@ _USAGE_ERRORS = (
 def _fail(msg: str, code: int) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return code
+
+
+def _make_dir(path: str) -> str:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create directory '{path}': {exc}") from None
+    return path
 
 
 def _verdict(name: str, passed: bool) -> int:
@@ -120,12 +130,11 @@ def _cmd_solve_elliptic(args) -> int:
     print(f"solved {grid.nx}x{grid.ny}; |grad| {apr.grad_norm:.6e}, "
           f"|T theta| {apr.T_norm:.6e}, bounds ok: {apr.passed}")
     if args.out is not None:
-        outdir = os.path.join(args.out, doc.output_dir)
-        os.makedirs(outdir, exist_ok=True)
+        outdir = _make_dir(os.path.join(args.out, doc.output_dir))
         as_state = StateField(theta.theta1, theta.theta2, np.zeros_like(theta.theta1))
         write_field_csv(grid.x, grid.y, as_state, os.path.join(outdir, "theta.csv"),
                         precision=doc.precision)
-    return 0 if apr.passed else 1
+    return _verdict("solve-elliptic", apr.passed)
 
 
 def _cmd_run(args) -> int:
@@ -139,13 +148,13 @@ def _cmd_run(args) -> int:
         # the directory comes with the first snapshot: a run refused at
         # set-up creates nothing
         if not names:
-            os.makedirs(outdir, exist_ok=True)
+            _make_dir(outdir)
         names.append(os.path.join(outdir, f"field_{len(names):06d}.csv"))
         write_field_csv(grid.x, grid.y, state, names[-1], precision=doc.precision)
 
     cfg.on_snapshot = write_snapshot
     result = run(cfg)
-    os.makedirs(outdir, exist_ok=True)
+    _make_dir(outdir)
     final = os.path.join(outdir, "field_final.csv")
     if names:
         # run() always snapshots the last step: the final field is its copy
@@ -216,15 +225,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# a negative number in any float syntax; argparse 3.11 reads one with an
+# exponent or a word (-1e-3, -inf) as an option, not as the value before it
+_NEGATIVE_NUMBER = re.compile(r"-(\d|\.\d|inf|nan)", re.I)
+
+
+def _join_negative_values(argv: List[str]) -> List[str]:
+    """Attach each negative number that follows a --flag to it as
+    --flag=VALUE, so that it reaches the option's own validation."""
+    joined: List[str] = []
+    for arg in argv:
+        prev = joined[-1] if joined else ""
+        if prev.startswith("--") and "=" not in prev and _NEGATIVE_NUMBER.match(arg):
+            joined[-1] = f"{prev}={arg}"
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
+    argv = _join_negative_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 for --help; preserve both
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.handler(args)
+        # NumPy's floating-point warnings stay off stderr: a failure's first
+        # stderr line is its "error:" or "<name>: FAIL" line
+        with np.errstate(all="ignore"):
+            return args.handler(args)
     except MissingKey as exc:
         return _fail(f"missing required key {exc}", 2)
     except _USAGE_ERRORS as exc:

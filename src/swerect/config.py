@@ -27,7 +27,7 @@ import numpy as np
 from .boundary import BoundaryData, bc_catalog
 from .errors import InvalidValue, IoError, MissingKey, ParseError, UnknownKey
 from .evolve import SCHEMES, RunConfig, check_run_settings
-from .fields import Grid, StateField, is_real
+from .fields import Grid, StateField, check_grid_settings, is_real
 from .io_csv import check_precision, read_field_csv
 from .manufactured import DEFAULT_SOLUTION
 from .operator import band_limited_fields
@@ -79,7 +79,9 @@ class ConfigDocument:
                 raise InvalidValue(f"{section}.{key}: must be finite, got '{value}'")
         if not (isinstance(self.output_dir, str) and self.output_dir):
             raise InvalidValue(f"output.dir: must be a non-empty path, got {self.output_dir!r}")
-        self.make_grid()
+        # like the base state, the spacing L/(n - 1) is checked when a run
+        # is set up, not per key
+        check_grid_settings(self.L1, self.L2, self.nx, self.ny)
         check_run_settings(self.t_end, self.cfl, self.scheme, self.cadence)
         check_seed(self.seed, "run.seed")
         check_precision(self.precision)

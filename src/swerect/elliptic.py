@@ -47,7 +47,7 @@ from .errors import (
     ViolatesCondition,
 )
 from .boundary import _NODE_CLASSES, SIDES, Side, node_line
-from .fields import Grid, check_field_shape, integrate, l2_norm
+from .fields import Grid, check_field_shape, convergence_order, integrate, l2_norm
 from .regime import PhysicalConstants, Regime
 from .algebra import elliptic_transform, independent_rows
 
@@ -229,7 +229,9 @@ def apriori_check(theta: ThetaField, c: EllipticCoeffs, grid: Grid) -> AprioriRe
 
     Discretely the bound holds up to a truncation slack proportional to h and
     a curvature seminorm of the field; the slack is reported so refinement
-    studies can watch it vanish relative to the norms.
+    studies can watch it vanish relative to the norms.  A norm or a slack
+    that is not finite raises NonFinite: a bound tested on it would hold or
+    fail by accident.
     """
     partials = _partials(theta, grid)
     _check_in_V(theta)
@@ -239,6 +241,10 @@ def apriori_check(theta: ThetaField, c: EllipticCoeffs, grid: Grid) -> AprioriRe
     seconds = [d for f in partials for d in _grads(f, grid)]
     h = max(grid.dx, grid.dy)
     slack = 2.0 * (c.c2 + 1.0 / c.c1) * h * l2_norm(np.stack(seconds), grid)
+    for name, value in (("gradient norm", grad_norm), ("norm of T theta", T_norm),
+                        ("slack", slack)):
+        if not math.isfinite(value):
+            raise NonFinite(f"a-priori check: the {name} is {value}")
     return AprioriReport(grad_norm, T_norm, c.c1, c.c2, slack)
 
 
@@ -491,8 +497,7 @@ def manufactured_convergence_T(c: EllipticCoeffs, grid: Grid) -> Tuple[Tuple[flo
         theta = solve_T(F, c, g)
         diff = ThetaField(theta.theta1 - exact.theta1, theta.theta2 - exact.theta2)
         errs.append(theta_norm(diff, g))
-    order = float(np.log2(errs[0] / errs[1])) if errs[1] > 0 else np.inf
-    return (errs[0], errs[1]), order
+    return (errs[0], errs[1]), convergence_order(errs[0], errs[1])
 
 
 def neumann_crosscheck(theta: ThetaField, c: EllipticCoeffs, grid: Grid):

@@ -18,7 +18,8 @@ import numpy as np
 
 from .boundary import BcEnforcer, BoundaryData, bc_catalog
 from .errors import InvalidValue, NonFinite, ShapeMismatch
-from .fields import EnergyLog, Grid, StateField, is_integer, is_real, row_blocks
+from .fields import (EnergyLog, Grid, StateField, convergence_order, is_integer, is_real,
+                     row_blocks)
 from .manufactured import ManufacturedSolution
 from .operator import DiscreteOperator, energy_value
 from .regime import PhysicalConstants
@@ -316,5 +317,5 @@ def mms_convergence(p: PhysicalConstants, grids: Sequence[Grid], t_end: float = 
     """
     sol = solution if solution is not None else ManufacturedSolution()
     errors = [_mms_error(sol, p, g, t_end, cfl, scheme) for g in grids]
-    orders = [math.log2(errors[k] / errors[k + 1]) for k in range(len(errors) - 1)]
+    orders = [convergence_order(errors[k], errors[k + 1]) for k in range(len(errors) - 1)]
     return MmsReport([(g.nx, g.ny) for g in grids], errors, orders)

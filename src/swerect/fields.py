@@ -12,6 +12,7 @@ checked; dataclasses.replace makes a view with a component changed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +51,20 @@ def row_blocks(nx: int, ny: int):
     return tuple((k * nx // n, (k + 1) * nx // n) for k in range(n))
 
 
+def check_grid_settings(l1, l2, nx, ny) -> None:
+    """The rules for each grid setting on its own; Grid also refuses a
+    spacing that underflows to 0."""
+    if not (is_real(l1) and is_real(l2)):
+        raise InvalidValue(f"domain lengths must be real numbers, got ({l1!r}, {l2!r})")
+    if not (0 < l1 < np.inf and 0 < l2 < np.inf):
+        raise InvalidValue(f"domain lengths must be positive and finite, got ({l1}, {l2})")
+    if not (is_integer(nx) and is_integer(ny)):
+        raise InvalidValue(f"nx, ny must be integers, got ({nx!r}, {ny!r})")
+    # 4 nodes minimum: boundary treatment reads two interior neighbors
+    if nx < 4 or ny < 4:
+        raise InvalidValue(f"need nx, ny >= 4, got ({nx}, {ny})")
+
+
 @dataclass(frozen=True)
 class Grid:
     l1: float
@@ -58,16 +73,10 @@ class Grid:
     ny: int
 
     def __post_init__(self):
-        if not (is_real(self.l1) and is_real(self.l2)):
-            raise InvalidValue(f"domain lengths must be real numbers, got ({self.l1!r}, {self.l2!r})")
-        if not (0 < self.l1 < np.inf and 0 < self.l2 < np.inf):
-            raise InvalidValue(f"domain lengths must be positive and finite, "
-                               f"got ({self.l1}, {self.l2})")
-        if not (is_integer(self.nx) and is_integer(self.ny)):
-            raise InvalidValue(f"nx, ny must be integers, got ({self.nx!r}, {self.ny!r})")
-        # 4 nodes minimum: boundary treatment reads two interior neighbors
-        if self.nx < 4 or self.ny < 4:
-            raise InvalidValue(f"need nx, ny >= 4, got ({self.nx}, {self.ny})")
+        check_grid_settings(self.l1, self.l2, self.nx, self.ny)
+        if self.dx == 0 or self.dy == 0:
+            raise InvalidValue(f"the grid spacing (dx, dy) = ({self.dx:g}, {self.dy:g}) "
+                               f"underflows to 0")
 
     @property
     def dx(self) -> float:
@@ -144,6 +153,16 @@ def integrate(dens: np.ndarray, grid: Grid) -> float:
     """Trapezoid rule over the grid for an (nx, ny) density: x first, then y."""
     check_field_shape(dens, grid)
     return float(trapezoid(trapezoid(dens, dx=grid.dx, axis=0), dx=grid.dy))
+
+
+def convergence_order(coarse: float, fine: float) -> float:
+    """The observed order log2(coarse / fine) of two errors, the finer grid
+    halving the spacing: inf when only the finer error is 0, nan when both
+    are."""
+    if fine == 0:
+        return math.nan if coarse == 0 else math.inf
+    ratio = coarse / fine
+    return math.log2(ratio) if ratio > 0 else -math.inf
 
 
 def l2_norm(w: np.ndarray, grid: Grid) -> float:

@@ -186,6 +186,19 @@ def test_apriori_bounds_with_vanishing_slack():
     assert slacks[1] < 0.7 * slacks[0] and slacks[2] < 0.7 * slacks[1]
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_apriori_check_rejects_a_slack_that_is_not_finite():
+    """msub (1, 1, 1, 8.7e110) over L1 = 2.1e-118: the slack's curvature
+    norm overflows, and the check reported 'bounds ok' on an infinite
+    slack."""
+    c = sw.swe_elliptic_block(sw.validate_params(1.0, 1.0, 1.0, 8.7e110))
+    grid = sw.Grid(2.1e-118, 1.0, 8, 8)
+    exact, F = sw.manufactured_solution_T(c, grid)
+    theta = sw.solve_T(F, c, grid)
+    with pytest.raises(NonFinite, match=r"^a-priori check: the slack is inf$"):
+        sw.apriori_check(theta, c, grid)
+
+
 def test_neumann_crosscheck_second_order_on_flat_data():
     resids = []
     for n in (17, 33, 65):

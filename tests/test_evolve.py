@@ -84,6 +84,14 @@ def test_grid_rejects_non_integer_node_counts(nx, ny):
         sw.Grid(1.0, 1.0, nx, ny)
 
 
+@pytest.mark.parametrize("l1, l2, n", [(5e-324, 1.0, 5), (1.0, 1e-323, 8)])
+def test_grid_rejects_a_spacing_that_underflows_to_0(l1, l2, n):
+    """A spacing of 0 used to reach the operator, which divided by it with
+    NumPy's divide-by-zero warning before its own error."""
+    with pytest.raises(InvalidValue, match=r"grid spacing \(dx, dy\) = .* underflows to 0"):
+        sw.Grid(l1, l2, n, n)
+
+
 def test_grid_accepts_numpy_integer_node_counts():
     grid = sw.Grid(1.0, 1.0, np.int64(33), 33)
     assert grid == sw.Grid(1.0, 1.0, 33, 33)
@@ -244,6 +252,18 @@ def test_mms_report_without_orders_does_not_pass():
     assert len(rep.errors) == 1 and rep.orders == []
     assert not rep.passed()
     assert not sw.mms_convergence(params("fhs"), [], t_end=0.05).passed()
+
+
+def test_mms_orders_when_the_errors_vanish():
+    """At t_end = 1e-160 both errors are 0, and the order formula divided by
+    the finer one (ZeroDivisionError).  The order is undefined (nan) when
+    both errors are 0 and inf when only the finer one is; neither passes."""
+    grids = sw.refinement_ladder(sw.Grid(1.0, 1.0, 5, 5), 2)
+    rep = sw.mms_convergence(params("super"), grids, t_end=1e-160)
+    assert rep.errors == [0.0, 0.0] and math.isnan(rep.orders[0])
+    assert not rep.passed()
+    assert sw.fields.convergence_order(1e-3, 0.0) == math.inf
+    assert not dataclasses.replace(rep, orders=[math.inf]).passed()
 
 
 STEPPER_GRIDS = {

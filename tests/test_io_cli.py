@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import os
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -404,6 +405,15 @@ def test_cli_classify_supercritical(capsys):
     assert "boundary rows (adjoint):" in out
 
 
+def test_cli_classify_takes_a_negative_value_in_exponent_form(capsys):
+    """argparse read -1e-3 as an option: 'expected one argument', exit 2."""
+    state = ["--u0", "4", "--v0", "4", "--phi0", "1", "--g", "9.81"]
+    assert cli.main(["classify", *state, "--f", "-1e-3"]) == 0
+    assert capsys.readouterr().out.startswith("Supercritical\n")
+    assert cli.main(["classify", *state[2:], "--u0", "-1e-3"]) == 2
+    assert capsys.readouterr() == ("", "error: u0 must be finite and > 0, got -0.001\n")
+
+
 def test_cli_classify_degenerate_exit_2(capsys):
     code = cli.main(["classify", "--u0", "3.132091952673165", "--v0", "1",
                      "--phi0", "1", "--g", "9.81"])
@@ -520,6 +530,44 @@ def test_cli_failed_run_leaves_the_snapshots_it_took(tmp_path, capsys):
                               snap.stack())
 
 
+@pytest.mark.parametrize("command", ["run", "solve-elliptic"])
+def test_cli_out_naming_a_file_exits_2(command, tmp_path, capsys):
+    """--out naming an existing file ended in a NotADirectoryError traceback."""
+    text = MINIMAL if command == "run" else MSUB_TEXT
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    cfg = write_cfg(tmp_path, text)
+    assert cli.main([command, "--config", cfg, "--out", str(afile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create directory '{afile}")
+    assert err.count("\n") == 1 and "Not a directory" in err
+
+
+# a run whose energy overflows (a constant forcing file of 3e155) and a grid
+# spacing of 0 printed NumPy's RuntimeWarning before their "error:" line
+NUMPY_WARNING_CASES = {
+    "energy overflow": ("[forcing]\nkind = file\nfile = forcing.csv\n", "1.0", "16", 1,
+                        "error: non-finite energy at t="),
+    "zero spacing": ("", "5e-324", "5", 2,
+                     "error: the grid spacing (dx, dy) = (0, 0.25) underflows to 0\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NUMPY_WARNING_CASES))
+def test_cli_failure_prints_no_numpy_warning(case, tmp_path, capsys):
+    extra, l1, n, code, first = NUMPY_WARNING_CASES[case]
+    grid = sw.Grid(1.0, 1.0, 16, 16)
+    sw.write_field_csv(grid.x, grid.y, sw.StateField(*np.full((3, 16, 16), 3e155)),
+                       tmp_path / "forcing.csv")
+    text = MINIMAL.replace("L1 = 1.0", f"L1 = {l1}").replace("= 16", f"= {n}") + extra
+    with warnings.catch_warnings(record=True) as got:
+        warnings.simplefilter("always")
+        assert cli.main(["run", "--config", write_cfg(tmp_path, text),
+                         "--out", str(tmp_path / "out")]) == code
+    assert [str(w.message) for w in got] == []
+    assert capsys.readouterr().err.startswith(first)
+
+
 def test_cli_probe_positivity(tmp_path, capsys):
     cfg = write_cfg(tmp_path, MINIMAL)
     code = cli.main(["probe-positivity", "--config", cfg, "--samples", "10"])
@@ -578,6 +626,15 @@ def test_cli_mms_convergence(tmp_path, capsys):
     assert code == 0
     assert "mms-convergence: PASS" in out
     assert "17x17: error" in out
+
+
+def test_cli_mms_convergence_fails_when_the_errors_vanish(tmp_path, capsys):
+    """At t_end = 1e-160 both errors are 0; the order formula raised
+    ZeroDivisionError, and the order is now undefined (nan), a FAIL."""
+    cfg = write_cfg(tmp_path, MINIMAL.replace("= 16", "= 5").replace("0.05", "1e-160"))
+    assert cli.main(["mms-convergence", "--config", cfg, "--levels", "2"]) == 1
+    assert capsys.readouterr() == ("5x5: error 0.000000e+00\n9x9: error 0.000000e+00\n"
+                                   "orders: nan\n", "mms-convergence: FAIL\n")
 
 
 @pytest.mark.parametrize("levels", ["1", "0", "-3"])
@@ -647,6 +704,9 @@ def _patched_verdicts(monkeypatch, passed):
                         lambda c, grid: ((1.0, 0.25), 2.0 if passed else 0.5))
     monkeypatch.setattr(cli, "mms_convergence", lambda *a, **kw: SimpleNamespace(
         nodes=[(17, 17), (33, 33)], errors=[1.0, 0.5], orders=[1.0], passed=lambda: passed))
+    # a failed a-priori bound exited 1 with nothing on stderr
+    monkeypatch.setattr(sw.elliptic, "apriori_check", lambda theta, c, grid: SimpleNamespace(
+        grad_norm=1.0, T_norm=2.0, passed=passed))
     counts = "incoming counts (W,E,S,N): (3, 0, 3, 0) expected (3, 0, 3, 0)\n"
     return [
         (["verify-algebra"], MINIMAL, "P: 1.000e-16\n" + counts),
@@ -656,13 +716,15 @@ def _patched_verdicts(monkeypatch, passed):
          f"errors: 1.000000e+00 -> 2.500000e-01, order {2.0 if passed else 0.5:.3f}\n"),
         (["mms-convergence"], MINIMAL,
          "17x17: error 1.000000e+00\n33x33: error 5.000000e-01\norders: 1.000\n"),
+        (["solve-elliptic"], MSUB_TEXT,
+         f"solved 16x16; |grad| 1.000000e+00, |T theta| 2.000000e+00, bounds ok: {passed}\n"),
     ]
 
 
 @pytest.mark.parametrize("passed", [True, False])
 def test_cli_verdict_lines_and_exit_codes(passed, monkeypatch, tmp_path, capsys):
     """PASS goes to stdout with exit 0, FAIL to stderr with exit 1, for all
-    four checking commands."""
+    five checking commands."""
     for args, text, out in _patched_verdicts(monkeypatch, passed):
         cfg = write_cfg(tmp_path, text)
         code = cli.main([args[0], "--config", cfg, *args[1:]])

@@ -568,6 +568,26 @@ def test_splitmix64_doubles_takes_a_nonnegative_integer_count():
     assert SplitMix64(np.uint64(7)).doubles(4).tobytes() == want.tobytes()
 
 
+def test_splitmix64_follows_its_published_formula():
+    """The stream is SplitMix64 as rng's docstring writes it, on Python
+    integers, and reproduces the published outputs for seed 1234567."""
+    mask = 2**64 - 1
+    for seed in (0, 7, 1234567, 2**64 - 1):
+        state, want = seed, []
+        for _ in range(5):
+            state = (state + 0x9E3779B97F4A7C15) & mask
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            want.append(z ^ (z >> 31))
+        rng = SplitMix64(seed)
+        assert [rng.next_uint64() for _ in range(5)] == want
+        assert SplitMix64(seed).doubles(5).tolist() == [(z >> 11) * 2.0**-53 for z in want]
+    rng = SplitMix64(1234567)
+    assert [rng.next_uint64() for _ in range(5)] == [
+        6457827717110365317, 3203168211198807973, 9817491932198370423,
+        4593380528125082431, 16408922859458223821]
+
+
 def test_quadrature_compares_its_operands_shapes():
     """Two operands of different shapes are a ShapeMismatch, not a broadcast
     that passes the density's grid check."""
