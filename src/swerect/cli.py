@@ -68,6 +68,16 @@ def _make_dir(path: str) -> str:
     return path
 
 
+def _check_out_dir(path: str) -> str:
+    """Refuse, creating nothing, a directory whose deepest existing ancestor is not one."""
+    parent = os.path.abspath(path)
+    while not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    if not os.path.isdir(parent):
+        raise IoError(f"cannot create directory '{path}': Not a directory: '{parent}'")
+    return path
+
+
 def _verdict(name: str, passed: bool) -> int:
     if passed:
         print(f"{name}: PASS")
@@ -83,14 +93,8 @@ def _cmd_classify(args) -> int:
     for title, spec in (("forward", bc_catalog(p)), ("adjoint", adjoint_bc_catalog(p))):
         print(f"boundary rows ({title}):")
         for side in SIDES:
-            rows = spec.rows[side]
-            if rows.shape[0] == 0:
-                print(f"  {side.value}: (none)")
-            else:
-                txt = "; ".join(
-                    "[" + ", ".join(f"{v:.6g}" for v in r) + "]" for r in rows
-                )
-                print(f"  {side.value}: {txt}")
+            txt = "; ".join("[" + ", ".join(f"{v:.6g}" for v in r) + "]" for r in spec.rows[side])
+            print(f"  {side.value}: {txt or '(none)'}")
     return 0
 
 
@@ -124,6 +128,8 @@ def _cmd_solve_elliptic(args) -> int:
         print(f"errors: {errs[0]:.6e} -> {errs[1]:.6e}, order {order:.3f}")
         return _verdict("solve-elliptic --mms", order >= 1.0)
     grid = doc.make_grid()
+    if args.out is not None:
+        _check_out_dir(os.path.join(args.out, doc.output_dir))
     exact, F = elliptic.manufactured_solution_T(c, grid)
     theta = elliptic.solve_T(F, c, grid)
     apr = elliptic.apriori_check(theta, c, grid)
@@ -140,7 +146,7 @@ def _cmd_solve_elliptic(args) -> int:
 def _cmd_run(args) -> int:
     doc = load_config(args.config)
     cfg = build_run_config(doc)
-    outdir = os.path.join(args.out, doc.output_dir)
+    outdir = _check_out_dir(os.path.join(args.out, doc.output_dir))
     grid = cfg.grid
     names: List[str] = []
 

@@ -18,10 +18,10 @@ equation is retained only along the unconstrained direction (the orthogonal
 complement of the constraint row).  Constraints, free directions and
 stencils depend only on a node's class -- interior, one of four edges, one
 of four corners -- so assembly runs once per class over whole index arrays,
-not once per node.  A sparse direct factorization of the same system with
-its nodes in nested-dissection order does the rest.  No
-second-order reformulation is used -- the first-order form is what the
-positivity and duality identities are stated for.
+not once per node.  The system is assembled with its nodes in
+nested-dissection order, and a sparse direct factorization in that order
+does the rest.  No second-order reformulation is used -- the first-order
+form is what the positivity and duality identities are stated for.
 
 SciPy is imported by the first assembly or solve, not with the package:
 nothing outside the elliptic solvers needs it.
@@ -281,13 +281,14 @@ def _stencil(side, d: float):
 def _assemble(F: ThetaField, c: EllipticCoeffs, grid: Grid, bc_rows: dict, sign: float):
     """Sparse system, right-hand side and equation-row mask for one solve.
 
-    Node n = i*ny + j owns rows 2n and 2n+1: its kept constraint rows, then
-    its free directions.  Constraints, free directions and stencils depend
-    only on the node's class (interior, one of four edges, one of four
-    corners), so each class contributes whole index arrays at once.  No
-    (row, col) pair gets more than two entries (corner stencils meet at the
-    node itself), so the summed, sorted CSR matrix does not depend on the
-    order the entries come in: it equals the per-node loop's bit for bit.
+    Numbered in the order it is factored: the node at position q of
+    _node_order(nx, ny) owns rows 2q, 2q+1 (its kept constraint rows, then
+    its free directions) and unknowns 2q (theta1), 2q+1 (theta2).  Each node
+    class (interior, one of four edges, one of four corners) has one set of
+    constraints, free directions and stencils, so it contributes whole index
+    arrays at once.  No (row, col) pair gets more than two entries (corner
+    stencils meet at the node itself), so the summed, sorted CSR matrix
+    equals the per-node loop's, mapped into this order, bit for bit.
     """
     check_field_shape(F.theta1, grid)  # the frozen view: theta2 matches
     nx, ny = grid.nx, grid.ny
@@ -299,6 +300,7 @@ def _assemble(F: ThetaField, c: EllipticCoeffs, grid: Grid, bc_rows: dict, sign:
     N = nx * ny
     T1, T2 = c.T1, c.T2
     node = np.arange(N).reshape(nx, ny)
+    pos = _node_position(nx, ny).ravel()
     F1, F2 = F.theta1.ravel(), F.theta2.ravel()
 
     rows, cols, vals = [], [], []
@@ -306,11 +308,12 @@ def _assemble(F: ThetaField, c: EllipticCoeffs, grid: Grid, bc_rows: dict, sign:
     eq_mask = np.zeros(2 * N, dtype=bool)
     for sides in _NODE_CLASSES:
         n = node[node_line(sides)].ravel()
+        q = pos[n]
         C = np.array([bc_rows[s] for s in sides]).reshape(-1, 2)
         C = C[independent_rows(C)]
         for k, crow in enumerate(C):
-            rows.append(np.repeat(2 * n + k, 2))
-            cols.append(np.stack([n, N + n], axis=1).ravel())
+            rows.append(np.repeat(2 * q + k, 2))
+            cols.append(np.stack([2 * q, 2 * q + 1], axis=1).ravel())
             vals.append(np.tile(crow, n.size))  # homogeneous: rhs stays 0
         if C.shape[0] == 2:
             continue
@@ -328,10 +331,10 @@ def _assemble(F: ThetaField, c: EllipticCoeffs, grid: Grid, bc_rows: dict, sign:
             cx = sign * (e @ T1)
             cy = sign * (e @ T2)
             w = [v * wt for v, st in ((cx, xst), (cy, yst)) for _, wt in st]
-            r = 2 * n + C.shape[0] + m
+            r = 2 * q + C.shape[0] + m
             rows.append(np.repeat(r, 2 * len(offs)))
-            nb = n[:, None] + np.array(offs)
-            cols.append(np.stack([nb, N + nb], axis=2).ravel())
+            nb = pos[n[:, None] + np.array(offs)]
+            cols.append(np.stack([2 * nb, 2 * nb + 1], axis=2).ravel())
             vals.append(np.tile(np.ravel(w), n.size))
             rhs[r] = e[0] * F1[n] + e[1] * F2[n]
             eq_mask[r] = True
@@ -357,9 +360,8 @@ _THIN = 12
 _ELONGATED = 3
 
 
-@functools.lru_cache(maxsize=4)
 def _node_order(nx: int, ny: int) -> np.ndarray:
-    """Node numbers n = i*ny + j in nested-dissection order (read-only)."""
+    """Node numbers n = i*ny + j in nested-dissection order."""
     parts = []
 
     def visit(block):
@@ -375,38 +377,36 @@ def _node_order(nx: int, ny: int) -> np.ndarray:
         parts.append(block[m:m + 2].T.ravel())
 
     visit(np.arange(nx * ny).reshape(nx, ny))
-    order = np.concatenate(parts)
-    order.setflags(write=False)
-    return order
+    return np.concatenate(parts)
+
+
+@functools.lru_cache(maxsize=4)
+def _node_position(nx: int, ny: int) -> np.ndarray:
+    """Each node's position in _node_order(nx, ny), shaped (nx, ny) (read-only)."""
+    pos = np.argsort(_node_order(nx, ny)).reshape(nx, ny)
+    pos.setflags(write=False)
+    return pos
 
 
 def _assemble_and_solve(F: ThetaField, c: EllipticCoeffs, grid: Grid,
                         bc_rows: dict, sign: float) -> ThetaField:
-    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
     A, rhs, eq = _assemble(F, c, grid, bc_rows, sign)
     nx, ny = grid.nx, grid.ny
-    N = nx * ny
-    system = f"{'T' if sign > 0 else 'T*'} on {nx}x{ny} ({2 * N} unknowns)"
-    # The k-th node of the order takes positions 2k, 2k+1 for its rows
-    # (2n, 2n+1) and its unknowns (n, N + n); NATURAL keeps that order.
-    order = _node_order(nx, ny)
-    rows = (2 * order[:, None] + np.arange(2)).ravel()
-    pos = np.empty(N, dtype=np.intp)
-    pos[order] = np.arange(0, 2 * N, 2)
-    col_pos = np.concatenate([pos, pos + 1])
-    Ap = sp.csr_matrix((A.data, col_pos[A.indices], A.indptr), shape=A.shape)[rows]
+    system = f"{'T' if sign > 0 else 'T*'} on {nx}x{ny} ({2 * nx * ny} unknowns)"
+    # the system is numbered in nested-dissection order; NATURAL keeps it
     with np.errstate(all="ignore"):
-        sol = spla.spsolve(Ap, rhs[rows], permc_spec="NATURAL")[col_pos]
-    if not np.all(np.isfinite(sol)):
+        x = spla.spsolve(A, rhs, permc_spec="NATURAL")
+    if not np.all(np.isfinite(x)):
         raise SingularSystem(f"{system}: direct solve produced non-finite values")
-    res = A @ sol - rhs
+    res = A @ x - rhs
     scale = max(float(np.linalg.norm(rhs[eq])), 1e-300)
     rel = float(np.linalg.norm(res[eq])) / scale
     if rel > 1e-10:
         raise NonConvergence(f"{system}: equation-row residual {rel:.3e} exceeds 1e-10")
-    return ThetaField(sol[:N].reshape(nx, ny), sol[N:].reshape(nx, ny))
+    pos = 2 * _node_position(nx, ny)
+    return ThetaField(x[pos], x[pos + 1])
 
 
 def solve_T(F: ThetaField, c: EllipticCoeffs, grid: Grid) -> ThetaField:
@@ -475,12 +475,8 @@ def manufactured_solution_T_star(c: EllipticCoeffs, grid: Grid) -> Tuple[ThetaFi
         vx, cx, ox = _envelope_factor(kx, fx, X, grid.l1)
         vy, cy, oy = _envelope_factor(ky, fy, Y, grid.l2)
         g[side], gx[side], gy[side] = vx * vy, cx * ox * vy, cy * vx * oy
-    t1 = sum(g[s] * dirs[s][0] for s in SIDES)
-    t2 = sum(g[s] * dirs[s][1] for s in SIDES)
-    t1x = sum(gx[s] * dirs[s][0] for s in SIDES)
-    t2x = sum(gx[s] * dirs[s][1] for s in SIDES)
-    t1y = sum(gy[s] * dirs[s][0] for s in SIDES)
-    t2y = sum(gy[s] * dirs[s][1] for s in SIDES)
+    t1, t2, t1x, t2x, t1y, t2y = (sum(h[s] * dirs[s][k] for s in SIDES)
+                                  for h in (g, gx, gy) for k in (0, 1))
     P1 = -(c.alpha1 * t1x + c.beta1 * t2x) - (c.alpha2 * t1y + c.beta2 * t2y)
     P2 = -(c.beta1 * t1x - c.alpha1 * t2x) - (c.beta2 * t1y - c.alpha2 * t2y)
     return ThetaField(t1, t2), ThetaField(P1, P2)

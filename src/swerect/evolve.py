@@ -250,17 +250,11 @@ class ContractionReport:
 
 def contraction_check(log: EnergyLog, tol: float = 1e-12) -> ContractionReport:
     """Pass iff E_{k+1} <= E_k * (1 + tol) for every step of the log."""
-    worst = -np.inf
-    worst_idx = 0
-    for k in range(len(log) - 1):
-        e0, e1 = log.energies[k], log.energies[k + 1]
-        if e0 > 0:
-            viol = (e1 - e0) / e0
-        else:
-            viol = 0.0 if e1 <= 0 else np.inf
+    worst, worst_idx = -np.inf, 0
+    for k, (e0, e1) in enumerate(zip(log.energies, log.energies[1:])):
+        viol = (e1 - e0) / e0 if e0 > 0 else (0.0 if e1 <= 0 else np.inf)
         if viol > worst:
-            worst = viol
-            worst_idx = k
+            worst, worst_idx = viol, k
     if worst == -np.inf:
         worst = 0.0
     return ContractionReport(float(worst), worst_idx, tol)

@@ -263,8 +263,9 @@ def positivity_probe(p: PhysicalConstants, grid: Grid, n_samples: int, seed: int
     The samples are projected onto the catalog by the stepper's own
     enforcer.  The continuous quadratic form is nonnegative on the domain of
     the operator; discretely, upwind dissipation keeps the quotient above a
-    small negative floor.  A sample of norm 0 is skipped; a quotient that is
-    not finite, or no sample of nonzero norm, raises NonFinite.
+    small negative floor.  A sample of norm 0 is skipped; a squared norm or a
+    quotient that is not finite (over an overflowing norm the quotient would
+    read 0), or no sample of nonzero norm, raises NonFinite.
     """
     if not is_integer(n_samples):
         raise InvalidValue(f"positivity probe sample count must be an integer, got {n_samples!r}")
@@ -281,13 +282,14 @@ def positivity_probe(p: PhysicalConstants, grid: Grid, n_samples: int, seed: int
     for k in range(n_samples):
         W = enforcer.apply(band_limited_fields(rng, grid.nx, grid.ny), data)
         U = StateField(*W)
-        denom = inner_product(U, U, grid, p.g, p.phi0)
-        if denom == 0.0:  # a zero field carries no information
-            continue
-        with np.errstate(all="ignore"):  # a non-finite quotient raises below
+        with np.errstate(all="ignore"):  # a value that is not finite raises below
+            denom = inner_product(U, U, grid, p.g, p.phi0)
+            if denom == 0.0:  # a zero field carries no information
+                continue
             q = inner_product(StateField(*op.apply_stack(W)), U, grid, p.g, p.phi0) / denom
-        if not np.isfinite(q):
-            raise NonFinite(f"positivity probe sample {k}: the quotient is {q}")
+        for name, value in (("squared norm", denom), ("quotient", q)):
+            if not np.isfinite(value):
+                raise NonFinite(f"positivity probe sample {k}: the {name} is {value}")
         qmin = min(qmin, q)
     if qmin == np.inf:
         raise NonFinite(f"positivity probe: all {n_samples} samples have zero norm")

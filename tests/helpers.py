@@ -358,14 +358,33 @@ def reference_assemble(F, c, grid, bc_rows, sign):
     return A, rhs, eq_mask
 
 
+def to_solve_order(A, rhs, eq_mask, grid):
+    """A naturally numbered system (node n = i*ny + j owns rows 2n, 2n+1 and
+    unknowns n, N + n) renumbered in `elliptic._assemble`'s solve order: the
+    node at position q of the nested-dissection order owns rows and unknowns
+    2q, 2q+1.  The CSR arrays come back canonical (summed, sorted)."""
+    import scipy.sparse as sp
+
+    from swerect.elliptic import _node_position
+
+    pos = 2 * _node_position(grid.nx, grid.ny).ravel()
+    rows = (pos[:, None] + np.arange(2)).ravel()
+    cols = np.concatenate([pos, pos + 1])
+    coo = A.tocoo()
+    B = sp.csr_matrix((coo.data, (rows[coo.row], cols[coo.col])), shape=A.shape)
+    B.sum_duplicates()
+    rhs_out, eq_out = np.empty_like(rhs), np.empty_like(eq_mask)
+    rhs_out[rows], eq_out[rows] = rhs, eq_mask
+    return B, rhs_out, eq_out
+
+
 def reference_solve(F, c, grid, bc_rows, sign):
     """The elliptic solve before the nested-dissection order: `spsolve` with
-    its default COLAMD order on `elliptic._assemble`'s system, as assembled."""
+    its default COLAMD order on the naturally numbered system of
+    `reference_assemble`."""
     import scipy.sparse.linalg as spla
 
-    from swerect.elliptic import _assemble
-
-    A, rhs, _ = _assemble(F, c, grid, bc_rows, sign)
+    A, rhs, _ = reference_assemble(F, c, grid, bc_rows, sign)
     sol = spla.spsolve(A, rhs)
     N = grid.nx * grid.ny
     return sw.ThetaField(sol[:N].reshape(grid.nx, grid.ny), sol[N:].reshape(grid.nx, grid.ny))

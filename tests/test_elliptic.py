@@ -22,7 +22,7 @@ from swerect.errors import (
 )
 
 from helpers import (boundary_flat_theta, draw_params, params, reference_assemble,
-                     reference_solve)
+                     reference_solve, to_solve_order)
 
 P_MSUB = params("msub")
 C_SWE = sw.swe_elliptic_block(P_MSUB)
@@ -232,7 +232,7 @@ ASSEMBLY_GRIDS = {
 def _assert_same_system(F, c, grid):
     for bc_rows, sign in ((elliptic._FORWARD_BC, 1.0), (elliptic._adjoint_bc(c), -1.0)):
         A, rhs, eq = elliptic._assemble(F, c, grid, bc_rows, sign)
-        B, rhs_ref, eq_ref = reference_assemble(F, c, grid, bc_rows, sign)
+        B, rhs_ref, eq_ref = to_solve_order(*reference_assemble(F, c, grid, bc_rows, sign), grid)
         # csr_matrix sums duplicates and sorts indices on construction, so
         # these are the canonical arrays spsolve receives
         assert A.has_canonical_format and B.has_canonical_format
@@ -255,7 +255,8 @@ def test_assembly_parallel_corner_rows_keep_one_constraint():
     c, grid = ASSEMBLY_COEFFS["orthogonal"], ASSEMBLY_GRIDS["5x9"]
     F = ThetaField.zeros(grid)
     _, _, eq = elliptic._assemble(F, c, grid, elliptic._adjoint_bc(c), -1.0)
-    owned = eq.reshape(grid.nx, grid.ny, 2)  # node (i, j) owns rows 2n, 2n+1
+    # the node at position q of the solve order owns rows 2q, 2q+1
+    owned = eq.reshape(-1, 2)[elliptic._node_position(grid.nx, grid.ny)]
     for i, j in ((grid.nx - 1, 0), (0, grid.ny - 1)):  # SE, NW
         assert owned[i, j].tolist() == [False, True]
     for i, j in ((0, 0), (grid.nx - 1, grid.ny - 1)):  # SW, NE: two constraints

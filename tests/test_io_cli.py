@@ -543,6 +543,28 @@ def test_cli_out_naming_a_file_exits_2(command, tmp_path, capsys):
     assert err.count("\n") == 1 and "Not a directory" in err
 
 
+@pytest.mark.parametrize("command", ["run", "solve-elliptic"])
+def test_cli_out_naming_a_file_is_refused_before_any_solving(command, tmp_path, capsys,
+                                                              monkeypatch):
+    """A run integrated to its end, and solve-elliptic solved, before the
+    output directory was found to be impossible."""
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("solved before --out was checked")
+
+    monkeypatch.setattr(cli, "run", must_not_run)
+    monkeypatch.setattr(cli.elliptic, "solve_T", must_not_run)
+    text = MINIMAL if command == "run" else MSUB_TEXT
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    cfg = write_cfg(tmp_path, text)
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main([command, "--config", cfg, "--out", str(afile / "deeper")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create directory '{afile}")
+    assert err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 # a run whose energy overflows (a constant forcing file of 3e155) and a grid
 # spacing of 0 printed NumPy's RuntimeWarning before their "error:" line
 NUMPY_WARNING_CASES = {
@@ -773,6 +795,16 @@ def test_cli_solve_elliptic_rejects_coefficients_whose_square_overflows(tmp_path
     assert code == 2
     assert capsys.readouterr().err.startswith(
         "error: the largest coefficient magnitude squared overflows a float")
+
+
+def test_cli_probe_positivity_fails_on_a_sample_norm_that_overflows(tmp_path, capsys):
+    """It printed 'min quotient 0.000000e+00 over 5 samples' and PASS."""
+    cfg = write_cfg(tmp_path, MSUB_TEXT.replace("L1 = 1.0", "L1 = 1e160")
+                    .replace("L2 = 1.0", "L2 = 1.3e151").replace("= 16", "= 8"))
+    code = cli.main(["probe-positivity", "--config", cfg, "--samples", "5"])
+    captured = capsys.readouterr()
+    assert code == 1 and "PASS" not in captured.out
+    assert captured.err == "error: positivity probe sample 0: the squared norm is inf\n"
 
 
 def test_cli_probe_positivity_fails_on_a_non_finite_quotient(tmp_path, capsys):

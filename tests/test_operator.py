@@ -629,6 +629,14 @@ def test_positivity_probe_raises_on_a_non_finite_quotient():
         sw.positivity_probe(p, sw.Grid(7e-306, 1.0, 8, 8), 2, 0)
 
 
+def test_positivity_probe_raises_on_a_sample_norm_that_overflows():
+    """At the msub reference state on [0, 1e160] x [0, 1.3e151] a sample's
+    squared norm overflows to inf while <A_h U, U> stays finite: the
+    quotient read 0 and the probe reported PASS."""
+    with pytest.raises(NonFinite, match="^positivity probe sample 0: the squared norm is inf$"):
+        sw.positivity_probe(params("msub"), sw.Grid(1e160, 1.3e151, 8, 8), 5, 0)
+
+
 def test_positivity_probe_on_a_small_domain_counts_every_sample():
     """On [0, 1e-15]^2 a sample's squared norm is ~1e-30: a sample, not a
     zero field, so the minimum quotient is finite."""
